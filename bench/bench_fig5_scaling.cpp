@@ -25,15 +25,6 @@ int main(int argc, char** argv) {
   const std::vector<int> threads{2, 4, 8};
   const std::vector<int> players{64, 96, 128, 144, 160, 176, 192};
 
-  // The scaling sweeps run the DESIGN.md §15 reply hot path (SoA frame
-  // view + shared cluster baselines + arena wire buffers); a legacy-reply
-  // sequential sweep rides along so the before/after reply share is one
-  // bench run apart.
-  const auto enable_reply_path = [](ExperimentConfig& cfg) {
-    cfg.server.reply.soa_view = true;
-    cfg.server.reply.shared_baselines = true;
-  };
-
   // Sequential reference for the rate plot (the paper overlays it).
   std::vector<SweepPoint> seq;
   for (const int n : players) {
@@ -42,27 +33,12 @@ int main(int argc, char** argv) {
     p.config =
         paper_config(ServerMode::kSequential, 1, n, core::LockPolicy::kNone);
     bench::apply_windows(p.config);
-    enable_reply_path(p.config);
     seq.push_back(std::move(p));
   }
   run_sweep(seq);
 
-  std::vector<SweepPoint> seq_legacy;
-  for (const int n : players) {
-    SweepPoint p;
-    p.label = "seq-legacy/" + std::to_string(n) + "p";
-    p.config =
-        paper_config(ServerMode::kSequential, 1, n, core::LockPolicy::kNone);
-    bench::apply_windows(p.config);
-    seq_legacy.push_back(std::move(p));
-  }
-  run_sweep(seq_legacy);
-
   auto grid = paper_grid(threads, players, core::LockPolicy::kConservative);
-  for (auto& p : grid) {
-    bench::apply_windows(p.config);
-    enable_reply_path(p.config);
-  }
+  for (auto& p : grid) bench::apply_windows(p.config);
   const uint64_t allocs_before = bench::heap_allocs();
   run_sweep(grid);
   const uint64_t sweep_allocs = bench::heap_allocs() - allocs_before;
@@ -78,20 +54,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(sweep_frames));
 
   out.add_points("sequential", seq);
-  out.add_points("sequential-legacy-reply", seq_legacy);
   out.add_points("conservative", grid);
-
-  Table reply_cmp(
-      "Reply share, legacy vs shared-baseline path (sequential, % of total)");
-  reply_cmp.header({"players", "legacy", "shared", "delta"});
-  for (size_t i = 0; i < players.size(); ++i) {
-    const double legacy = seq_legacy[i].result.pct.reply;
-    const double shared = seq[i].result.pct.reply;
-    reply_cmp.row({std::to_string(players[i]), Table::pct(legacy),
-                   Table::pct(shared), Table::pct(shared - legacy)});
-  }
-  std::printf("\n");
-  reply_cmp.print();
 
   Table breakdowns("Fig 5(a): execution time breakdowns (% of total)");
   breakdowns.header(breakdown_header("threads/players"));

@@ -205,21 +205,19 @@ Verdict evaluate(const Scenario& s, const harness::ShardExperimentResult& r,
     if (r.shards[i].state == shard::ShardState::kShed &&
         static_cast<int>(i) != s.expect_shed)
       fail(shard_msg("unexpected shed", static_cast<int>(i),
-                     r.shards[i].shed_reason != nullptr
-                         ? r.shards[i].shed_reason
-                         : "?"));
+                     shard::shed_reason_name(r.shards[i].shed_reason)));
   }
   if (s.expect_shed >= 0) {
     const auto& ps = r.shards[static_cast<size_t>(s.expect_shed)];
     if (ps.state != shard::ShardState::kShed) {
       fail(shard_msg("expected shed did not happen", s.expect_shed,
                      shard::shard_state_name(ps.state)));
-    } else if (s.expect_shed_reason != nullptr &&
-               (ps.shed_reason == nullptr ||
-                std::string(ps.shed_reason) != s.expect_shed_reason)) {
+    } else if (s.expect_shed_reason != shard::ShedReason::kNone &&
+               ps.shed_reason != s.expect_shed_reason) {
       fail(shard_msg("wrong shed reason", s.expect_shed,
-                     std::string(ps.shed_reason ? ps.shed_reason : "null") +
-                         " != " + s.expect_shed_reason));
+                     std::string(shard::shed_reason_name(ps.shed_reason)) +
+                         " != " +
+                         shard::shed_reason_name(s.expect_shed_reason)));
     }
   }
 
@@ -517,7 +515,7 @@ std::vector<Scenario> standard_scenarios(
          .shard = 1,
          .count = 10}};
     s.expect_shed = 1;
-    s.expect_shed_reason = "crash-loop";
+    s.expect_shed_reason = shard::ShedReason::kCrashLoop;
     s.allow_reconnects = true;
     s.allow_slos = {"lost_clients", "frame_p99", "handoff_p99",
                     "recovery_pause"};
@@ -715,7 +713,7 @@ std::vector<Scenario> standard_scenarios(
                {.kind = FaultStep::Kind::kCrashShard, .at = mid, .shard = 3}};
     s.expect_restored = {1, 2};
     s.expect_shed = 3;
-    s.expect_shed_reason = "quarantine-cap";
+    s.expect_shed_reason = shard::ShedReason::kQuarantineCap;
     s.allow_reconnects = true;
     s.allow_slos = {"lost_clients", "frame_p99", "handoff_p99",
                     "recovery_pause"};

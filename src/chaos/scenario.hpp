@@ -69,9 +69,9 @@ struct Scenario {
   // (e.g. a client-side partition must not read as engine failure).
   bool expect_escalation = true;
   // Shard expected to end kShed (-1 = any shed is a failure), and the
-  // supervisor's shed reason ("budget", "crash-loop", "quarantine-cap").
+  // supervisor's shed reason (kNone = unchecked).
   int expect_shed = -1;
-  const char* expect_shed_reason = nullptr;
+  shard::ShedReason expect_shed_reason = shard::ShedReason::kNone;
   // Expected restore fallback mode / load error on `mode_shard`
   // (restore_mode_name / load_error_name strings; nullptr = unchecked).
   int mode_shard = -1;

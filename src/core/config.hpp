@@ -38,21 +38,6 @@ enum class AssignPolicy : uint8_t {
 
 const char* assign_policy_name(AssignPolicy p);
 
-// Reply-phase hot path (DESIGN.md §15). Both knobs default off: the
-// legacy per-client path is the bit-identity oracle, and committed
-// replay digests must not move unless a config explicitly opts in.
-struct ReplyPathConfig {
-  // Rebuild the world into a packed SoA frame view once per frame and
-  // run the interest/thin-range sweep over contiguous arrays instead of
-  // per-entity virtual gathers.
-  bool soa_view = false;
-  // Encode each entity's wire record once per frame into the view's
-  // canonical block and share per-cluster PVS visibility across viewers;
-  // per-client work drops to mask-compare + span copy. Requires
-  // soa_view; wire bytes stay identical to the legacy encoders.
-  bool shared_baselines = false;
-};
-
 struct ServerConfig {
   int threads = 1;  // ignored by the sequential server
   LockPolicy lock_policy = LockPolicy::kConservative;
@@ -76,9 +61,6 @@ struct ServerConfig {
   bool delta_snapshots = false;
   // Per-client history of sent snapshots kept for baselining.
   int snapshot_history = 8;
-
-  // Reply-phase hot path: SoA frame view + shared-baseline encoding.
-  ReplyPathConfig reply{};
 
   // Client liveness (QuakeWorld's sv_timeout): a client heard from
   // nothing for this long is reaped between frames — its entity leaves

@@ -27,7 +27,7 @@
 #include "src/core/lock_manager.hpp"
 #include "src/net/netchan.hpp"
 #include "src/sim/scratch.hpp"
-#include "src/sim/snapshot_encode.hpp"
+#include "src/sim/snapshot.hpp"
 
 namespace qserv::resilience {
 class FrameGovernor;
@@ -63,26 +63,6 @@ struct PipelineContext {
   Engine* engine;                // facade for hook-owned escalations
 };
 
-// One thread's per-frame wire staging (DESIGN.md §15): every outgoing
-// snapshot body is encoded back-to-back into one growing buffer, each
-// preceded by netchan headroom, then handed to the socket as a span —
-// no per-client vector assembly. Frames are recorded as offsets, not
-// pointers: the buffer relocates as it grows within the finalize loop.
-struct WireArena {
-  net::ByteWriter bytes;
-  struct Frame {
-    size_t off = 0;   // start of the headroom in `bytes`
-    size_t len = 0;   // body length (headroom excluded)
-    ClientSlot* slot = nullptr;
-  };
-  std::vector<Frame> frames;
-
-  void begin_frame() {
-    bytes.clear();  // keeps capacity
-    frames.clear();
-  }
-};
-
 // Per-thread frame scratch: every container the exec and reply phases
 // would otherwise allocate per move / per frame. Arenas are only ever
 // touched by their owning thread, so no synchronization; capacity grows
@@ -94,17 +74,15 @@ struct FrameArena {
   std::vector<std::vector<int>> lock_sets;
   LockManager::Region region;
   sim::MoveScratch move_scratch;
-  // Reply phase: per-client event assembly, the frame-wide event
-  // snapshot, and the snapshot being built/encoded.
+  // Reply phase: per-client event assembly, the snapshot being built,
+  // the visible view rows the sweep hands the encoder, the encoder's
+  // scratch, and the wire buffer each reply is encoded into (with
+  // NetChannel::kHeaderReserve headroom) and sent from in place.
   std::vector<net::GameEvent> events;
-  std::vector<net::GameEvent> frame_events;
   net::Snapshot snap;
-  // Shared-baseline reply path (DESIGN.md §15): the visible-row list the
-  // sweep hands the span encoder, the encoder's reusable scratch, and
-  // this thread's wire arena.
-  std::vector<uint32_t> visible_rows;
-  sim::SharedEncodeScratch enc_scratch;
-  WireArena wire;
+  std::vector<uint32_t> rows;
+  sim::EncodeScratch enc_scratch;
+  net::ByteWriter wire;
 };
 
 // P: the master's world-physics step. Fixes (t0, dt) for the frame,
@@ -155,10 +133,9 @@ class ReplyPhase {
 
   // Single-threaded frame setup at the flip into the reply phase (the
   // world is frozen from here on): seals the frame's global events into
-  // a shared block, and — under the reply-path knobs — rebuilds the SoA
-  // frame view and primes the per-cluster visibility rows. The stage
-  // durations land in `st` as reply_view / reply_encode.
-  void prepare(int tid, ThreadStats& st);
+  // a shared block and refreshes the world's entity view. The refresh's
+  // host time lands in `st.breakdown.reply`; it charges no virtual time.
+  void prepare(ThreadStats& st);
 
   void run(int tid, ThreadStats& st, bool include_unowned,
            uint64_t participants_mask);
@@ -256,12 +233,9 @@ class FramePipeline {
 
   PipelineContext ctx_;
   uint64_t frames_ = 0;
-  // Reply-prepare products (written single-threaded at the reply flip,
-  // read-only during the phase): the frame's sealed event block, the
-  // frame it was sealed for, and the shared PVS visibility rows.
+  // The frame's sealed event block (written single-threaded at the reply
+  // flip, read-only during the phase).
   SealedEvents sealed_events_;
-  uint64_t reply_prepared_frame_ = 0;  // frames_ start at 1; 0 = never
-  sim::ClusterVisCache cluster_vis_;
   std::atomic<uint64_t> order_ctr_{0};
   vt::TimePoint last_world_{};  // previous world-phase time (for dt)
   vt::TimePoint last_world_t0_{};

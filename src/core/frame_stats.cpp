@@ -10,10 +10,6 @@ Breakdown& Breakdown::operator+=(const Breakdown& o) {
   lock_parent += o.lock_parent;
   receive += o.receive;
   reply += o.reply;
-  reply_view += o.reply_view;
-  reply_encode += o.reply_encode;
-  reply_finalize += o.reply_finalize;
-  reply_send += o.reply_send;
   world += o.world;
   intra_wait += o.intra_wait;
   inter_wait_world += o.inter_wait_world;
@@ -52,10 +48,6 @@ BreakdownPct to_percent(const Breakdown& b) {
   out.lock_parent = static_cast<double>(b.lock_parent.ns) / total;
   out.receive = static_cast<double>(b.receive.ns) / total;
   out.reply = static_cast<double>(b.reply.ns) / total;
-  out.reply_view = static_cast<double>(b.reply_view.ns) / total;
-  out.reply_encode = static_cast<double>(b.reply_encode.ns) / total;
-  out.reply_finalize = static_cast<double>(b.reply_finalize.ns) / total;
-  out.reply_send = static_cast<double>(b.reply_send.ns) / total;
   out.world = static_cast<double>(b.world.ns) / total;
   out.intra_wait = static_cast<double>(b.intra_wait.ns) / total;
   out.inter_wait_world = static_cast<double>(b.inter_wait_world.ns) / total;
@@ -75,18 +67,7 @@ std::string format_breakdown(const Breakdown& b) {
                 p.lock_parent * 100, p.receive * 100, p.reply * 100,
                 p.world * 100, p.intra_wait * 100, p.inter_wait() * 100,
                 p.idle * 100);
-  std::string out = buf;
-  const vt::Duration staged =
-      b.reply_view + b.reply_encode + b.reply_finalize + b.reply_send;
-  if (staged.ns > 0) {
-    std::snprintf(buf, sizeof buf,
-                  " | reply stages: view %.1f%% encode %.1f%% finalize "
-                  "%.1f%% send %.1f%%",
-                  p.reply_view * 100, p.reply_encode * 100,
-                  p.reply_finalize * 100, p.reply_send * 100);
-    out += buf;
-  }
-  return out;
+  return buf;
 }
 
 }  // namespace qserv::core

@@ -23,15 +23,6 @@ struct Breakdown {
   vt::Duration lock_parent{}; // waiting for parent/list locks
   vt::Duration receive{};     // receiving + parsing requests
   vt::Duration reply{};       // forming and sending replies
-  // Stage split of `reply` on the DESIGN.md §15 hot path (view build,
-  // shared cluster encode, per-client finalize, socket sends). These are
-  // components OF reply, not additions to it: reply == their sum when
-  // the new path runs, and they stay zero on the legacy path. Excluded
-  // from total().
-  vt::Duration reply_view{};
-  vt::Duration reply_encode{};
-  vt::Duration reply_finalize{};
-  vt::Duration reply_send{};
   vt::Duration world{};       // world physics update (master only)
   vt::Duration intra_wait{};  // barrier before the reply phase
   vt::Duration inter_wait_world{};  // waiting for the world update
@@ -112,10 +103,6 @@ struct BreakdownPct {
   double exec = 0, lock_leaf = 0, lock_parent = 0, receive = 0, reply = 0,
          world = 0, intra_wait = 0, inter_wait_world = 0, inter_wait_frame = 0,
          idle = 0;
-  // Stage split of `reply` (zero on the legacy path); fractions of the
-  // same total, so reply == reply_view+reply_encode+reply_finalize+
-  // reply_send whenever the new path produced them.
-  double reply_view = 0, reply_encode = 0, reply_finalize = 0, reply_send = 0;
   double lock() const { return lock_leaf + lock_parent; }
   double inter_wait() const { return inter_wait_world + inter_wait_frame; }
 };

@@ -30,18 +30,6 @@ class GlobalStateBuffer : public sim::EventSink {
     events_.push_back(e);
   }
 
-  std::vector<net::GameEvent> snapshot() const {
-    vt::LockGuard g(*mu_);
-    return events_;
-  }
-
-  // snapshot() into a caller-owned buffer: same single lock acquisition,
-  // but the reply phase's per-frame copy reuses `out`'s capacity.
-  void snapshot_into(std::vector<net::GameEvent>& out) const {
-    vt::LockGuard g(*mu_);
-    out.assign(events_.begin(), events_.end());
-  }
-
   // Seals the current frame's events into an immutable shared block and
   // leaves the live buffer empty (the master's end-of-frame clear() then
   // finds nothing to do). Called once per frame at the flip into the
@@ -88,12 +76,6 @@ class ReplyBuffer {
   explicit ReplyBuffer(vt::Platform& platform)
       : mu_(platform.make_mutex("reply-buffer")) {}
 
-  void append(const std::vector<net::GameEvent>& events) {
-    if (events.empty()) return;
-    vt::LockGuard g(*mu_);
-    buffered_.insert(buffered_.end(), events.begin(), events.end());
-  }
-
   // Queues a sealed frame block by reference: one refcount bump instead
   // of copying the events, the point of GlobalStateBuffer::seal_frame().
   void append_block(const SealedEvents& block) {
@@ -102,28 +84,23 @@ class ReplyBuffer {
     blocks_.push_back(block);
   }
 
-  // Drains the buffer into `out` (the snapshot's event list). Blocks
-  // first (they are older: a block frame precedes any append() that
-  // lands afterwards), then the element-wise buffer, FIFO within each.
+  // Drains the buffered frames' events into `out` (the snapshot's event
+  // list), oldest frame first.
   void drain_into(std::vector<net::GameEvent>& out) {
     vt::LockGuard g(*mu_);
     for (const auto& b : blocks_) out.insert(out.end(), b->begin(), b->end());
     blocks_.clear();
-    if (buffered_.empty()) return;
-    out.insert(out.end(), buffered_.begin(), buffered_.end());
-    buffered_.clear();
   }
 
   size_t size() const {
     vt::LockGuard g(*mu_);
-    size_t n = buffered_.size();
+    size_t n = 0;
     for (const auto& b : blocks_) n += b->size();
     return n;
   }
 
  private:
   mutable std::unique_ptr<vt::Mutex> mu_;
-  std::vector<net::GameEvent> buffered_;
   std::vector<SealedEvents> blocks_;
 };
 

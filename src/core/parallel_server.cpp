@@ -186,9 +186,9 @@ void ParallelServer::worker_loop(int tid) {
     if (sync_.done_processing == sync_.participants) {
       // Last thread in flips the frame into the reply phase. The world
       // is frozen from here, so this is the single-threaded point where
-      // the frame's events are sealed and (under the reply knobs) the
-      // SoA view and shared PVS rows are built for every thread to read.
-      pipeline_->reply().prepare(tid, st);
+      // the frame's events are sealed and the entity view is refreshed
+      // for every thread to read.
+      pipeline_->reply().prepare(st);
       sync_.phase = FramePhase::kReply;
       platform_.compute(cfg_.costs.signal_syscall);
       sync_cv_->broadcast();

@@ -1,95 +1,37 @@
-// T/Tx: snapshot assembly and delivery. The per-thread arena supplies the
-// frame-event snapshot, the per-client event list, and the net::Snapshot
-// being built, so a steady-state reply phase allocates only the encoded
-// wire bytes and the per-client history entry.
-//
-// Two hot-path generations coexist (DESIGN.md §15), selected by
-// cfg.reply:
-//   * legacy (both knobs off, the default): per-client entity gather and
-//     field-wise encoding — the bit-identity oracle every other mode is
-//     tested against;
-//   * soa_view: the interest sweep runs over the per-frame SoA view
-//     (prepare() builds it once, single-threaded), encoding unchanged;
-//   * + shared_baselines: per-client bodies are span-copied from the
-//     view's canonical records into the thread's wire arena and sent
-//     in place — staged as finalize-all-then-send, with PVS rows shared
-//     per viewer cluster.
+// T/Tx: snapshot assembly and delivery (DESIGN.md §15). One path: the
+// interest sweep runs over the world's SoA entity view, and each reply is
+// encoded from the view's canonical records into this thread's wire
+// buffer and sent from it in place. The per-thread arena supplies every
+// container, so a steady-state reply allocates only the client's history
+// entry.
 #include "src/core/frame_pipeline.hpp"
 
 #include "src/obs/trace.hpp"
 #include "src/resilience/governor.hpp"
-#include "src/sim/snapshot.hpp"
 
 namespace qserv::core {
 
-void ReplyPhase::prepare(int tid, ThreadStats& st) {
+void ReplyPhase::prepare(ThreadStats& st) {
   PipelineContext& ctx = pipe_.ctx_;
-  (void)tid;
-  // Always seal, knobs or not: the sealed block replaces the per-thread
-  // snapshot_into() copy as the frame-event source, and non-replied
-  // clients' buffers take it by reference. Host-side only — modelled
-  // charges are untouched unless the shared path opts in below.
+  // Replied clients copy the sealed block into their snapshot; the
+  // buffers of the others take it by reference.
   pipe_.sealed_events_ = ctx.global_events.seal_frame();
-  pipe_.reply_prepared_frame_ = pipe_.frames_;
-
-  const ReplyPathConfig& knobs = ctx.cfg.reply;
-  if (!knobs.soa_view) return;
-
-  {
-    obs::TraceScope span(st.tracer, st.trace_track, "reply-view",
-                         static_cast<int64_t>(pipe_.frames_));
-    const vt::TimePoint t0 = ctx.platform.now();
-    ctx.world.rebuild_frame_view(pipe_.frames_);
-    const vt::Duration d = ctx.platform.now() - t0;
-    st.breakdown.reply_view += d;
-    st.breakdown.reply += d;
-  }
-
-  if (!knobs.shared_baselines) return;
-  {
-    obs::TraceScope span(st.tracer, st.trace_track, "reply-encode",
-                         static_cast<int64_t>(pipe_.frames_));
-    const vt::TimePoint t0 = ctx.platform.now();
-    pipe_.cluster_vis_.begin_frame();
-    // Prime one visibility row per cluster that has a replying viewer.
-    // pending_reply / notify_port are settled by the flip into the reply
-    // phase, so this covers exactly the viewers the phase will serve.
-    for (auto& c : ctx.registry.slots()) {
-      if (!c.in_use || c.pending_spawn || c.pending_disconnect) continue;
-      if (!c.pending_reply && !c.notify_port) continue;
-      const sim::Entity* player = ctx.world.get(c.entity_id);
-      if (player == nullptr) continue;
-      pipe_.cluster_vis_.prime(ctx.world, ctx.world.frame_view(),
-                               player->cluster);
-    }
-    const vt::Duration d = ctx.platform.now() - t0;
-    st.breakdown.reply_encode += d;
-    st.breakdown.reply += d;
-  }
+  const vt::TimePoint t0 = ctx.platform.now();
+  ctx.world.refresh_view();
+  st.breakdown.reply += ctx.platform.now() - t0;
 }
 
 void ReplyPhase::run(int tid, ThreadStats& st, bool include_unowned,
                      uint64_t participants_mask) {
   PipelineContext& ctx = pipe_.ctx_;
+  const sim::CostModel& costs = ctx.cfg.costs;
   FrameArena& arena = pipe_.arena(tid);
   obs::TraceScope span(st.tracer, st.trace_track, "reply");
   const vt::TimePoint t0 = ctx.platform.now();
   const bool thin_far = ctx.governor->at_least(resilience::kThinFarEntities);
-
-  // Frame events: the block prepare() sealed; a caller that skipped
-  // prepare (none in-tree) falls back to the legacy per-thread copy.
-  const bool prepared = pipe_.reply_prepared_frame_ == pipe_.frames_ &&
-                        pipe_.sealed_events_ != nullptr;
-  if (!prepared) ctx.global_events.snapshot_into(arena.frame_events);
-  const std::vector<net::GameEvent>& frame_events =
-      prepared ? *pipe_.sealed_events_ : arena.frame_events;
-
-  const ReplyPathConfig& knobs = ctx.cfg.reply;
-  const sim::FrameView& view = ctx.world.frame_view();
-  const bool use_view =
-      knobs.soa_view && prepared && view.built_for(pipe_.frames_);
-  const bool shared = use_view && knobs.shared_baselines;
-  if (shared) arena.wire.begin_frame();
+  const std::vector<net::GameEvent>& frame_events = *pipe_.sealed_events_;
+  const auto frame = static_cast<uint32_t>(pipe_.frames_);
+  static_assert(net::NetChannel::kHeaderReserve == sizeof(uint64_t));
 
   for (auto& c : ctx.registry.slots()) {
     if (!c.in_use || c.pending_spawn || c.pending_disconnect) continue;
@@ -106,30 +48,16 @@ void ReplyPhase::run(int tid, ThreadStats& st, bool include_unowned,
     if (owned && (c.pending_reply || c.notify_port)) {
       const sim::Entity* player = ctx.world.get(c.entity_id);
       if (player == nullptr) continue;
-      net::Snapshot& snap = arena.snap;
       // Buffered events from frames this client missed, then this
       // frame's events.
       std::vector<net::GameEvent>& events = arena.events;
       events.clear();
       c.buffer->drain_into(events);
       events.insert(events.end(), frame_events.begin(), frame_events.end());
-      if (use_view) {
-        arena.visible_rows.clear();
-        sim::ViewSweepArgs args;
-        args.thin_far = thin_far;
-        args.shared_encode = shared;
-        args.pvs_row =
-            shared ? pipe_.cluster_vis_.row_for(player->cluster) : nullptr;
-        args.rows_out = shared ? &arena.visible_rows : nullptr;
-        sim::build_snapshot_view(ctx.world, view, *player,
-                                 static_cast<uint32_t>(pipe_.frames_),
-                                 c.last_seq, c.last_move_time_ns, events,
-                                 snap, args);
-      } else {
-        sim::build_snapshot(ctx.world, *player,
-                            static_cast<uint32_t>(pipe_.frames_), c.last_seq,
-                            c.last_move_time_ns, events, snap, thin_far);
-      }
+      net::Snapshot& snap = arena.snap;
+      sim::sweep_snapshot(ctx.world, *player, frame, c.last_seq,
+                          c.last_move_time_ns, events, snap, arena.rows,
+                          thin_far);
       if (c.notify_port) {
         snap.assigned_port =
             static_cast<uint16_t>(ctx.cfg.base_port + c.owner_thread);
@@ -148,88 +76,35 @@ void ReplyPhase::run(int tid, ThreadStats& st, bool include_unowned,
         }
       }
 
-      if (shared) {
-        // Finalize into the wire arena; the send loop below hands the
-        // spans to the sockets once every client's body is staged.
-        ctx.platform.compute(ctx.cfg.costs.reply_base);
-        net::ByteWriter& w = arena.wire.bytes;
-        const size_t off = w.size();
-        w.u64(0);  // netchan headroom (NetChannel::kHeaderReserve)
-        if (baseline != nullptr) {
-          sim::encode_delta_from_view(snap, view, arena.visible_rows,
-                                      baseline->entities,
-                                      baseline->server_frame,
-                                      arena.enc_scratch, w);
-        } else {
-          sim::encode_full_from_view(snap, view, arena.visible_rows, w);
-        }
-        arena.wire.frames.push_back(
-            {off, w.size() - off - net::NetChannel::kHeaderReserve, &c});
-        if (ctx.cfg.delta_snapshots) {
-          c.history.push_back({snap.server_frame, snap.entities});
-          while (static_cast<int>(c.history.size()) >
-                 ctx.cfg.snapshot_history)
-            c.history.pop_front();
-        }
-        c.pending_reply = false;
+      ctx.platform.compute(costs.reply_base + costs.send_syscall);
+      net::ByteWriter& w = arena.wire;
+      w.clear();
+      w.u64(0);  // headroom for the channel header send_in_place stamps
+      if (baseline != nullptr) {
+        sim::write_delta_snapshot(snap, ctx.world.view(), arena.rows,
+                                  baseline->entities, baseline->server_frame,
+                                  arena.enc_scratch, w);
       } else {
-        ctx.platform.compute(ctx.cfg.costs.reply_base +
-                             ctx.cfg.costs.send_syscall);
-        if (ctx.cfg.delta_snapshots) {
-          std::vector<uint8_t> bytes =
-              baseline != nullptr
-                  ? net::encode_delta(snap, baseline->entities,
-                                      baseline->server_frame)
-                  : net::encode(snap);
-          c.history.push_back({snap.server_frame, snap.entities});
-          while (static_cast<int>(c.history.size()) >
-                 ctx.cfg.snapshot_history)
-            c.history.pop_front();
-          c.chan->send(std::move(bytes));
-        } else {
-          c.chan->send(net::encode(snap));
-        }
-        c.pending_reply = false;
-        ++st.replies_sent;
+        sim::write_full_snapshot(snap, ctx.world.view(), arena.rows, w);
       }
+      if (ctx.cfg.delta_snapshots) {
+        c.history.push_back({snap.server_frame, snap.entities});
+        while (static_cast<int>(c.history.size()) > ctx.cfg.snapshot_history)
+          c.history.pop_front();
+      }
+      c.chan->send_in_place(w.mutable_data(),
+                            w.size() - net::NetChannel::kHeaderReserve);
+      c.pending_reply = false;
+      ++st.replies_sent;
     } else {
       // No request this frame: update the client's message buffer from
       // the global state buffer anyway (§3.3 — every client, every
       // frame; per-buffer lock inside).
-      if (prepared) {
-        c.buffer->append_block(pipe_.sealed_events_);
-      } else {
-        c.buffer->append(frame_events);
-      }
-      if (shared) {
-        // The buffer takes the sealed block by reference — one refcount
-        // bump instead of an element-wise copy.
-        ctx.platform.compute(ctx.cfg.costs.per_buffer_ref);
-      } else {
-        ctx.platform.compute(ctx.cfg.costs.per_buffer_update +
-                             ctx.cfg.costs.per_event *
-                                 static_cast<int64_t>(frame_events.size()));
-      }
+      c.buffer->append_block(pipe_.sealed_events_);
+      ctx.platform.compute(costs.per_buffer_update +
+                           costs.per_event *
+                               static_cast<int64_t>(frame_events.size()));
     }
-  }
-
-  if (shared) {
-    const vt::TimePoint t1 = ctx.platform.now();
-    st.breakdown.reply_finalize += t1 - t0;
-    {
-      obs::TraceScope send_span(st.tracer, st.trace_track, "reply-send");
-      for (const auto& f : arena.wire.frames) {
-        ctx.platform.compute(ctx.cfg.costs.send_syscall);
-        f.slot->chan->send_in_place(arena.wire.bytes.mutable_data() + f.off,
-                                    f.len);
-        ++st.replies_sent;
-      }
-    }
-    st.breakdown.reply_send += ctx.platform.now() - t1;
-  } else if (use_view) {
-    // SoA-only mode is not staged; account the whole loop as finalize so
-    // the stage sum still equals `reply`.
-    st.breakdown.reply_finalize += ctx.platform.now() - t0;
   }
   st.breakdown.reply += ctx.platform.now() - t0;
 }

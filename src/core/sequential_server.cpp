@@ -62,8 +62,8 @@ void SequentialServer::main_loop() {
 
     // T/Tx: form and send replies to everyone who sent a request, and
     // buffer global updates for everyone else. prepare() seals the
-    // frame's events (and builds the SoA view under the reply knobs).
-    pipeline_->reply().prepare(0, st);
+    // frame's events and refreshes the entity view.
+    pipeline_->reply().prepare(st);
     pipeline_->reply().run(0, st, /*include_unowned=*/true,
                            /*participants_mask=*/1);
 

@@ -14,10 +14,6 @@ void write_breakdown_pct(obs::JsonWriter& w, const core::BreakdownPct& p) {
   w.kv("lock_parent", p.lock_parent);
   w.kv("receive", p.receive);
   w.kv("reply", p.reply);
-  w.kv("reply_view", p.reply_view);
-  w.kv("reply_encode", p.reply_encode);
-  w.kv("reply_finalize", p.reply_finalize);
-  w.kv("reply_send", p.reply_send);
   w.kv("world", p.world);
   w.kv("intra_wait", p.intra_wait);
   w.kv("inter_wait_world", p.inter_wait_world);
@@ -33,10 +29,6 @@ void write_breakdown_ms(obs::JsonWriter& w, const core::Breakdown& b) {
   w.kv("lock_parent", b.lock_parent.millis());
   w.kv("receive", b.receive.millis());
   w.kv("reply", b.reply.millis());
-  w.kv("reply_view", b.reply_view.millis());
-  w.kv("reply_encode", b.reply_encode.millis());
-  w.kv("reply_finalize", b.reply_finalize.millis());
-  w.kv("reply_send", b.reply_send.millis());
   w.kv("world", b.world.millis());
   w.kv("intra_wait", b.intra_wait.millis());
   w.kv("inter_wait_world", b.inter_wait_world.millis());

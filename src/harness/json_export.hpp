@@ -18,7 +18,6 @@
 //     "response": {rate_per_s, ms_mean, ms_p50, ms_p95, connected,
 //        snapshot_entities_mean},
 //     "breakdown_pct": {exec, lock_leaf, lock_parent, receive, reply,
-//        reply_view, reply_encode, reply_finalize, reply_send,
 //        world, intra_wait, inter_wait_world, inter_wait_frame, idle},
 //     "breakdown_ms": {...same keys...},
 //     "locks": {...}, "lock_analysis": {...}, "wait": {...},
@@ -26,9 +25,8 @@
 //     "reply_share",                    // == breakdown_pct.reply
 //     "allocs_per_frame"                // only when an alloc probe ran
 //   }
-// The reply_* stage keys are components of reply (zero on the legacy
-// reply path); reply_share / allocs_per_frame are the trend gate's
-// direction-keyed metrics.
+// reply_share / allocs_per_frame are the trend gate's direction-keyed
+// metrics.
 #pragma once
 
 #include <string>

@@ -58,17 +58,6 @@ void print_summary(const std::string& label, const ExperimentResult& r) {
       r.pct.lock_leaf * 100, r.pct.lock_parent * 100,
       (r.pct.intra_wait + r.pct.inter_wait()) * 100, r.pct.idle * 100,
       static_cast<unsigned long long>(r.frames), r.host_seconds);
-  // Reply-phase stage split (DESIGN.md §15): present only when the new
-  // reply path ran. The stages are components of reply, so the old
-  // aggregate stays comparable across generations.
-  const auto& p = r.pct;
-  if (p.reply_view + p.reply_encode + p.reply_finalize + p.reply_send > 0) {
-    std::printf(
-        "%-28s reply=%4.1f%% [view %.1f%% encode %.1f%% finalize %.1f%% "
-        "send %.1f%%]\n",
-        "", p.reply * 100, p.reply_view * 100, p.reply_encode * 100,
-        p.reply_finalize * 100, p.reply_send * 100);
-  }
   std::fflush(stdout);
 }
 

@@ -92,7 +92,7 @@ struct ShardExperimentResult {
     uint64_t shed_sessions = 0;
     uint64_t backoff_waits = 0;
     bool breaker_tripped = false;
-    const char* shed_reason = nullptr;  // static string or nullptr
+    shard::ShedReason shed_reason = shard::ShedReason::kNone;
     uint64_t frames = 0;
     int connected = 0;
     uint64_t handoffs_out = 0;

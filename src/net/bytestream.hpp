@@ -27,7 +27,7 @@ class ByteWriter {
   void bytes(const uint8_t* data, size_t n);
 
   const std::vector<uint8_t>& data() const { return buf_; }
-  // In-place header stamping for arena-staged sends (NetChannel
+  // In-place header stamping for sends from a reused buffer (NetChannel
   // headroom); callers own the offset arithmetic.
   uint8_t* mutable_data() { return buf_.data(); }
   std::vector<uint8_t> take() { return std::move(buf_); }

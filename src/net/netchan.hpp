@@ -26,7 +26,7 @@ class NetChannel {
   bool send(std::vector<uint8_t> body);
 
   // Zero-copy variant: `frame` points at kHeaderReserve writable headroom
-  // bytes followed by `body_len` message bytes (an arena wire buffer).
+  // bytes followed by `body_len` message bytes (a reused wire buffer).
   // Stamps the header into the headroom and sends the whole span without
   // assembling an intermediate vector.
   bool send_in_place(uint8_t* frame, size_t body_len);

@@ -79,7 +79,8 @@ std::vector<uint8_t> encode(const ConnectAck& m) {
   return w.take();
 }
 
-void encode(const Snapshot& m, ByteWriter& w) {
+std::vector<uint8_t> encode(const Snapshot& m) {
+  ByteWriter w;
   w.u8(static_cast<uint8_t>(ServerMsgType::kSnapshot));
   w.u32(m.server_frame);
   w.u32(m.ack_sequence);
@@ -105,25 +106,10 @@ void encode(const Snapshot& m, ByteWriter& w) {
     w.u32(ev.b);
     w.vec3(ev.pos);
   }
-}
-
-std::vector<uint8_t> encode(const Snapshot& m) {
-  ByteWriter w;
-  encode(m, w);
   return w.take();
 }
 
 namespace {
-
-void encode_events(const std::vector<GameEvent>& events, ByteWriter& w) {
-  w.u16(static_cast<uint16_t>(events.size()));
-  for (const auto& ev : events) {
-    w.u8(ev.kind);
-    w.u32(ev.a);
-    w.u32(ev.b);
-    w.vec3(ev.pos);
-  }
-}
 
 bool decode_events(ByteReader& r, std::vector<GameEvent>& events) {
   const uint16_t n = r.u16();
@@ -140,72 +126,6 @@ bool decode_events(ByteReader& r, std::vector<GameEvent>& events) {
 }
 
 }  // namespace
-
-std::vector<uint8_t> encode_delta(const Snapshot& now,
-                                  const std::vector<EntityUpdate>& baseline,
-                                  uint32_t baseline_frame,
-                                  int* stats_encoded_out) {
-  ByteWriter w;
-  w.u8(static_cast<uint8_t>(ServerMsgType::kDeltaSnapshot));
-  w.u32(now.server_frame);
-  w.u32(now.ack_sequence);
-  w.i64(now.client_time_echo_ns);
-  w.u16(now.assigned_port);
-  w.u32(baseline_frame);
-  // Private player state is small and always sent in full.
-  w.vec3(now.origin);
-  w.vec3(now.velocity);
-  w.u16(static_cast<uint16_t>(now.health));
-  w.u16(static_cast<uint16_t>(now.armor));
-  w.u16(static_cast<uint16_t>(now.frags));
-
-  // Index the baseline by id.
-  std::map<uint32_t, const EntityUpdate*> base;
-  for (const auto& e : baseline) base[e.id] = &e;
-
-  // Removals: baseline entities no longer visible.
-  std::vector<uint32_t> removed;
-  {
-    std::map<uint32_t, bool> present;
-    for (const auto& e : now.entities) present[e.id] = true;
-    for (const auto& e : baseline) {
-      if (!present.contains(e.id)) removed.push_back(e.id);
-    }
-  }
-  w.u16(static_cast<uint16_t>(removed.size()));
-  for (const uint32_t id : removed) w.u32(id);
-
-  // Changed/new entities with per-field masks.
-  int encoded = 0;
-  ByteWriter body;
-  for (const auto& e : now.entities) {
-    uint8_t mask = 0;
-    const auto it = base.find(e.id);
-    if (it == base.end()) {
-      mask = kDeltaAll;
-    } else {
-      const EntityUpdate& b = *it->second;
-      if (e.origin != b.origin) mask |= kDeltaOrigin;
-      if (e.yaw_deg != b.yaw_deg) mask |= kDeltaYaw;
-      if (e.state != b.state) mask |= kDeltaState;
-      if (e.type != b.type) mask |= kDeltaType;
-    }
-    if (mask == 0) continue;  // unchanged: costs nothing on the wire
-    ++encoded;
-    body.u32(e.id);
-    body.u8(mask);
-    if (mask & kDeltaOrigin) body.vec3(e.origin);
-    if (mask & kDeltaYaw) body.f32(e.yaw_deg);
-    if (mask & kDeltaState) body.u8(e.state);
-    if (mask & kDeltaType) body.u8(e.type);
-  }
-  w.u16(static_cast<uint16_t>(encoded));
-  w.bytes(body.data().data(), body.size());
-
-  encode_events(now.events, w);
-  if (stats_encoded_out != nullptr) *stats_encoded_out = encoded;
-  return w.take();
-}
 
 bool decode_delta(ByteReader& r, const BaselineLookup& baseline_lookup,
                   Snapshot& out) {

@@ -137,19 +137,7 @@ std::vector<uint8_t> encode(const MoveCmd& m);
 std::vector<uint8_t> encode_disconnect();
 std::vector<uint8_t> encode(const RejectMsg& m);
 std::vector<uint8_t> encode(const ConnectAck& m);
-void encode(const Snapshot& m, ByteWriter& w);
 std::vector<uint8_t> encode(const Snapshot& m);
-
-// Delta compression: encodes `now` against `baseline.entities` (the
-// entity list of the snapshot whose server_frame the client last
-// acknowledged). Unchanged entities cost nothing; changed ones carry only
-// the changed fields; entities present in the baseline but not in `now`
-// go to a removal list. `stats_encoded_out`, if non-null, receives the
-// number of entity records actually written (for cost accounting).
-std::vector<uint8_t> encode_delta(const Snapshot& now,
-                                  const std::vector<EntityUpdate>& baseline,
-                                  uint32_t baseline_frame,
-                                  int* stats_encoded_out = nullptr);
 
 // Reconstructs a full snapshot from a delta. `baseline_lookup` maps a
 // server_frame to the entity list of the snapshot the client

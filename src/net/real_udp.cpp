@@ -59,7 +59,7 @@ class RealSocket final : public Socket {
 
   // A real datagram socket needs no owning buffer past the sendto(2)
   // call, so the span goes straight to the kernel — this is the zero-copy
-  // end of the arena wire-buffer path.
+  // end of the reply path's in-place sends.
   bool send_span(uint16_t dst, const uint8_t* data, size_t len) override {
     sockaddr_in to{};
     if (!net_.lookup_route(dst, to)) {

@@ -20,6 +20,22 @@ const char* shard_state_name(ShardState s) {
   return "?";
 }
 
+const char* shed_reason_name(ShedReason r) {
+  switch (r) {
+    case ShedReason::kNone:
+      return "none";
+    case ShedReason::kBudget:
+      return "budget";
+    case ShedReason::kCrashLoop:
+      return "crash-loop";
+    case ShedReason::kQuarantineCap:
+      return "quarantine-cap";
+    case ShedReason::kRestoreFailed:
+      return "restore-failed";
+  }
+  return "?";
+}
+
 ShardSupervisor::ShardSupervisor(vt::Platform& platform, ShardManager& mgr)
     : platform_(platform), mgr_(mgr), gate_(std::make_shared<TickGate>()) {
   track_.resize(static_cast<size_t>(mgr_.shards()));
@@ -141,11 +157,11 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
       // Quarantine cap: this tick decided the fleet has too many shards
       // in repair at once and this one drew the short straw.
       if (i == cap_victim) {
-        do_shed(i, "quarantine-cap");
+        do_shed(i, ShedReason::kQuarantineCap);
         break;
       }
       if (s.restores() >= cfg.max_restores) {
-        do_shed(i, "budget");
+        do_shed(i, ShedReason::kBudget);
         break;
       }
       // Crash-loop circuit breaker: prune rebuild timestamps that fell
@@ -161,7 +177,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
                    stamps.end());
       if (static_cast<int>(stamps.size()) >= cfg.crash_loop_max_rebuilds) {
         r.breaker_tripped = true;
-        do_shed(i, "crash-loop");
+        do_shed(i, ShedReason::kCrashLoop);
         break;
       }
       // Exponential backoff between rebuilds (the first restore is
@@ -188,7 +204,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         o->on_restore(i, out.ok, out.used_tail, out.stats.tail_frames,
                       out.pause_ms, restore_mode_name(out.mode));
       if (!out.ok) {
-        do_shed(i, "restore-failed");
+        do_shed(i, ShedReason::kRestoreFailed);
         break;
       }
       // Arm the breaker window and the next backoff: after the k-th
@@ -209,7 +225,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
   }
 }
 
-void ShardSupervisor::do_shed(int i, const char* why) {
+void ShardSupervisor::do_shed(int i, ShedReason why) {
   Shard& s = mgr_.shard(i);
   Report& r = track_[static_cast<size_t>(i)].report;
   std::vector<core::Server::SessionTransfer> transfers = s.shed();
@@ -236,7 +252,7 @@ void ShardSupervisor::do_shed(int i, const char* why) {
     if (mgr_.post_handoff(target, std::move(tr))) ++r.shed_sessions;
   }
   if (FleetObserver* o = mgr_.observer(); o != nullptr)
-    o->on_shed(i, r.shed_sessions, why);
+    o->on_shed(i, r.shed_sessions, shed_reason_name(why));
 }
 
 void ShardSupervisor::reclaim_stale_handoffs(int64_t now_ns) {

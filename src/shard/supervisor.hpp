@@ -45,6 +45,16 @@ class ShardManager;
 enum class ShardState : uint8_t { kHealthy, kQuarantined, kShed };
 const char* shard_state_name(ShardState s);
 
+// Why the supervisor shed a shard instead of restoring it.
+enum class ShedReason : uint8_t {
+  kNone,           // not shed
+  kBudget,         // max_restores exhausted
+  kCrashLoop,      // crash-loop circuit breaker tripped
+  kQuarantineCap,  // too many simultaneous quarantines; lowest priority
+  kRestoreFailed,  // the rebuild+restore itself failed
+};
+const char* shed_reason_name(ShedReason r);
+
 class ShardSupervisor {
  public:
   ShardSupervisor(vt::Platform& platform, ShardManager& mgr);
@@ -72,9 +82,8 @@ class ShardSupervisor {
     uint64_t backoff_waits = 0;  // ticks spent quiesced but held back by
                                  // backoff or the restore stagger
     bool breaker_tripped = false;  // crash-loop circuit breaker fired
-    // Static string naming why the shard was shed ("budget",
-    // "crash-loop", "quarantine-cap"); nullptr while not kShed.
-    const char* shed_reason = nullptr;
+    // Why the shard was shed; kNone while not kShed.
+    ShedReason shed_reason = ShedReason::kNone;
   };
   const Report& report(int shard) const { return track_[shard].report; }
 
@@ -85,7 +94,7 @@ class ShardSupervisor {
   void schedule_next();
   void supervise(int i, int64_t now_ns, int cap_victim,
                  int& restores_this_tick);
-  void do_shed(int i, const char* why);
+  void do_shed(int i, ShedReason why);
   // Quarantine-cap victim: the quarantined shard with the fewest clients
   // at its last beat (tie -> highest index); -1 when the cap holds.
   int pick_cap_victim() const;

@@ -26,10 +26,6 @@ CostModel CostModel::scaled(double f) const {
   s(out.per_visible_entity);
   s(out.per_event);
   s(out.send_syscall);
-  s(out.per_view_entity);
-  s(out.per_interest_check_soa);
-  s(out.per_shared_entity);
-  s(out.per_buffer_ref);
   s(out.select_syscall);
   s(out.signal_syscall);
   return out;

@@ -55,26 +55,6 @@ struct CostModel {
   vt::Duration per_event = vt::nanos(200);
   vt::Duration send_syscall = vt::micros(4);
 
-  // --- reply hot path (ServerConfig::reply, DESIGN.md §15) ---
-  // Charged only on the opt-in SoA/shared-baseline path; the legacy
-  // entries above remain the bit-identity fallback. Ratios against the
-  // legacy costs reflect what the restructuring removes:
-  //  * per_view_entity: one SoA row fill + one canonical 22-byte wire
-  //    record encode, paid once per entity per frame (vs once per
-  //    entity per *viewer* under per_visible_entity).
-  //  * per_interest_check_soa: the same distance/parity test over
-  //    contiguous packed arrays — no virtual dispatch, no Entity-sized
-  //    cache-line pulls (~4x cheaper than per_interest_check).
-  //  * per_shared_entity: per-viewer finalize of one visible entity —
-  //    delta-mask compare against the baseline plus a span copy of the
-  //    pre-encoded record (~5x cheaper than per_visible_entity).
-  //  * per_buffer_ref: appending a shared-event-block reference to a
-  //    client's reply buffer instead of copying the events.
-  vt::Duration per_view_entity = vt::nanos(60);
-  vt::Duration per_interest_check_soa = vt::nanos(50);
-  vt::Duration per_shared_entity = vt::nanos(300);
-  vt::Duration per_buffer_ref = vt::nanos(300);
-
   // --- misc ---
   vt::Duration select_syscall = vt::micros(5);
   vt::Duration signal_syscall = vt::micros(15);

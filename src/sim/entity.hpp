@@ -3,6 +3,7 @@
 // the World; the id namespace is shared with the wire protocol.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -100,6 +101,24 @@ struct Entity {
   bool is_player() const { return type == EntityType::kPlayer; }
   bool alive() const { return is_player() && health > 0; }
 };
+
+// World::gather tests the bounds of every entity on the areanode lists it
+// scans, and a parent node's list holds entities outside the caller's
+// locked region, which their own thread may be moving at that moment.
+// Those reads, and the origin writes of request processing, go through
+// relaxed atomics per component: the values are the ones plain accesses
+// would give, without the data race.
+inline Vec3 load_origin(const Entity& e) {
+  auto& o = const_cast<Vec3&>(e.origin);
+  return {std::atomic_ref<float>(o.x).load(std::memory_order_relaxed),
+          std::atomic_ref<float>(o.y).load(std::memory_order_relaxed),
+          std::atomic_ref<float>(o.z).load(std::memory_order_relaxed)};
+}
+inline void store_origin(Entity& e, const Vec3& v) {
+  std::atomic_ref<float>(e.origin.x).store(v.x, std::memory_order_relaxed);
+  std::atomic_ref<float>(e.origin.y).store(v.y, std::memory_order_relaxed);
+  std::atomic_ref<float>(e.origin.z).store(v.z, std::memory_order_relaxed);
+}
 
 const char* entity_type_name(EntityType t);
 const char* weapon_name(Weapon w);

@@ -1,15 +1,17 @@
-// Per-frame SoA entity view (DESIGN.md §15): the world's active entities
-// packed into parallel arrays once per frame, so the reply phase's
-// interest/thin-range sweep is a branch-light pass over contiguous data
-// instead of per-entity virtual gathers, and each entity's canonical
-// wire record is encoded exactly once per frame for every viewer to
-// reference.
+// SoA entity view (DESIGN.md §15): the world's active entities packed into
+// parallel id-ascending arrays, each row carrying the entity's canonical
+// wire record, so the reply phase's interest sweep is a pass over
+// contiguous data and per-client encoders copy record spans instead of
+// re-serializing fields.
 //
-// Lifetime rules: the view is frame-transient scratch. It is rebuilt
-// single-threaded at the start of each reply phase (the world is frozen
-// through the phase, §3.3), stamped with the frame id (`epoch`), and
-// read-only from then on. Rows are indices, never pointers — nothing in
-// the view may escape the frame, and it is never checkpointed.
+// Lifetime rules: the view is persistent and owned by the World. Every
+// mutation of a field the view carries marks the entity's id dirty
+// (World::mark_dirty), and World::refresh_view() — single-threaded, at the
+// flip into the reply phase, while the world is frozen (§3.3) — patches
+// only the dirty rows, inserting rows for spawns and erasing rows for
+// removals. Between refreshes the view lags the world; readers use it only
+// during the reply phase. Rows are indices, never pointers, and the view
+// is never checkpointed (a restore marks every slot dirty).
 #pragma once
 
 #include <cstddef>
@@ -19,21 +21,28 @@
 namespace qserv::sim {
 
 class World;
+struct Entity;
 
 class FrameView {
  public:
   // Canonical wire record per row: the exact entity bytes a full
   // snapshot carries (id u32 | type u8 | origin 3xf32 | yaw f32 |
-  // state u8, little-endian), so per-client encoders copy spans instead
-  // of re-serializing fields.
+  // state u8, little-endian).
   static constexpr size_t kRecordBytes = 22;
+  static constexpr size_t kOffType = 4;
+  static constexpr size_t kOffOrigin = 5;
+  static constexpr size_t kOffYaw = 17;
+  static constexpr size_t kOffState = 21;
 
-  // Packs every active non-kNone entity, in id order. Charges
-  // per_view_entity per row through the world's platform.
-  void rebuild(const World& world, uint64_t frame);
+  // Brings the row of every id whose byte in `dirty` is set up to date
+  // with `world` (patch, insert or erase) and clears those bytes.
+  void refresh(const World& world, std::vector<uint8_t>& dirty);
+  // Repacks every active non-kNone entity from scratch. The server never
+  // calls it: it is the reference a refreshed view must equal
+  // (view_oracle_test) and the cost a refresh saves (bench_micro_reply).
+  void rebuild(const World& world);
 
   size_t size() const { return ids.size(); }
-  bool built_for(uint64_t frame) const { return !empty_stamp_ && epoch == frame; }
   const uint8_t* record(size_t row) const {
     return wire.data() + row * kRecordBytes;
   }
@@ -48,12 +57,23 @@ class FrameView {
   std::vector<uint8_t> is_player;
   std::vector<uint8_t> wire;  // kRecordBytes per row, canonical encoding
 
-  // Frame id stamped at rebuild; consumers must check built_for() and
-  // never hold the view across frames.
-  uint64_t epoch = 0;
-
  private:
-  bool empty_stamp_ = true;  // distinguishes "never built" from frame 0
+  // Applies `f` to every one-element-per-row array (all but `wire`).
+  template <class F>
+  void for_each_column(F&& f) {
+    f(ids);
+    f(x);
+    f(y);
+    f(z);
+    f(yaw);
+    f(cluster);
+    f(type);
+    f(state);
+    f(is_player);
+  }
+  void write_row(size_t row, const Entity& e);
+  void insert_row(size_t row, const Entity& e);
+  void erase_row(size_t row);
 };
 
 }  // namespace qserv::sim

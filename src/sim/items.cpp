@@ -49,11 +49,11 @@ bool try_pickup(World& world, Entity& player, Entity& item, vt::TimePoint now,
   }
   item.available = false;
   item.respawn_at = now + kItemRespawn;
+  world.mark_dirty(item.id);
   if (events != nullptr) {
     events->emit(
         make_event(EventKind::kPickup, player.id, item.id, item.origin));
   }
-  (void)world;
   return true;
 }
 

@@ -138,7 +138,7 @@ MoveStats execute_move(World& world, Entity& player, const net::MoveCmd& cmd,
     vel = clip_velocity(vel, tr.normal);
     if (tr.normal.z > 0.7f) player.on_ground = true;
   }
-  player.origin = pos;
+  store_origin(player, pos);
   player.velocity = vel;
 
   // Ground check (short downward probe).
@@ -162,7 +162,7 @@ MoveStats execute_move(World& world, Entity& player, const net::MoveCmd& cmd,
     } else if (e->type == EntityType::kTeleporter) {
       // Teleport: relocate to the destination — possibly a far region of
       // the areanode tree (§2.3).
-      player.origin = e->teleport_dest;
+      store_origin(player, e->teleport_dest);
       player.velocity = Vec3{};
       stats.teleported = true;
       ++stats.touches;

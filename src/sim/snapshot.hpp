@@ -1,10 +1,17 @@
-// Reply-phase snapshot construction: interest management ("the server
-// determines which entities are of interest to each client and sends out
-// information only for those") and serialization into the wire snapshot.
-// Read-only with respect to global server state, as §3.3 requires of the
-// reply phase.
+// Reply-phase snapshot construction (DESIGN.md §15): interest management
+// ("the server determines which entities are of interest to each client
+// and sends out information only for those") as a sweep over the world's
+// SoA entity view, and encoders that assemble each client's wire message
+// by copying spans of the view's canonical per-entity records. Read-only
+// with respect to global server state, as §3.3 requires of the reply
+// phase.
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "src/net/bytestream.hpp"
 #include "src/net/protocol.hpp"
 #include "src/sim/world.hpp"
 
@@ -23,50 +30,53 @@ struct SnapshotStats {
   int visible_entities = 0;
 };
 
-// Fills `out` (entities + player private state) for `player`. `events` is
-// the frame's global event list, broadcast to everyone. Charges reply
-// costs to the attached platform.
+// Fills `out` (player private state, visible entities in id order, and
+// `events`, broadcast to everyone) for `player`, and sets `rows` to the
+// visible entities' view rows — the encoders' input. Reads world.view(),
+// which must have been refreshed since the last mutation.
+//
+// Charges the paper-era reply costs in the order the per-entity gather
+// always has: per_pvs_check per PVS lookup (or per_los_trace_brush per
+// traced brush on maps without PVS) inside the sweep, then one
+// per_interest_check / per_visible_entity / per_event lump.
 //
 // `thin_far` is the degradation governor's first rung: entities beyond
 // half the interest range are refreshed only every other snapshot (by
 // (entity id + frame) parity, so each far entity still updates at half
 // rate rather than some never appearing). Near entities — the ones the
 // client is interacting with — are never thinned.
-SnapshotStats build_snapshot(const World& world, const Entity& player,
+SnapshotStats sweep_snapshot(const World& world, const Entity& player,
                              uint32_t server_frame, uint32_t ack_sequence,
                              int64_t client_time_echo_ns,
                              const std::vector<net::GameEvent>& events,
-                             net::Snapshot& out, bool thin_far = false);
+                             net::Snapshot& out, std::vector<uint32_t>& rows,
+                             bool thin_far = false);
 
-// Options for the SoA sweep (reply hot path, DESIGN.md §15).
-struct ViewSweepArgs {
-  bool thin_far = false;
-  // Charge per_shared_entity per visible row instead of
-  // per_visible_entity: the shared-baseline encoder copies pre-encoded
-  // record spans, so the per-viewer serialization cost is gone.
-  bool shared_encode = false;
-  // Precomputed byte-per-row visibility of the viewer's PVS cluster
-  // (ClusterVisCache; charged once per cluster per frame). Null on
-  // clusterless viewers (-1, conservative visible-to-all), on maps
-  // without PVS (LOS traces run per viewer as in the legacy path), and
-  // on the plain-SoA path, which then charges per_pvs_check per lookup
-  // exactly like build_snapshot.
-  const std::vector<uint8_t>* pvs_row = nullptr;
-  // When non-null, the visible rows' view indices are appended — the
-  // shared encoder's input for span copies.
-  std::vector<uint32_t>* rows_out = nullptr;
+// Reusable per-thread scratch for write_delta_snapshot; all vectors keep
+// capacity across frames so steady-state encoding allocates nothing.
+struct EncodeScratch {
+  net::ByteWriter body;
+  // (id, baseline index), sorted by id.
+  std::vector<std::pair<uint32_t, uint32_t>> base_ids;
+  std::vector<uint8_t> in_rows;  // per baseline entry: still visible
 };
 
-// build_snapshot over the packed frame view: identical visibility
-// semantics and identical `out` contents (entities in id order), with
-// the sweep running over contiguous arrays. The view must be built for
-// this frame (FrameView::built_for).
-SnapshotStats build_snapshot_view(const World& world, const FrameView& view,
-                                  const Entity& player, uint32_t server_frame,
-                                  uint32_t ack_sequence,
-                                  int64_t client_time_echo_ns,
-                                  const std::vector<net::GameEvent>& events,
-                                  net::Snapshot& out,
-                                  const ViewSweepArgs& args);
+// Full snapshot message for `snap` whose entities are exactly the view
+// rows `rows` (as sweep_snapshot leaves them). The entity section is a
+// span copy of the canonical records.
+void write_full_snapshot(const net::Snapshot& snap, const FrameView& view,
+                         const std::vector<uint32_t>& rows,
+                         net::ByteWriter& w);
+
+// Delta snapshot message against `baseline` (the entity list of the
+// client-acknowledged snapshot `baseline_frame`): unchanged entities cost
+// nothing, changed ones carry only the changed fields, entities missing
+// from `rows` go to a removal list in baseline order. Returns the number
+// of entity records written.
+int write_delta_snapshot(const net::Snapshot& snap, const FrameView& view,
+                         const std::vector<uint32_t>& rows,
+                         const std::vector<net::EntityUpdate>& baseline,
+                         uint32_t baseline_frame, EncodeScratch& scratch,
+                         net::ByteWriter& w);
 
 }  // namespace qserv::sim

@@ -52,6 +52,7 @@ void World::reserve_entities(size_t n) {
   if (n <= entities_.size()) return;
   const uint32_t first = static_cast<uint32_t>(entities_.size());
   entities_.resize(n);
+  dirty_.resize(n);
   // Fresh ids go on the free stack in descending order so they are
   // handed out lowest-first, matching the old grow-on-demand order.
   free_ids_.reserve(free_ids_.size() + (n - first));
@@ -69,6 +70,7 @@ Entity& World::spawn_entity(EntityType type) {
     // grow. Only safe while no other thread is reading the vector.
     id = static_cast<uint32_t>(entities_.size());
     entities_.emplace_back();
+    dirty_.push_back(0);
   }
   Entity& e = entities_[id];
   e = Entity{};
@@ -76,6 +78,7 @@ Entity& World::spawn_entity(EntityType type) {
   e.type = type;
   e.active = true;
   ++active_count_;
+  mark_dirty(id);
   return e;
 }
 
@@ -87,6 +90,7 @@ void World::remove_entity(uint32_t id, NodeListLocks* locks) {
   e->type = EntityType::kNone;
   free_ids_.push_back(id);
   --active_count_;
+  mark_dirty(id);
 }
 
 Entity* World::get(uint32_t id) {
@@ -122,6 +126,8 @@ void World::link(Entity& e, NodeListLocks* locks) {
   // Track the PVS cluster alongside the areanode link (reply-phase
   // interest checks read it instead of ray tracing).
   if (!map_.pvs.empty()) e.cluster = map_.pvs.cluster_of(e.origin);
+  // Every origin change ends in a (re)link, so this covers movement.
+  mark_dirty(e.id);
 }
 
 void World::unlink(Entity& e, NodeListLocks* locks) {
@@ -148,7 +154,8 @@ void World::gather(const Aabb& box, std::vector<uint32_t>& out,
     for (const uint32_t id : objects) {
       ++scanned;
       const Entity& e = entities_[id];
-      if (e.active && e.bounds().intersects(box)) out.push_back(id);
+      if (e.active && Aabb::at(load_origin(e), e.mins, e.maxs).intersects(box))
+        out.push_back(id);
     }
     // Scan cost is charged while the list lock is held: this is exactly
     // the paper's parent-areanode lock hold time.
@@ -216,7 +223,7 @@ void World::respawn_player(Entity& player, NodeListLocks* locks,
                     (static_cast<uint64_t>(player.id) << 32) |
                         static_cast<uint32_t>(player.deaths)));
   const auto sp = pick_spawn_point(r, /*check_blocked=*/false);
-  player.origin = sp.origin;
+  store_origin(player, sp.origin);
   player.yaw_deg = sp.yaw_deg;
   player.velocity = Vec3{};
   player.health = kSpawnHealth;
@@ -311,7 +318,10 @@ void World::world_phase(vt::TimePoint now, vt::Duration dt,
   for (auto& e : entities_) {
     if (!e.active || e.type != EntityType::kItem) continue;
     ++item_checks;
-    if (!e.available && now >= e.respawn_at) e.available = true;
+    if (!e.available && now >= e.respawn_at) {
+      e.available = true;
+      mark_dirty(e.id);
+    }
   }
   charge(costs_.per_item_check * item_checks);
 }
@@ -322,6 +332,8 @@ void World::begin_restore() {
   active_count_ = 0;
   tree_.clear_all_objects();
   pending_projectiles_.clear();
+  // Every slot may change: the next refresh re-derives each row.
+  std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
 }
 
 void World::restore_entity(const Entity& e) {
@@ -344,6 +356,10 @@ void World::restore_link(uint32_t id, int node) {
 
 void World::finish_restore(std::vector<uint32_t> free_ids) {
   free_ids_ = std::move(free_ids);
+}
+
+void World::refresh_view() {
+  view_.refresh(*this, dirty_);
 }
 
 void World::rebase_times(vt::Duration delta) {

@@ -8,14 +8,24 @@
 //  * areanode object lists are mutated/scanned under per-node list locks
 //    (the paper's "parent areanode" locks), passed in as a NodeListLocks;
 //    a null NodeListLocks means the caller is single-threaded (sequential
-//    server, world phase, setup);
+//    server, world phase, setup); a parent node's list holds entities
+//    outside the scanning thread's region, so gather() reads origins with
+//    load_origin() and request processing writes them with store_origin();
 //  * entity *creation/destruction* happens only in single-threaded phases;
 //    request processing defers projectile spawns through the thread-safe
 //    queue_projectile(), and the world phase materializes them — exactly
 //    the paper's "type 1" objects whose simulation completes during world
-//    physics.
+//    physics;
+//  * every mutation of a field the entity view carries (origin, yaw,
+//    cluster, type, item availability, alive state) marks the entity
+//    dirty — link/relink and spawn/remove do so themselves, a restore
+//    marks every slot, and other direct field writes call mark_dirty().
+//    A move always ends in relink and a death respawns through relink,
+//    so moves (yaw, origin, teleports) and deaths need no mark of their
+//    own; a hit that does not kill leaves the alive state unchanged.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -134,12 +144,17 @@ class World {
   // --- world physics phase (single-threaded) ---
   void world_phase(vt::TimePoint now, vt::Duration dt, EventSink& events);
 
-  // --- per-frame SoA view (reply hot path, DESIGN.md §15) ---
-  // Repacks active entities into the frame view. Single-threaded (called
-  // at the flip into the reply phase, while the world is frozen); the
-  // view is transient scratch and never checkpointed.
-  void rebuild_frame_view(uint64_t frame) { frame_view_.rebuild(*this, frame); }
-  const FrameView& frame_view() const { return frame_view_; }
+  // --- SoA entity view (reply phase, DESIGN.md §15) ---
+  // Records that entity `id` changed a field the view carries. Safe from
+  // concurrent request processing: one byte per id, relaxed atomic.
+  void mark_dirty(uint32_t id) {
+    std::atomic_ref<uint8_t>(dirty_[id]).store(1, std::memory_order_relaxed);
+  }
+  // Patches the view rows of every entity marked since the last refresh.
+  // Host-only: charges nothing.
+  // Single-threaded, at the flip into the reply phase.
+  void refresh_view();
+  const FrameView& view() const { return view_; }
 
   // --- accessors ---
   const spatial::GameMap& map() const { return map_; }
@@ -156,7 +171,8 @@ class World {
   const std::vector<uint32_t>& free_ids() const { return free_ids_; }
 
   // --- checkpoint restore (single-threaded, before any traffic) ---
-  // Clears all entities, areanode lists and the free stack.
+  // Clears all entities, areanode lists and the free stack, and marks
+  // every slot dirty so the next refresh re-derives the whole view.
   void begin_restore();
   // Places a checkpointed entity at its recorded id (storage must have
   // been pre-sized past it); does NOT link — links are restored per node
@@ -201,7 +217,8 @@ class World {
   std::vector<Entity> entities_;
   std::vector<uint32_t> free_ids_;
   size_t active_count_ = 0;
-  FrameView frame_view_;
+  FrameView view_;
+  std::vector<uint8_t> dirty_;  // one byte per entity slot
 
   std::unique_ptr<vt::Mutex> projectile_mu_;  // null without a platform
   std::vector<ProjectileSpec> pending_projectiles_;

@@ -248,17 +248,18 @@ TEST(LockManager, ListLocksAttributeWaitByNodeKind) {
   EXPECT_LT(st0.breakdown.lock_parent.ns, micros(10).ns);
 }
 
-TEST(GlobalStateBuffer, EmitSnapshotClear) {
+TEST(GlobalStateBuffer, EmitSealClear) {
   vt::SimPlatform p;
   GlobalStateBuffer buf(p);
   p.spawn("t", Domain::kServer, [&] {
     buf.emit(net::GameEvent{1, 2, 3, {}});
     buf.emit(net::GameEvent{4, 5, 6, {}});
-    auto events = buf.snapshot();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[1].kind, 4);
+    const SealedEvents events = buf.seal_frame();
+    ASSERT_EQ(events->size(), 2u);
+    EXPECT_EQ((*events)[1].kind, 4);
+    buf.emit(net::GameEvent{7, 0, 0, {}});
     buf.clear();
-    EXPECT_TRUE(buf.snapshot().empty());
+    EXPECT_TRUE(buf.seal_frame()->empty());
   });
   p.run();
 }
@@ -267,8 +268,10 @@ TEST(ReplyBuffer, AppendDrain) {
   vt::SimPlatform p;
   ReplyBuffer buf(p);
   p.spawn("t", Domain::kServer, [&] {
-    buf.append({net::GameEvent{1, 0, 0, {}}});
-    buf.append({net::GameEvent{2, 0, 0, {}}, net::GameEvent{3, 0, 0, {}}});
+    using Events = std::vector<net::GameEvent>;
+    buf.append_block(std::make_shared<const Events>(Events{{1, 0, 0, {}}}));
+    buf.append_block(std::make_shared<const Events>(
+        Events{{2, 0, 0, {}}, {3, 0, 0, {}}}));
     EXPECT_EQ(buf.size(), 3u);
     std::vector<net::GameEvent> out{net::GameEvent{9, 0, 0, {}}};
     buf.drain_into(out);

@@ -9,6 +9,7 @@
 #include "src/net/protocol.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/util/rng.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv::net {
 namespace {

@@ -10,6 +10,7 @@
 #include "src/net/virtual_udp.hpp"
 #include "src/util/rng.hpp"
 #include "src/vthread/sim_platform.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv::net {
 namespace {

@@ -1,9 +1,10 @@
-// Reply hot-path equivalence (DESIGN.md §15): the SoA view sweep must
-// select exactly the entities the legacy per-client sweep selects, and
-// the shared-baseline span encoders must produce byte-identical wire
-// messages to net::encode / net::encode_delta — the legacy path is the
-// oracle. Property-style: random worlds, random viewers, evolving
-// baselines, both PVS and no-PVS (LOS) maps.
+// Reply-path equivalence (DESIGN.md §15): the sweep over the entity view
+// must select exactly the entities the per-entity oracle gather selects,
+// charging the same virtual time, and the span encoders must produce
+// wire messages byte-identical to net::encode and the oracle
+// net::encode_delta (tests/reply_oracle.hpp). Property-style: random
+// worlds, random viewers, evolving baselines, both PVS and no-PVS (LOS)
+// maps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +15,11 @@
 #include "src/harness/experiment.hpp"
 #include "src/net/virtual_udp.hpp"
 #include "src/sim/snapshot.hpp"
-#include "src/sim/snapshot_encode.hpp"
 #include "src/sim/world.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/util/rng.hpp"
+#include "src/vthread/sim_platform.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv {
 namespace {
@@ -36,9 +38,9 @@ struct TestWorld {
     return m;
   }
 
-  TestWorld(bool with_pvs, uint64_t seed)
+  TestWorld(bool with_pvs, uint64_t seed, vt::Platform* platform = nullptr)
       : map(make_map(with_pvs, seed)),
-        world(map, sim::World::Config{4, seed}) {
+        world(map, sim::World::Config{4, seed}, platform) {
     Rng rng(seed * 977 + 11);
     for (int i = 0; i < 24; ++i) {
       sim::Entity& p = world.spawn_player("p" + std::to_string(i));
@@ -70,6 +72,7 @@ struct TestWorld {
         if (e.type == sim::EntityType::kItem) e.available = !e.available;
         if (e.type == sim::EntityType::kPlayer)
           e.health = e.health > 0 ? 0 : 100;
+        world.mark_dirty(e.id);
       }
     });
   }
@@ -90,85 +93,84 @@ std::vector<net::GameEvent> some_events(Rng& rng) {
   return ev;
 }
 
-// The SoA sweep selects the same entities, in the same order, with the
-// same fields, as the legacy per-entity sweep — on PVS maps and LOS
+// The view sweep selects the same entities, in the same order, with the
+// same fields, as the per-entity oracle gather — on PVS maps and LOS
 // (no-PVS) maps, with and without far-thinning.
-TEST(ReplyEquivalence, ViewSweepMatchesLegacySweep) {
+TEST(ReplyEquivalence, ViewSweepMatchesOracleGather) {
   for (const bool with_pvs : {true, false}) {
     TestWorld tw(with_pvs, 5);
     ASSERT_EQ(tw.map.pvs.empty(), !with_pvs);
     Rng rng(99);
-    net::Snapshot legacy_snap, view_snap;
+    net::Snapshot oracle_snap, view_snap;
     std::vector<uint32_t> rows;
     for (uint32_t frame = 1; frame <= 8; ++frame) {
       tw.mutate(rng);
-      tw.world.rebuild_frame_view(frame);
+      tw.world.refresh_view();
       const auto events = some_events(rng);
       for (const uint32_t pid : tw.player_ids) {
         const sim::Entity* viewer = tw.world.get(pid);
         ASSERT_NE(viewer, nullptr);
         const bool thin_far = (frame & 1) != 0;
-        sim::build_snapshot(tw.world, *viewer, frame, 7, 123, events,
-                            legacy_snap, thin_far);
-        rows.clear();
-        sim::ViewSweepArgs args;
-        args.thin_far = thin_far;
-        args.rows_out = &rows;
-        sim::build_snapshot_view(tw.world, tw.world.frame_view(), *viewer,
-                                 frame, 7, 123, events, view_snap, args);
-        ASSERT_EQ(view_snap.entities.size(), legacy_snap.entities.size())
+        const auto oracle_stats =
+            sim::build_snapshot(tw.world, *viewer, frame, 7, 123, events,
+                                oracle_snap, thin_far);
+        const auto stats = sim::sweep_snapshot(tw.world, *viewer, frame, 7,
+                                               123, events, view_snap, rows,
+                                               thin_far);
+        EXPECT_EQ(stats.interest_checks, oracle_stats.interest_checks);
+        EXPECT_EQ(stats.los_traces, oracle_stats.los_traces);
+        EXPECT_EQ(stats.los_brushes, oracle_stats.los_brushes);
+        ASSERT_EQ(view_snap.entities.size(), oracle_snap.entities.size())
             << "pvs=" << with_pvs << " frame=" << frame << " viewer=" << pid;
         for (size_t i = 0; i < view_snap.entities.size(); ++i) {
           EXPECT_TRUE(
-              updates_equal(view_snap.entities[i], legacy_snap.entities[i]));
+              updates_equal(view_snap.entities[i], oracle_snap.entities[i]));
         }
         ASSERT_EQ(rows.size(), view_snap.entities.size());
         for (size_t i = 0; i < rows.size(); ++i) {
-          EXPECT_EQ(tw.world.frame_view().ids[rows[i]],
-                    view_snap.entities[i].id);
+          EXPECT_EQ(tw.world.view().ids[rows[i]], view_snap.entities[i].id);
         }
+        EXPECT_EQ(net::encode(view_snap), net::encode(oracle_snap));
       }
     }
   }
 }
 
-// A primed cluster row answers exactly what per-lookup pvs.can_see
-// answers for every player row.
-TEST(ReplyEquivalence, ClusterVisCacheMatchesPerLookup) {
-  TestWorld tw(/*with_pvs=*/true, 11);
-  tw.world.rebuild_frame_view(1);
-  const sim::FrameView& view = tw.world.frame_view();
-  sim::ClusterVisCache cache;
-  cache.begin_frame();
-  for (const uint32_t pid : tw.player_ids) {
-    const sim::Entity* viewer = tw.world.get(pid);
-    ASSERT_NE(viewer, nullptr);
-    const auto* row = cache.prime(tw.world, view, viewer->cluster);
-    ASSERT_EQ(row, cache.row_for(viewer->cluster));
-    if (viewer->cluster < 0) {
-      EXPECT_EQ(row, nullptr);
-      continue;
-    }
-    ASSERT_NE(row, nullptr);
-    ASSERT_EQ(row->size(), view.size());
-    for (size_t i = 0; i < view.size(); ++i) {
-      if (view.is_player[i] == 0) continue;
-      EXPECT_EQ((*row)[i] != 0,
-                tw.map.pvs.can_see(viewer->cluster, view.cluster[i]))
-          << "cluster " << viewer->cluster << " row " << i;
-    }
+// The sweep charges exactly the virtual time the oracle gather charges
+// (per PVS lookup / LOS trace, then the interest/visible/event lump), so
+// simulated runs keep the paper-era cost stream.
+TEST(ReplyEquivalence, SweepChargesMatchOracle) {
+  for (const bool with_pvs : {true, false}) {
+    vt::SimPlatform p;
+    p.spawn("sweep", vt::Domain::kServer, [&] {
+      TestWorld tw(with_pvs, 13, &p);
+      Rng rng(3);
+      net::Snapshot snap;
+      std::vector<uint32_t> rows;
+      for (uint32_t frame = 1; frame <= 4; ++frame) {
+        tw.mutate(rng);
+        tw.world.refresh_view();
+        const auto events = some_events(rng);
+        for (const uint32_t pid : tw.player_ids) {
+          const sim::Entity& viewer = *tw.world.get(pid);
+          const vt::TimePoint t0 = p.now();
+          sim::build_snapshot(tw.world, viewer, frame, 1, 2, events, snap);
+          const vt::TimePoint t1 = p.now();
+          sim::sweep_snapshot(tw.world, viewer, frame, 1, 2, events, snap,
+                              rows);
+          const vt::TimePoint t2 = p.now();
+          EXPECT_GT((t1 - t0).ns, 0);
+          EXPECT_EQ((t2 - t1).ns, (t1 - t0).ns)
+              << "pvs=" << with_pvs << " viewer=" << pid;
+        }
+      }
+    });
+    p.run();
   }
-  // No-PVS maps and clusterless viewers produce no rows.
-  TestWorld arena(/*with_pvs=*/false, 11);
-  arena.world.rebuild_frame_view(1);
-  sim::ClusterVisCache none;
-  none.begin_frame();
-  EXPECT_EQ(none.prime(arena.world, arena.world.frame_view(), 0), nullptr);
-  EXPECT_EQ(cache.prime(tw.world, view, -1), nullptr);
 }
 
-// Shared full encoding is byte-identical to net::encode over the same
-// entity set.
+// Full encoding is byte-identical to net::encode over the same entity
+// set.
 TEST(ReplyEquivalence, FullEncodeByteIdentical) {
   TestWorld tw(/*with_pvs=*/true, 23);
   Rng rng(17);
@@ -176,50 +178,41 @@ TEST(ReplyEquivalence, FullEncodeByteIdentical) {
   std::vector<uint32_t> rows;
   for (uint32_t frame = 1; frame <= 6; ++frame) {
     tw.mutate(rng);
-    tw.world.rebuild_frame_view(frame);
+    tw.world.refresh_view();
     const auto events = some_events(rng);
     for (const uint32_t pid : tw.player_ids) {
       const sim::Entity* viewer = tw.world.get(pid);
-      rows.clear();
-      sim::ViewSweepArgs args;
-      args.shared_encode = true;
-      args.rows_out = &rows;
-      sim::build_snapshot_view(tw.world, tw.world.frame_view(), *viewer,
-                               frame, 42, 555, events, snap, args);
+      sim::sweep_snapshot(tw.world, *viewer, frame, 42, 555, events, snap,
+                          rows);
       snap.assigned_port = static_cast<uint16_t>(frame);  // exercise field
       const std::vector<uint8_t> oracle = net::encode(snap);
       net::ByteWriter w;
-      sim::encode_full_from_view(snap, tw.world.frame_view(), rows, w);
+      sim::write_full_snapshot(snap, tw.world.view(), rows, w);
       EXPECT_EQ(w.data(), oracle) << "frame " << frame << " viewer " << pid;
     }
   }
 }
 
-// Shared delta encoding is byte-identical to net::encode_delta against
-// evolving baselines — including removals, new entities, slot-churned
-// ids, and baselines in arbitrary order (the sort fallback).
+// Delta encoding is byte-identical to the oracle net::encode_delta
+// against evolving baselines — including removals, new entities,
+// slot-churned ids, and baselines in arbitrary order (the sort fallback).
 TEST(ReplyEquivalence, DeltaEncodeByteIdentical) {
   TestWorld tw(/*with_pvs=*/true, 31);
   Rng rng(43);
   std::mt19937 shuffler(7);
   net::Snapshot snap;
   std::vector<uint32_t> rows;
-  sim::SharedEncodeScratch scratch;
+  sim::EncodeScratch scratch;
   // Per-viewer history of the last sweep, as the server keeps per client.
   std::vector<std::vector<net::EntityUpdate>> history(tw.player_ids.size());
   for (uint32_t frame = 1; frame <= 10; ++frame) {
     tw.mutate(rng);
-    tw.world.rebuild_frame_view(frame);
+    tw.world.refresh_view();
     const auto events = some_events(rng);
     for (size_t vi = 0; vi < tw.player_ids.size(); ++vi) {
       const sim::Entity* viewer = tw.world.get(tw.player_ids[vi]);
-      rows.clear();
-      sim::ViewSweepArgs args;
-      args.shared_encode = true;
-      args.thin_far = (frame % 3) == 0;
-      args.rows_out = &rows;
-      sim::build_snapshot_view(tw.world, tw.world.frame_view(), *viewer,
-                               frame, frame * 3, 999, events, snap, args);
+      sim::sweep_snapshot(tw.world, *viewer, frame, frame * 3, 999, events,
+                          snap, rows, /*thin_far=*/(frame % 3) == 0);
       std::vector<net::EntityUpdate> baseline = history[vi];
       if (frame % 4 == 0) {
         // Arbitrary baseline order must not change the bytes (the
@@ -231,8 +224,8 @@ TEST(ReplyEquivalence, DeltaEncodeByteIdentical) {
       const std::vector<uint8_t> oracle =
           net::encode_delta(snap, baseline, bf, &oracle_count);
       net::ByteWriter w;
-      const int count = sim::encode_delta_from_view(
-          snap, tw.world.frame_view(), rows, baseline, bf, scratch, w);
+      const int count = sim::write_delta_snapshot(
+          snap, tw.world.view(), rows, baseline, bf, scratch, w);
       EXPECT_EQ(count, oracle_count);
       EXPECT_EQ(w.data(), oracle) << "frame " << frame << " viewer " << vi;
       history[vi] = snap.entities;
@@ -240,35 +233,31 @@ TEST(ReplyEquivalence, DeltaEncodeByteIdentical) {
   }
 }
 
-harness::ExperimentConfig shared_cfg(int players) {
+harness::ExperimentConfig delta_cfg(int players) {
   auto cfg = harness::paper_config(harness::ServerMode::kParallel, 2, players,
                                    core::LockPolicy::kConservative);
   cfg.server.delta_snapshots = true;
-  cfg.server.reply.soa_view = true;
-  cfg.server.reply.shared_baselines = true;
   cfg.warmup = vt::seconds(1);
   cfg.measure = vt::seconds(4);
   return cfg;
 }
 
-// End to end: with the shared-baseline path on, real clients decode
-// every snapshot (full and delta) into a playable game.
-TEST(ReplyEquivalenceE2E, SharedPathGameWorks) {
-  const auto r = harness::run_experiment(shared_cfg(48));
+// End to end: real clients decode every snapshot (full and delta) into a
+// playable game.
+TEST(ReplyEquivalenceE2E, GameWorks) {
+  const auto r = harness::run_experiment(delta_cfg(48));
   EXPECT_EQ(r.connected, 48);
   EXPECT_GT(r.replies, 3000u);
   EXPECT_GT(r.response_rate, 0.9 * 48 * 30.0);
 }
 
-TEST(ReplyEquivalenceE2E, SharedPathDeltasDecodeLosslessly) {
+TEST(ReplyEquivalenceE2E, DeltasDecodeLosslessly) {
   vt::SimPlatform p;
   net::VirtualNetwork net(p, {});
   const auto map = spatial::make_large_deathmatch(7);
   core::ServerConfig scfg;
   scfg.threads = 2;
   scfg.delta_snapshots = true;
-  scfg.reply.soa_view = true;
-  scfg.reply.shared_baselines = true;
   core::ParallelServer server(p, net, map, scfg);
   bots::ClientDriver::Config dcfg;
   dcfg.players = 24;
@@ -287,12 +276,12 @@ TEST(ReplyEquivalenceE2E, SharedPathDeltasDecodeLosslessly) {
     undecodable += c->metrics().undecodable_deltas;
   }
   EXPECT_GT(delta, full * 5);  // steady state is delta-encoded
-  EXPECT_EQ(undecodable, 0u);  // every shared-encoded delta decodes
+  EXPECT_EQ(undecodable, 0u);  // every span-encoded delta decodes
 }
 
 // Loss forces baseline misses, full-snapshot fallbacks, and client slot
-// churn through reconnects — the shared path must stay decodable.
-TEST(ReplyEquivalenceE2E, SharedPathSurvivesLossAndChurn) {
+// churn through reconnects — replies must stay decodable.
+TEST(ReplyEquivalenceE2E, SurvivesLossAndChurn) {
   vt::SimPlatform p;
   net::VirtualNetwork::Config nc;
   nc.loss = 0.15f;
@@ -302,8 +291,6 @@ TEST(ReplyEquivalenceE2E, SharedPathSurvivesLossAndChurn) {
   core::ServerConfig scfg;
   scfg.threads = 2;
   scfg.delta_snapshots = true;
-  scfg.reply.soa_view = true;
-  scfg.reply.shared_baselines = true;
   core::ParallelServer server(p, net, map, scfg);
   bots::ClientDriver::Config dcfg;
   dcfg.players = 24;

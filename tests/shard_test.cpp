@@ -200,7 +200,7 @@ TEST(ShardFleet, CircuitBreakerShedsACrashLoopingShard) {
   EXPECT_EQ(dead.state, shard::ShardState::kShed);
   EXPECT_TRUE(dead.down);
   EXPECT_TRUE(dead.breaker_tripped);
-  EXPECT_EQ(dead.shed_reason, "crash-loop");
+  EXPECT_EQ(dead.shed_reason, shard::ShedReason::kCrashLoop);
   EXPECT_EQ(dead.restores, cfg.fleet.crash_loop_max_rebuilds);
   EXPECT_GT(dead.shed_sessions, 0u);
   // Shed sessions were adopted by shard 0 and redirected in place: no
@@ -302,7 +302,7 @@ TEST(ShardFleet, QuarantineCapShedsLowestPriorityShard) {
 
   // Equal client counts: the tie-break sheds the highest index.
   EXPECT_EQ(r.shards[3].state, shard::ShardState::kShed);
-  EXPECT_EQ(r.shards[3].shed_reason, "quarantine-cap");
+  EXPECT_EQ(r.shards[3].shed_reason, shard::ShedReason::kQuarantineCap);
   for (int i = 1; i <= 2; ++i) {
     EXPECT_EQ(r.shards[static_cast<size_t>(i)].restores, 1) << i;
     EXPECT_EQ(r.shards[static_cast<size_t>(i)].state,

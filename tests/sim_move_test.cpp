@@ -17,6 +17,16 @@ class CollectEvents : public EventSink {
   std::vector<net::GameEvent> events;
 };
 
+// The reply phase's sweep over a freshly refreshed entity view.
+SnapshotStats sweep(World& w, const Entity& player, uint32_t frame,
+                    uint32_t ack, int64_t echo,
+                    const std::vector<net::GameEvent>& events,
+                    net::Snapshot& snap) {
+  w.refresh_view();
+  std::vector<uint32_t> rows;
+  return sweep_snapshot(w, player, frame, ack, echo, events, snap, rows);
+}
+
 net::MoveCmd forward_cmd(float yaw = 0.0f, uint16_t msec = 30) {
   net::MoveCmd c;
   c.yaw_deg = yaw;
@@ -247,7 +257,7 @@ TEST(Snapshot, ContainsSelfStateAndNearbyEntities) {
   a.health = 64;
   a.frags = 3;
   net::Snapshot snap;
-  const auto stats = build_snapshot(w, a, 10, 5, 999, {}, snap);
+  const auto stats = sweep(w, a, 10, 5, 999, {}, snap);
   EXPECT_EQ(snap.health, 64);
   EXPECT_EQ(snap.frags, 3);
   EXPECT_EQ(snap.server_frame, 10u);
@@ -267,7 +277,7 @@ TEST(Snapshot, FarEntitiesAreCulled) {
   b.origin = Vec3{-a.origin.x, -a.origin.y, a.origin.z};  // opposite corner
   w.relink(b);
   net::Snapshot snap;
-  build_snapshot(w, a, 1, 0, 0, {}, snap);
+  sweep(w, a, 1, 0, 0, {}, snap);
   for (const auto& e : snap.entities) EXPECT_NE(e.id, b.id);
 }
 
@@ -286,7 +296,7 @@ TEST(Snapshot, WallsBlockPlayerVisibilityWithoutPvs) {
   const float d = dist(a.origin, b.origin);
   if (d < kInterestRange && d > kAlwaysAudibleRange) {
     net::Snapshot snap;
-    const auto stats = build_snapshot(w, a, 1, 0, 0, {}, snap);
+    const auto stats = sweep(w, a, 1, 0, 0, {}, snap);
     const auto tr =
         w.collision().trace_line(eye_pos(a), eye_pos(b));
     bool saw_b = false;
@@ -322,7 +332,7 @@ TEST(Snapshot, PvsCullsOccludedClusters) {
   const float d = dist(a.origin, b.origin);
   if (d < kInterestRange && !map.pvs.can_see(0, 2)) {
     net::Snapshot snap;
-    const auto stats = build_snapshot(w, a, 1, 0, 0, {}, snap);
+    const auto stats = sweep(w, a, 1, 0, 0, {}, snap);
     bool saw_b = false;
     for (const auto& e : snap.entities) saw_b |= e.id == b.id;
     EXPECT_FALSE(saw_b);
@@ -338,7 +348,7 @@ TEST(Snapshot, EventsAreBroadcast) {
   std::vector<net::GameEvent> events{make_event(EventKind::kFrag, 1, 2, {}),
                                      make_event(EventKind::kPickup, 3, 4, {})};
   net::Snapshot snap;
-  build_snapshot(w, a, 1, 0, 0, events, snap);
+  sweep(w, a, 1, 0, 0, events, snap);
   ASSERT_EQ(snap.events.size(), 2u);
   EXPECT_EQ(snap.events[0].kind, static_cast<uint8_t>(EventKind::kFrag));
 }
