@@ -1,14 +1,16 @@
 // The session layer: client slot lifecycle, the port -> slot map, netchan
-// and reply-buffer ownership, evicted-port memory, and the per-run session
-// counters. Extracted from the Server monolith so slot reuse, resume and
-// migration are unit-testable without a frame loop, and so the engine's
-// phases touch sessions through one narrow surface.
+// ownership, the per-thread reply queues, evicted-port memory, and the
+// per-run session counters. Extracted from the Server monolith so slot
+// reuse, resume and migration are unit-testable without a frame loop, and
+// so the engine's phases touch sessions through one narrow surface.
 //
 // Locking contract: the registry owns the clients mutex (the old
 // clients_mu_). Methods suffixed _locked require it held by the caller;
-// by_port()/consume_remembered_eviction() take it internally; connected()
-// and netchan-style scans read without it (racy-by-design post-run
-// inspection, exactly as before the extraction).
+// by_port()/consume_remembered_eviction()/flush_deferred_replies() take
+// it internally; connected() and netchan-style scans read without it
+// (racy-by-design post-run inspection, exactly as before the
+// extraction). The reply queues are touched only by their owner thread
+// and by single-threaded windows, so they need no lock.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +22,10 @@
 #include <vector>
 
 #include "src/core/config.hpp"
-#include "src/core/global_state.hpp"
 #include "src/net/netchan.hpp"
+#include "src/net/protocol.hpp"
 #include "src/resilience/token_bucket.hpp"
+#include "src/vthread/platform.hpp"
 
 namespace qserv::core {
 
@@ -38,7 +41,7 @@ struct ClientSlot {
   // Connect accepted, entity not yet spawned: creation is deferred to
   // the master's between-frames window so entity lifecycle never races
   // request processing (and replays in serialization order). Until the
-  // spawn, the slot has no entity, channel or reply buffer.
+  // spawn, the slot has no entity or channel.
   bool pending_spawn = false;
   int connect_tid = 0;  // receiving thread (block-assignment owner)
   // Disconnect seen mid-drain; entity removal is deferred to the same
@@ -55,8 +58,13 @@ struct ClientSlot {
   // reap_due(), so all access goes through std::atomic_ref.
   int64_t last_heard_ns = 0;
   bool pending_reply = false;  // sent a request this frame
+  // Owner thread whose reply queue holds this slot, -1 if none (see
+  // ClientRegistry::queue_reply).
+  int reply_queue = -1;
+  // The frame this client's events are complete through: its next reply
+  // carries the logged events of every later frame (GlobalStateBuffer).
+  uint64_t events_through = 0;
   std::unique_ptr<net::NetChannel> chan;
-  std::unique_ptr<ReplyBuffer> buffer;
   // Delta-snapshot support (owner thread only): recently sent snapshot
   // entity lists keyed by server frame, and the newest frame the client
   // reports having reconstructed.
@@ -106,25 +114,61 @@ class ClientRegistry {
     slot_by_port_[port] = slot_index;
   }
   void unbind_port_locked(uint16_t port) { slot_by_port_.erase(port); }
-  // Fresh connect accepted: binds the port, stamps identity, and clears
-  // every delta/backpressure field a reused slot must not inherit. The
-  // entity spawn (and channel creation) stays deferred to the master
-  // window.
+  // Fresh connect accepted: binds the port, stamps identity, starts a
+  // fresh session, and lists the slot for the master window's spawn.
   void init_pending_slot_locked(int slot_index, uint16_t port, int tid,
                                 const std::string& name);
-  // Re-adopts a checkpointed slot on a live connect: fresh channel on the
-  // owner's socket, fresh reply buffer, cleared delta baselines, liveness
-  // now. Caller has set remote_port / the port map.
-  void resume_slot_locked(ClientSlot& c, net::Socket& owner_socket);
-  // Frees one slot after eviction teardown (registry bookkeeping only —
-  // the reject send, journaling and world-entity removal are the
-  // caller's).
+  // The deferred spawn: entity, owner, channel; events after `frame`.
+  void spawn_slot_locked(ClientSlot& c, uint32_t entity_id, int owner,
+                         net::Socket& owner_socket, uint64_t frame);
+  // Installs a live session in a free slot (checkpoint restore, shard
+  // handoff): port, fresh channel and session, events after `frame`. The
+  // caller sets what differs (sequencing, flags).
+  ClientSlot& install_slot_locked(int slot_index, uint16_t port,
+                                  const std::string& name,
+                                  uint32_t entity_id, int owner,
+                                  net::Socket& owner_socket, uint64_t frame);
+  // Re-adopts a checkpointed slot on a live connect, from any thread:
+  // fresh channel and session, events after `frame`, and a reply queued
+  // at the next flip. Caller has set remote_port / the port map.
+  void resume_slot_locked(ClientSlot& c, net::Socket& owner_socket,
+                          uint64_t frame);
+  // A disconnect seen mid-drain: flags the slot and lists it for the
+  // master window's entity removal (once, however many arrive).
+  void mark_disconnect_locked(ClientSlot& c);
+  // Frees one slot (registry bookkeeping only — the reject send,
+  // journaling and world-entity removal are the caller's).
   void release_slot_locked(ClientSlot& c);
   // Ownership handoff to `new_owner`: rebinds the channel (sequencing
-  // state survives — the peer must see one continuous stream) and flags
-  // notify_port so the next snapshot re-teaches the port.
+  // state survives — the peer must see one continuous stream), flags
+  // notify_port so the next snapshot re-teaches the port, and queues it.
   void migrate_slot_locked(ClientSlot& c, int new_owner,
                            net::Socket& owner_socket);
+
+  // Moves the slots listed by init_pending_slot_locked and
+  // mark_disconnect_locked into `out`, in slot order (master window).
+  void take_pending_lifecycle_locked(std::vector<int>& out);
+
+  // --- reply queues (DESIGN.md §15) ---
+  // Queues `c` on its owner thread; every site that sets pending_reply or
+  // notify_port calls it. Callers are the owner thread or single-threaded
+  // windows; resume, which runs on any thread, defers to the flip.
+  void queue_reply(ClientSlot& c);
+  // Slot indices; entries whose reply_queue no longer names the thread
+  // are stale (migrated, released, duplicate).
+  std::vector<int>& reply_queue(int tid) {
+    return reply_queues_[static_cast<size_t>(tid)];
+  }
+  // At the flip into the reply phase: queues the slots resumed this frame.
+  void flush_deferred_replies();
+  // Spawned, not disconnecting clients of the threads in bitmask
+  // `owners`: all of them, or those in slots below `slot`. Read from the
+  // per-owner slot lists (no walk).
+  int active_clients(uint64_t owners) const;
+  int active_below(uint64_t owners, int slot) const;
+  // Oldest frame a spawned client's events are complete through (`frame`
+  // if none). A walk, for the event log's amortised trim only.
+  uint64_t events_complete_through(uint64_t frame) const;
 
   // True when client_timeout is enabled and some connected client has
   // been silent past it — the cue for a maintenance frame when the
@@ -176,11 +220,31 @@ class ClientRegistry {
   std::unique_ptr<vt::Mutex> mu_;
   std::vector<ClientSlot> slots_;  // fixed capacity max_clients
   std::unordered_map<uint16_t, int> slot_by_port_;
+  std::vector<std::vector<int>> reply_queues_;  // one per thread
+  std::vector<int> deferred_replies_;           // guarded by mu_
+  std::vector<int> pending_lifecycle_;          // guarded by mu_
+  // Ascending slot indices of each owner's active clients. Written under
+  // mu_; the reply phase reads them past the frame barrier.
+  std::vector<std::vector<int>> active_slots_;
   // Guarded by mu_. The set answers membership; the deque keeps FIFO
   // eviction order for the bound.
   std::deque<uint16_t> remembered_evicted_;
   std::unordered_set<uint16_t> remembered_set_;
   bool restored_ = false;
+
+  static bool active(const ClientSlot& c) {
+    return c.in_use && !c.pending_spawn && !c.pending_disconnect;
+  }
+  // Every active-state or owner transition is bracketed by count(c, -1)
+  // before and count(c, +1) after.
+  void count(const ClientSlot& c, int delta);
+  int index_of(const ClientSlot& c) const {
+    return static_cast<int>(&c - slots_.data());
+  }
+  // What a new or re-adopted session must not inherit: liveness restarts
+  // now, the peer has reconstructed no snapshot (no delta baselines), and
+  // the rate limiter and the cost scan start over.
+  void fresh_session(ClientSlot& c);
 };
 
 }  // namespace qserv::core

@@ -49,6 +49,7 @@ void ExecPhase::run(int tid, ClientSlot& client, const net::MoveCmd& cmd,
                           cmd);
 
   client.pending_reply = true;
+  ctx.registry.queue_reply(client);
   client.last_seq = std::max(client.last_seq, cmd.sequence);
   client.last_move_time_ns = cmd.client_time_ns;
   client.client_baseline_frame =

@@ -125,20 +125,23 @@ class ExecPhase {
   FramePipeline& pipe_;
 };
 
-// T/Tx: snapshots for this thread's clients that requested one (and, on
-// the master, buffer updates for clients of non-participating threads).
+// T/Tx: snapshots for the clients in this thread's reply queue.
 class ReplyPhase {
  public:
   explicit ReplyPhase(FramePipeline& pipe) : pipe_(pipe) {}
 
   // Single-threaded frame setup at the flip into the reply phase (the
   // world is frozen from here on): seals the frame's global events into
-  // a shared block and refreshes the world's entity view. The refresh's
-  // host time lands in `st.breakdown.reply`; it charges no virtual time.
+  // the event log (trimming it when due), queues the clients resumed this
+  // frame, and refreshes the world's entity view. The refresh's host time
+  // lands in `st.breakdown.reply`; it charges no virtual time.
   void prepare(ThreadStats& st);
 
-  void run(int tid, ThreadStats& st, bool include_unowned,
-           uint64_t participants_mask);
+  // Answers the clients in `tid`'s reply queue, in slot order, and
+  // charges the §3.3 buffer update of every other active client owned by
+  // a thread in the bitmask `charged_owners` — the thread's own, plus, on
+  // the parallel master, those of threads outside the frame.
+  void run(int tid, ThreadStats& st, uint64_t charged_owners);
 
  private:
   FramePipeline& pipe_;
@@ -151,10 +154,10 @@ class MaintenancePhase {
  public:
   explicit MaintenancePhase(FramePipeline& pipe) : pipe_(pipe) {}
 
-  // The full frame-end window: clear global events, harvest per-frame
-  // lock stats (parallel only), complete deferred lifecycle, reap
-  // timeouts, dispatch the master-window / frame-sealed / frame-end
-  // hooks, audit invariants (unless shed), and emit the frame span.
+  // The full frame-end window: harvest per-frame lock stats (parallel
+  // only), complete deferred lifecycle, reap timeouts, dispatch the
+  // master-window / frame-sealed / frame-end hooks, audit invariants
+  // (unless shed), and emit the frame span.
   void run_master_window(int tid, vt::TimePoint frame_start, int frame_moves,
                          ThreadStats& st, bool harvest_locks);
 
@@ -233,9 +236,11 @@ class FramePipeline {
 
   PipelineContext ctx_;
   uint64_t frames_ = 0;
-  // The frame's sealed event block (written single-threaded at the reply
+  // The open frame's event count (written single-threaded at the reply
   // flip, read-only during the phase).
-  SealedEvents sealed_events_;
+  size_t frame_events_ = 0;
+  // Master-window scratch for the pending-lifecycle slot list.
+  std::vector<int> pending_lifecycle_;
   std::atomic<uint64_t> order_ctr_{0};
   vt::TimePoint last_world_{};  // previous world-phase time (for dt)
   vt::TimePoint last_world_t0_{};

@@ -1,10 +1,15 @@
 // The global state buffer (§3.3): game events produced during the world
-// and request-processing phases, protected by a single lock, used to
-// update every client's reply buffer, and cleared by the master at the
-// end of each frame. Also the per-client reply message buffers (one lock
-// each).
+// and request-processing phases, protected by a single lock, and emptied
+// once per frame (where the paper's master clears it at frame end). In
+// place of the paper's per-client reply buffers (one lock each, updated
+// for every client every frame), each sealed frame goes to one
+// frame-indexed event log: a client keeps the frame its events are
+// complete through, and its next reply copies the log after that frame
+// (DESIGN.md §15.3).
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -14,94 +19,80 @@
 
 namespace qserv::core {
 
-// One frame's global events, sealed into an immutable shared block so N
-// reply buffers can reference it with one refcount bump each instead of
-// N element-wise copies. Null or empty means "no events this frame".
-using SealedEvents = std::shared_ptr<const std::vector<net::GameEvent>>;
-
 class GlobalStateBuffer : public sim::EventSink {
  public:
   explicit GlobalStateBuffer(vt::Platform& platform)
       : mu_(platform.make_mutex("global-state")) {}
 
-  // All accesses are synchronized with the single lock (§3.3).
+  // Emission is synchronized with the single lock (§3.3); the log below
+  // is written only at the single-threaded flip.
   void emit(const net::GameEvent& e) override {
     vt::LockGuard g(*mu_);
     events_.push_back(e);
   }
 
-  // Seals the current frame's events into an immutable shared block and
-  // leaves the live buffer empty (the master's end-of-frame clear() then
-  // finds nothing to do). Called once per frame at the flip into the
-  // reply phase, single-threaded. Blocks are pooled: a pool entry whose
-  // previous frame's readers have all let go (use_count()==1) is reused,
-  // so steady state allocates nothing.
-  SealedEvents seal_frame() {
+  // Appends the current frame's events to the log under `frame` (a frame
+  // without events adds no entry) and leaves the live buffer empty.
+  // Returns the frame's event count. Called once per frame at the flip
+  // into the reply phase, single-threaded. The log keeps its capacity, so
+  // steady state allocates nothing.
+  size_t seal_frame(uint64_t frame) {
     vt::LockGuard g(*mu_);
-    std::shared_ptr<std::vector<net::GameEvent>>* slot = nullptr;
-    for (auto& pooled : seal_pool_) {
-      if (pooled.use_count() == 1) {  // last frame's readers all let go
-        slot = &pooled;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      seal_pool_.push_back(std::make_shared<std::vector<net::GameEvent>>());
-      slot = &seal_pool_.back();
-    }
-    (*slot)->clear();
-    (*slot)->swap(events_);  // events_ keeps the block's old capacity
-    return *slot;            // converts to const; writers never touch it again
-  }
-
-  // Master-only, at frame end.
-  void clear() {
-    vt::LockGuard g(*mu_);
+    const size_t n = events_.size();
+    if (n == 0) return 0;
+    log_.insert(log_.end(), events_.begin(), events_.end());
+    frames_.push_back({frame, log_.size()});
     events_.clear();
-  }
-
-  const vt::Mutex& mutex() const { return *mu_; }
-
- private:
-  mutable std::unique_ptr<vt::Mutex> mu_;
-  std::vector<net::GameEvent> events_;
-  std::vector<std::shared_ptr<std::vector<net::GameEvent>>> seal_pool_;
-};
-
-// Per-client reply message buffer: events queued for a client while it is
-// not being replied to, flushed into its next snapshot. One lock per
-// buffer (§3.3).
-class ReplyBuffer {
- public:
-  explicit ReplyBuffer(vt::Platform& platform)
-      : mu_(platform.make_mutex("reply-buffer")) {}
-
-  // Queues a sealed frame block by reference: one refcount bump instead
-  // of copying the events, the point of GlobalStateBuffer::seal_frame().
-  void append_block(const SealedEvents& block) {
-    if (!block || block->empty()) return;
-    vt::LockGuard g(*mu_);
-    blocks_.push_back(block);
-  }
-
-  // Drains the buffered frames' events into `out` (the snapshot's event
-  // list), oldest frame first.
-  void drain_into(std::vector<net::GameEvent>& out) {
-    vt::LockGuard g(*mu_);
-    for (const auto& b : blocks_) out.insert(out.end(), b->begin(), b->end());
-    blocks_.clear();
-  }
-
-  size_t size() const {
-    vt::LockGuard g(*mu_);
-    size_t n = 0;
-    for (const auto& b : blocks_) n += b->size();
     return n;
   }
 
+  // Appends the events of every logged frame after `through` to `out`,
+  // oldest first. Read-only: the reply threads call it concurrently.
+  void events_after(uint64_t through,
+                    std::vector<net::GameEvent>& out) const {
+    const auto it = first_after(through);
+    const size_t begin = it == frames_.begin() ? 0 : std::prev(it)->end;
+    out.insert(out.end(), log_.begin() + static_cast<ptrdiff_t>(begin),
+               log_.end());
+  }
+
+  // True once the log has doubled since the last trim. Finding what to
+  // trim takes a walk over the clients, so it is paid once per doubling,
+  // never once per frame.
+  bool trim_due() const { return frames_.size() >= trim_at_; }
+
+  // Drops the logged frames up to and including `through`: every client's
+  // events are complete through it. Single-threaded, at the flip.
+  void trim_through(uint64_t through) {
+    const auto it = first_after(through);
+    if (it != frames_.begin()) {
+      const size_t cut = std::prev(it)->end;
+      log_.erase(log_.begin(), log_.begin() + static_cast<ptrdiff_t>(cut));
+      frames_.erase(frames_.begin(), it);
+      for (LoggedFrame& f : frames_) f.end -= cut;
+    }
+    trim_at_ = std::max(kMinTrimFrames, 2 * frames_.size());
+  }
+
+  size_t logged_frames() const { return frames_.size(); }
+
  private:
-  mutable std::unique_ptr<vt::Mutex> mu_;
-  std::vector<SealedEvents> blocks_;
+  static constexpr size_t kMinTrimFrames = 64;
+  struct LoggedFrame {
+    uint64_t frame;
+    size_t end;  // one past the frame's last event in log_
+  };
+  std::vector<LoggedFrame>::const_iterator first_after(uint64_t f) const {
+    return std::upper_bound(
+        frames_.begin(), frames_.end(), f,
+        [](uint64_t x, const LoggedFrame& b) { return x < b.frame; });
+  }
+
+  std::unique_ptr<vt::Mutex> mu_;
+  std::vector<net::GameEvent> events_;  // the open frame's, under mu_
+  std::vector<net::GameEvent> log_;     // sealed frames' events, in order
+  std::vector<LoggedFrame> frames_;     // ascending frame ids
+  size_t trim_at_ = kMinTrimFrames;
 };
 
 }  // namespace qserv::core

@@ -19,7 +19,6 @@ void MaintenancePhase::run_master_window(int tid, vt::TimePoint frame_start,
                                          int frame_moves, ThreadStats& st,
                                          bool harvest_locks) {
   PipelineContext& ctx = pipe_.ctx_;
-  ctx.global_events.clear();
   if (harvest_locks) ctx.lock_manager.frame_harvest(ctx.frame_lock_stats);
   // Deferred lifecycle first: pending connects spawn their entities (and
   // get their acks) and pending disconnects remove theirs, each with a
@@ -53,8 +52,12 @@ void MaintenancePhase::complete_pending_lifecycle(ThreadStats& st) {
   PipelineContext& ctx = pipe_.ctx_;
   ClientRegistry& reg = ctx.registry;
   vt::LockGuard g(reg.mutex());
+  std::vector<int>& pending = pipe_.pending_lifecycle_;
+  reg.take_pending_lifecycle_locked(pending);
+  if (pending.empty()) return;
   const int64_t now_ns = ctx.platform.now().ns;
-  for (auto& c : reg.slots()) {
+  for (const int i : pending) {
+    ClientSlot& c = reg.slot(i);
     if (!c.in_use) continue;
     if (c.pending_disconnect) {
       ctx.hooks.client_disconnected(c.owner_thread, c.remote_port,
@@ -62,26 +65,19 @@ void MaintenancePhase::complete_pending_lifecycle(ThreadStats& st) {
       if (ctx.world.get(c.entity_id) != nullptr)
         ctx.world.remove_entity(c.entity_id);
       reg.unbind_port_locked(c.remote_port);
-      c.in_use = false;
-      c.pending_disconnect = false;
-      c.chan.reset();
-      c.buffer.reset();
-      c.history.clear();
+      reg.release_slot_locked(c);
       continue;
     }
     if (!c.pending_spawn) continue;
     // Deferred connect: spawn here, where entity creation is
     // single-threaded, then send the ack the drain phase withheld.
     sim::Entity& player = ctx.world.spawn_player(c.name);
-    c.entity_id = player.id;
     const int owner = ctx.cfg.assign_policy == AssignPolicy::kRegion
                           ? owner_for_region(player.origin)
                           : c.connect_tid;
-    c.owner_thread = owner;
-    c.chan = std::make_unique<net::NetChannel>(
-        *ctx.sockets[static_cast<size_t>(owner)], c.remote_port);
-    c.buffer = std::make_unique<ReplyBuffer>(ctx.platform);
-    c.pending_spawn = false;
+    reg.spawn_slot_locked(c, player.id, owner,
+                          *ctx.sockets[static_cast<size_t>(owner)],
+                          pipe_.frames_);
     ctx.hooks.client_spawned(owner, c.remote_port, player.id, c.name,
                              now_ns);
     net::ConnectAck ack;

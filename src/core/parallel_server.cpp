@@ -202,9 +202,11 @@ void ParallelServer::worker_loop(int tid) {
     const uint64_t mask = sync_.participants_mask;
     sync_mu_->unlock();
 
-    // T/Tx: replies for this thread's complete client set; the master
-    // also covers clients of threads not participating in this frame.
-    pipeline_->reply().run(tid, st, /*include_unowned=*/is_master, mask);
+    // T/Tx: replies to this thread's queued clients. The §3.3 buffer
+    // updates it pays for cover its other clients; the master also pays
+    // for the clients of threads not participating in this frame.
+    const uint64_t own = 1ull << tid;
+    pipeline_->reply().run(tid, st, is_master ? ~mask | own : own);
 
     // Frame end.
     sync_mu_->lock();
@@ -225,12 +227,12 @@ void ParallelServer::worker_loop(int tid) {
       // Master duties (all participants are past their reply phase and
       // non-participants are blocked on kIdle, so this window is
       // single-threaded — safe for entity removal and the audit walk):
-      // the maintenance phase clears the global state buffer, harvests
-      // per-frame lock statistics, completes deferred lifecycle, reaps
-      // timed-out clients, runs the subsystem master duties (watchdog
-      // adjudication, governor step), seals the frame, audits, and
-      // records the frame metrics/trace. Then signal the frame end to
-      // wake any threads that missed this frame.
+      // the maintenance phase harvests per-frame lock statistics,
+      // completes deferred lifecycle, reaps timed-out clients, runs the
+      // subsystem master duties (watchdog adjudication, governor step),
+      // seals the frame, audits, and records the frame metrics/trace.
+      // Then signal the frame end to wake any threads that missed this
+      // frame.
       pipeline_->maintenance().run_master_window(tid, frame_start,
                                                  frame_moves, st,
                                                  /*harvest_locks=*/true);

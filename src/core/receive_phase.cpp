@@ -163,6 +163,8 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
   int slot = -1;
   bool busy = false;
   bool ack_now = false;  // slot already owns a live entity: ack directly
+  // A resumed client's events start with this open frame's.
+  const uint64_t resume_through = pipe_.frames_ - 1;
   {
     vt::LockGuard g(reg.mutex());
     const int existing = reg.index_of_port_locked(d.src_port);
@@ -181,7 +183,8 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
         // connect, so resume with a fresh one (the restored sequencing
         // only serves peers that never noticed the restart).
         reg.resume_slot_locked(
-            c, *ctx.sockets[static_cast<size_t>(c.owner_thread)]);
+            c, *ctx.sockets[static_cast<size_t>(c.owner_thread)],
+            resume_through);
         ++reg.counters.resumed_clients;
         ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kResumed);
         ctx.hooks.client_resumed(d.src_port);
@@ -200,7 +203,8 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
           c.remote_port = d.src_port;
           reg.bind_port_locked(d.src_port, i);
           reg.resume_slot_locked(
-              c, *ctx.sockets[static_cast<size_t>(c.owner_thread)]);
+              c, *ctx.sockets[static_cast<size_t>(c.owner_thread)],
+              resume_through);
           ++reg.counters.resumed_clients;
           ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kResumed);
           ctx.hooks.client_resumed(d.src_port);
@@ -277,8 +281,7 @@ void ReceivePhase::handle_disconnect(ClientSlot& client, ThreadStats& st) {
     // The connect never reached the master window: no entity, no channel
     // — just free the slot.
     ctx.registry.unbind_port_locked(client.remote_port);
-    client.in_use = false;
-    client.pending_spawn = false;
+    ctx.registry.release_slot_locked(client);
     return;
   }
   // Entity removal is deferred to the master's between-frames window —
@@ -286,7 +289,7 @@ void ReceivePhase::handle_disconnect(ClientSlot& client, ThreadStats& st) {
   // so destruction never races another worker's gather and replays in
   // serialization order. The disconnect datagram itself woke a frame, so
   // that window runs before this drain's frame ends.
-  client.pending_disconnect = true;
+  ctx.registry.mark_disconnect_locked(client);
 }
 
 }  // namespace qserv::core

@@ -1,10 +1,15 @@
-// T/Tx: snapshot assembly and delivery (DESIGN.md §15). One path: the
-// interest sweep runs over the world's SoA entity view, and each reply is
-// encoded from the view's canonical records into this thread's wire
-// buffer and sent from it in place. The per-thread arena supplies every
+// T/Tx: snapshot assembly and delivery (DESIGN.md §15). One path: each
+// thread answers the clients in its reply queue, the interest sweep runs
+// over the world's SoA entity view, and each reply is encoded from the
+// view's canonical records into this thread's wire buffer and sent from
+// it in place. A reply's events are a copy of the event log after the
+// frame the client's events are complete through. Nothing here walks the
+// client slots or the entity storage; the per-thread arena supplies every
 // container, so a steady-state reply allocates only the client's history
 // entry.
 #include "src/core/frame_pipeline.hpp"
+
+#include <algorithm>
 
 #include "src/obs/trace.hpp"
 #include "src/resilience/governor.hpp"
@@ -13,99 +18,110 @@ namespace qserv::core {
 
 void ReplyPhase::prepare(ThreadStats& st) {
   PipelineContext& ctx = pipe_.ctx_;
-  // Replied clients copy the sealed block into their snapshot; the
-  // buffers of the others take it by reference.
-  pipe_.sealed_events_ = ctx.global_events.seal_frame();
+  pipe_.frame_events_ = ctx.global_events.seal_frame(pipe_.frames_);
+  if (ctx.global_events.trim_due())
+    ctx.global_events.trim_through(
+        ctx.registry.events_complete_through(pipe_.frames_));
+  ctx.registry.flush_deferred_replies();
   const vt::TimePoint t0 = ctx.platform.now();
   ctx.world.refresh_view();
   st.breakdown.reply += ctx.platform.now() - t0;
 }
 
-void ReplyPhase::run(int tid, ThreadStats& st, bool include_unowned,
-                     uint64_t participants_mask) {
+void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
   PipelineContext& ctx = pipe_.ctx_;
   const sim::CostModel& costs = ctx.cfg.costs;
   FrameArena& arena = pipe_.arena(tid);
   obs::TraceScope span(st.tracer, st.trace_track, "reply");
   const vt::TimePoint t0 = ctx.platform.now();
   const bool thin_far = ctx.governor->at_least(resilience::kThinFarEntities);
-  const std::vector<net::GameEvent>& frame_events = *pipe_.sealed_events_;
   const auto frame = static_cast<uint32_t>(pipe_.frames_);
   static_assert(net::NetChannel::kHeaderReserve == sizeof(uint64_t));
 
-  for (auto& c : ctx.registry.slots()) {
-    if (!c.in_use || c.pending_spawn || c.pending_disconnect) continue;
-    const bool owned = c.owner_thread == tid;
-    const bool orphaned =
-        include_unowned && !owned &&
-        ((participants_mask >> c.owner_thread) & 1ull) == 0;
-    if (!owned && !orphaned) continue;
+  // §3.3: every client this thread covers (`charged_owners`) has its
+  // message buffer updated from the global state buffer each frame, in
+  // slot order with the replies. The event log makes that free on the
+  // host; the paper's cost stays modelled, charged for each run of
+  // covered clients between two replies as one lump, so the virtual
+  // charge stream equals the per-client loop's.
+  const vt::Duration per_update =
+      costs.per_buffer_update +
+      costs.per_event * static_cast<int64_t>(pipe_.frame_events_);
+  int replied = 0, updated = 0;
+  const auto update_buffers_below = [&](int slot) {
+    const int n = ctx.registry.active_below(charged_owners, slot) - replied -
+                  updated;
+    if (n > 0) ctx.platform.compute(per_update * static_cast<int64_t>(n));
+    updated += std::max(n, 0);
+  };
 
-    // notify_port without pending_reply forces a snapshot anyway: a
-    // client migrated off a stalled worker is still sending moves to the
-    // dead port, so waiting for a request it can deliver would deadlock —
-    // it must be *told* the new port to have one.
-    if (owned && (c.pending_reply || c.notify_port)) {
-      const sim::Entity* player = ctx.world.get(c.entity_id);
-      if (player == nullptr) continue;
-      // Buffered events from frames this client missed, then this
-      // frame's events.
-      std::vector<net::GameEvent>& events = arena.events;
-      events.clear();
-      c.buffer->drain_into(events);
-      events.insert(events.end(), frame_events.begin(), frame_events.end());
-      net::Snapshot& snap = arena.snap;
-      sim::sweep_snapshot(ctx.world, *player, frame, c.last_seq,
-                          c.last_move_time_ns, events, snap, arena.rows,
-                          thin_far);
-      if (c.notify_port) {
-        snap.assigned_port =
-            static_cast<uint16_t>(ctx.cfg.base_port + c.owner_thread);
-        c.notify_port = false;
-      }
+  std::vector<int>& queue = ctx.registry.reply_queue(tid);
+  std::sort(queue.begin(), queue.end());  // answer in slot order
+  for (const int slot : queue) {
+    ClientSlot& c = ctx.registry.slot(slot);
+    if (c.reply_queue != tid) continue;  // stale or duplicate entry
+    c.reply_queue = -1;
+    if (c.pending_disconnect) continue;
+    // A queued client has pending_reply or notify_port set. notify_port
+    // alone still forces a snapshot: a client migrated off a stalled
+    // worker is still sending moves to the dead port, so waiting for a
+    // request it can deliver would deadlock — it must be *told* the new
+    // port to have one.
+    const sim::Entity* player = ctx.world.get(c.entity_id);
+    if (player == nullptr) continue;
+    update_buffers_below(slot);
+    // Every logged frame's events since the client's last reply (or
+    // join), this frame's included.
+    std::vector<net::GameEvent>& events = arena.events;
+    events.clear();
+    ctx.global_events.events_after(c.events_through, events);
+    c.events_through = pipe_.frames_;
+    net::Snapshot& snap = arena.snap;
+    sim::sweep_snapshot(ctx.world, *player, frame, c.last_seq,
+                        c.last_move_time_ns, events, snap, arena.rows,
+                        thin_far);
+    if (c.notify_port) {
+      snap.assigned_port =
+          static_cast<uint16_t>(ctx.cfg.base_port + c.owner_thread);
+      c.notify_port = false;
+    }
 
-      // Find the delta baseline (newest snapshot the client reports
-      // having reconstructed); full snapshot if no longer in history.
-      const ClientSlot::SentSnapshot* baseline = nullptr;
-      if (ctx.cfg.delta_snapshots && c.client_baseline_frame != 0) {
-        for (auto it = c.history.rbegin(); it != c.history.rend(); ++it) {
-          if (it->server_frame == c.client_baseline_frame) {
-            baseline = &*it;
-            break;
-          }
+    // Find the delta baseline (newest snapshot the client reports
+    // having reconstructed); full snapshot if no longer in history.
+    const ClientSlot::SentSnapshot* baseline = nullptr;
+    if (ctx.cfg.delta_snapshots && c.client_baseline_frame != 0) {
+      for (auto it = c.history.rbegin(); it != c.history.rend(); ++it) {
+        if (it->server_frame == c.client_baseline_frame) {
+          baseline = &*it;
+          break;
         }
       }
-
-      ctx.platform.compute(costs.reply_base + costs.send_syscall);
-      net::ByteWriter& w = arena.wire;
-      w.clear();
-      w.u64(0);  // headroom for the channel header send_in_place stamps
-      if (baseline != nullptr) {
-        sim::write_delta_snapshot(snap, ctx.world.view(), arena.rows,
-                                  baseline->entities, baseline->server_frame,
-                                  arena.enc_scratch, w);
-      } else {
-        sim::write_full_snapshot(snap, ctx.world.view(), arena.rows, w);
-      }
-      if (ctx.cfg.delta_snapshots) {
-        c.history.push_back({snap.server_frame, snap.entities});
-        while (static_cast<int>(c.history.size()) > ctx.cfg.snapshot_history)
-          c.history.pop_front();
-      }
-      c.chan->send_in_place(w.mutable_data(),
-                            w.size() - net::NetChannel::kHeaderReserve);
-      c.pending_reply = false;
-      ++st.replies_sent;
-    } else {
-      // No request this frame: update the client's message buffer from
-      // the global state buffer anyway (§3.3 — every client, every
-      // frame; per-buffer lock inside).
-      c.buffer->append_block(pipe_.sealed_events_);
-      ctx.platform.compute(costs.per_buffer_update +
-                           costs.per_event *
-                               static_cast<int64_t>(frame_events.size()));
     }
+
+    ctx.platform.compute(costs.reply_base + costs.send_syscall);
+    net::ByteWriter& w = arena.wire;
+    w.clear();
+    w.u64(0);  // headroom for the channel header send_in_place stamps
+    if (baseline != nullptr) {
+      sim::write_delta_snapshot(snap, ctx.world.view(), arena.rows,
+                                baseline->entities, baseline->server_frame,
+                                arena.enc_scratch, w);
+    } else {
+      sim::write_full_snapshot(snap, ctx.world.view(), arena.rows, w);
+    }
+    if (ctx.cfg.delta_snapshots) {
+      c.history.push_back({snap.server_frame, snap.entities});
+      while (static_cast<int>(c.history.size()) > ctx.cfg.snapshot_history)
+        c.history.pop_front();
+    }
+    c.chan->send_in_place(w.mutable_data(),
+                          w.size() - net::NetChannel::kHeaderReserve);
+    c.pending_reply = false;
+    ++st.replies_sent;
+    ++replied;
   }
+  queue.clear();
+  update_buffers_below(static_cast<int>(ctx.registry.slots().size()));
   st.breakdown.reply += ctx.platform.now() - t0;
 }
 

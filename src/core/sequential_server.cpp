@@ -64,13 +64,12 @@ void SequentialServer::main_loop() {
     // buffer global updates for everyone else. prepare() seals the
     // frame's events and refreshes the entity view.
     pipeline_->reply().prepare(st);
-    pipeline_->reply().run(0, st, /*include_unowned=*/true,
-                           /*participants_mask=*/1);
+    pipeline_->reply().run(0, st, /*charged_owners=*/1);
 
-    // Frame end: the maintenance phase clears the global state buffer,
-    // completes deferred lifecycle, reaps timed-out clients, runs the
-    // subsystem master duties (governor step), seals the frame, audits,
-    // and records the frame metrics/trace.
+    // Frame end: the maintenance phase completes deferred lifecycle,
+    // reaps timed-out clients, runs the subsystem master duties (governor
+    // step), seals the frame, audits, and records the frame
+    // metrics/trace.
     pipeline_->maintenance().run_master_window(0, frame_start, moves, st,
                                                /*harvest_locks=*/false);
   }

@@ -408,15 +408,12 @@ recovery::LoadError Server::restore_from(
     if (slot_index < 0 ||
         slot_index >= static_cast<int>(registry_.slots().size()))
       continue;
-    ClientSlot& cl = registry_.slot(slot_index);
-    if (cl.in_use) continue;
-    cl.in_use = true;
-    cl.entity_id = r.entity_id;
-    cl.remote_port = r.remote_port;
-    cl.name = r.name;
-    cl.owner_thread =
+    if (registry_.slot(slot_index).in_use) continue;
+    const int owner =
         std::clamp(static_cast<int>(r.owner_thread), 0, cfg_.threads - 1);
-    cl.connect_tid = cl.owner_thread;
+    ClientSlot& cl = registry_.install_slot_locked(
+        slot_index, r.remote_port, r.name, r.entity_id, owner,
+        *sockets_[static_cast<size_t>(owner)], resume_frame);
     // Stay silent until the peer makes contact. A peer that never
     // noticed the restart keeps sending moves on the restored channel
     // sequences and gets its reply then; a peer that noticed has reset
@@ -425,26 +422,11 @@ recovery::LoadError Server::restore_from(
     // reset peer: it would accept the checkpointed (high) sequence and
     // then discard the fresh resume channel's low sequences as
     // duplicates.
-    cl.notify_port = false;
+    cl.awaiting_resume = true;
     cl.last_seq = r.last_seq;
     cl.last_move_time_ns = r.last_move_time_ns;
-    std::atomic_ref<int64_t>(cl.last_heard_ns)
-        .store(platform_.now().ns, std::memory_order_relaxed);
-    cl.pending_reply = false;
-    cl.pending_spawn = false;
-    cl.pending_disconnect = false;
-    cl.awaiting_resume = true;
-    cl.chan = std::make_unique<net::NetChannel>(
-        *sockets_[static_cast<size_t>(cl.owner_thread)], r.remote_port);
     cl.chan->restore_state(r.chan_out_seq + out_seq_bump, r.chan_in_seq,
                            r.chan_in_acked);
-    cl.buffer = std::make_unique<ReplyBuffer>(platform_);
-    cl.history.clear();
-    cl.client_baseline_frame = 0;  // forces a full snapshot
-    cl.bucket.configure(cfg_.resilience.move_rate_limit,
-                        cfg_.resilience.move_burst);
-    cl.moves_since_scan = 0;
-    registry_.bind_port_locked(r.remote_port, slot_index);
   }
   for (const uint16_t p : evicted) registry_.remember_evicted_locked(p);
   registry_.set_restored();
@@ -491,36 +473,20 @@ bool Server::adopt_session(const SessionTransfer& t) {
   sim::Entity& e = world_.spawn_player(t.name);
   recovery::apply_handoff_state(e, t.state);
   world_.relink(e);
-  ClientSlot& cl = registry_.slot(idx);
-  cl.in_use = true;
-  cl.entity_id = e.id;
-  cl.remote_port = t.remote_port;
-  cl.name = t.name;
-  cl.owner_thread = idx % std::max(1, cfg_.threads);
-  cl.connect_tid = cl.owner_thread;
-  // The next snapshot re-teaches the peer its new server port; a forced
-  // full snapshot (baseline 0) makes it self-contained.
-  cl.notify_port = true;
-  cl.pending_spawn = false;
-  cl.pending_disconnect = false;
-  cl.awaiting_resume = false;
+  const int owner = idx % std::max(1, cfg_.threads);
+  ClientSlot& cl = registry_.install_slot_locked(
+      idx, t.remote_port, t.name, e.id, owner,
+      *sockets_[static_cast<size_t>(owner)], pipeline_->frames());
   cl.last_seq = t.last_seq;
   cl.last_move_time_ns = t.last_move_time_ns;
-  std::atomic_ref<int64_t>(cl.last_heard_ns)
-      .store(platform_.now().ns, std::memory_order_relaxed);
-  // Queue a reply even before the peer sends here: the redirect must
-  // reach it proactively or it keeps addressing the old shard.
-  cl.pending_reply = true;
-  cl.chan = std::make_unique<net::NetChannel>(
-      *sockets_[static_cast<size_t>(cl.owner_thread)], t.remote_port);
   cl.chan->restore_state(t.chan_out_seq, t.chan_in_seq, t.chan_in_acked);
-  cl.buffer = std::make_unique<ReplyBuffer>(platform_);
-  cl.history.clear();
-  cl.client_baseline_frame = 0;
-  cl.bucket.configure(cfg_.resilience.move_rate_limit,
-                      cfg_.resilience.move_burst);
-  cl.moves_since_scan = 0;
-  registry_.bind_port_locked(t.remote_port, idx);
+  // The next snapshot re-teaches the peer its new server port; the
+  // forced full snapshot (baseline 0) makes it self-contained. It is
+  // queued before the peer sends here: the redirect must reach it
+  // proactively or it keeps addressing the old shard.
+  cl.notify_port = true;
+  cl.pending_reply = true;
+  registry_.queue_reply(cl);
   if (recovery_ != nullptr)
     recovery_->record_handoff_in(t.remote_port, e.id, t.name, t.state);
   ++registry_.counters.handoffs_in;

@@ -306,6 +306,8 @@ class Server : public Engine {
   ClientRegistry& registry() override { return registry_; }
   const ClientRegistry& registry() const { return registry_; }
   int connected_clients() const override { return registry_.connected(); }
+  // The global state buffer and its sealed-event log.
+  const GlobalStateBuffer& global_events() const { return global_events_; }
 
   // --- Engine facade (hook seam; see frame_hooks.hpp) ---
   vt::Platform& platform() override { return platform_; }

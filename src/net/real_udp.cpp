@@ -117,6 +117,11 @@ class RealSocket final : public Socket {
  private:
   friend class RealSelector;
 
+  bool parked() const {
+    std::lock_guard<std::mutex> lock(peek_mu_);
+    return peeked_.has_value();
+  }
+
   bool peek() const {
     std::lock_guard<std::mutex> lock(peek_mu_);
     if (peeked_) return true;
@@ -234,10 +239,12 @@ class RealSelector final : public Selector {
 
   bool wait_until(vt::TimePoint deadline) override {
     for (;;) {
-      // A datagram parked in a socket's peek buffer is invisible to
-      // epoll (already read from the kernel) — check before sleeping.
+      // A datagram parked in a socket's peek slot is invisible to epoll
+      // (already read from the kernel) — check before sleeping. One still
+      // in the kernel wakes the level-triggered wait below, so peeking
+      // for it here would only add a recvmsg per wake.
       for (const RealSocket* s : sockets_)
-        if (s->has_ready()) return true;
+        if (s->parked()) return true;
       const vt::TimePoint now = net_.platform().now();
       epoll_event evs[16];
       const int n = ::epoll_wait(epoll_fd_, evs, 16,

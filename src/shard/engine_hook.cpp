@@ -136,6 +136,7 @@ void ShardEngineHook::rearm_redirects() {
     // port notification (with a queued reply) until the peer shows up.
     cl.notify_port = true;
     cl.pending_reply = true;
+    reg.queue_reply(cl);
     return false;
   });
 }

@@ -16,9 +16,12 @@ Vec3 eye_pos(const Entity& player) {
 }
 
 void explode_at(World& world, uint32_t owner, const Vec3& pos,
-                NodeListLocks* locks, EventSink* events) {
+                NodeListLocks* locks, EventSink* events,
+                std::vector<uint32_t>* scratch) {
   constexpr float kRadius = 100.0f;
-  std::vector<uint32_t> nearby;
+  std::vector<uint32_t> local_nearby;
+  std::vector<uint32_t>& nearby = scratch != nullptr ? *scratch : local_nearby;
+  nearby.clear();
   world.gather(Aabb{pos, pos}.expanded(kRadius), nearby, locks);
   for (const uint32_t id : nearby) {
     Entity* v = world.get(id);
@@ -130,12 +133,14 @@ AttackResult throw_grenade(World& world, Entity& shooter, float pitch_deg,
     // Direct hit within the request-time segment: full damage, detonate.
     res.hit_player = true;
     res.victim = victim->id;
-    explode_at(world, shooter.id, victim->origin, locks, events);
+    explode_at(world, shooter.id, victim->origin, locks, events,
+               scratch != nullptr ? &scratch->candidates : nullptr);
     return res;
   }
   if (tr.hit()) {
     // Struck geometry within the segment: detonate at the impact point.
-    explode_at(world, shooter.id, tr.endpos, locks, events);
+    explode_at(world, shooter.id, tr.endpos, locks, events,
+               scratch != nullptr ? &scratch->candidates : nullptr);
     return res;
   }
   // Flight continues in the world-physics phase (type-1 object).

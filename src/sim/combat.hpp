@@ -40,9 +40,11 @@ AttackResult throw_grenade(World& world, Entity& shooter, float pitch_deg,
                            MoveScratch* scratch = nullptr);
 
 // Radius damage at `pos` attributed to `owner`; used by grenades both at
-// request time (early detonation) and in the world phase.
+// request time (early detonation) and in the world phase. `scratch`, if
+// given, holds the radius gather instead of a local vector.
 void explode_at(World& world, uint32_t owner, const Vec3& pos,
-                NodeListLocks* locks, EventSink* events);
+                NodeListLocks* locks, EventSink* events,
+                std::vector<uint32_t>* scratch = nullptr);
 
 // The view direction of a player (unit vector).
 Vec3 aim_dir(const Entity& player, float pitch_deg);

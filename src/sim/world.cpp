@@ -79,6 +79,8 @@ Entity& World::spawn_entity(EntityType type) {
   e.active = true;
   ++active_count_;
   mark_dirty(id);
+  if (std::vector<uint32_t>* ids = ids_of(type))
+    ids->insert(std::lower_bound(ids->begin(), ids->end(), id), id);
   return e;
 }
 
@@ -86,6 +88,8 @@ void World::remove_entity(uint32_t id, NodeListLocks* locks) {
   Entity* e = get(id);
   QSERV_CHECK_MSG(e != nullptr, "removing missing entity");
   if (e->areanode >= 0) unlink(*e, locks);
+  if (std::vector<uint32_t>* ids = ids_of(e->type))
+    ids->erase(std::lower_bound(ids->begin(), ids->end(), id));
   e->active = false;
   e->type = EntityType::kNone;
   free_ids_.push_back(id);
@@ -245,29 +249,30 @@ void World::queue_projectile(const ProjectileSpec& spec) {
   }
 }
 
-size_t World::pending_projectiles() const { return pending_projectiles_.size(); }
-
 void World::world_phase(vt::TimePoint now, vt::Duration dt,
                         EventSink& events) {
   charge(costs_.world_base);
 
   // Materialize projectiles thrown during the previous request phase.
-  std::vector<ProjectileSpec> specs;
+  specs_.clear();
   if (projectile_mu_ != nullptr) {
     vt::LockGuard g(*projectile_mu_);
-    specs.swap(pending_projectiles_);
+    specs_.swap(pending_projectiles_);
   } else {
-    specs.swap(pending_projectiles_);
+    specs_.swap(pending_projectiles_);
   }
   // Queue arrival order is scheduling-dependent in the parallel server;
   // the throwing move's serialization index is not. Materializing in
-  // index order keeps entity-id assignment replayable (stable: specs
-  // without an index keep arrival order).
-  std::stable_sort(specs.begin(), specs.end(),
-                   [](const ProjectileSpec& a, const ProjectileSpec& b) {
-                     return a.order < b.order;
-                   });
-  for (const auto& spec : specs) {
+  // index order keeps entity-id assignment replayable. A stable insertion
+  // sort (specs without an index keep arrival order): the queue is short
+  // and std::stable_sort would allocate.
+  const auto by_order = [](const ProjectileSpec& a, const ProjectileSpec& b) {
+    return a.order < b.order;
+  };
+  for (auto it = specs_.begin(); it != specs_.end(); ++it)
+    std::rotate(std::upper_bound(specs_.begin(), it, *it, by_order), it,
+                it + 1);
+  for (const auto& spec : specs_) {
     Entity& e = spawn_entity(EntityType::kProjectile);
     e.origin = spec.origin;
     e.dir = spec.dir;
@@ -279,25 +284,20 @@ void World::world_phase(vt::TimePoint now, vt::Duration dt,
     link(e);
   }
 
-  // Step live projectiles; collect ids first since explosion mutates
-  // storage.
-  std::vector<uint32_t> projectiles;
-  for (const auto& e : entities_) {
-    if (e.active && e.type == EntityType::kProjectile) projectiles.push_back(e.id);
-  }
-  int steps = 0;
-  for (const uint32_t id : projectiles) {
+  // Step live projectiles over a copy of the id list, since an explosion
+  // removes its projectile from the live one.
+  stepping_.assign(projectile_ids_.begin(), projectile_ids_.end());
+  for (const uint32_t id : stepping_) {
     Entity& e = entities_[id];
-    ++steps;
     const Vec3 target = e.origin + e.velocity * static_cast<float>(dt.seconds());
     const auto tr = collision_.trace_box(e.origin, target, e.mins, e.maxs);
     charge(costs_.per_brush_trace * tr.brushes_tested);
     e.origin = tr.endpos;
     // Direct hits on players.
-    std::vector<uint32_t> hits;
-    gather(e.bounds().expanded(8.0f), hits);
+    hits_.clear();
+    gather(e.bounds().expanded(8.0f), hits_);
     bool direct = false;
-    for (const uint32_t hid : hits) {
+    for (const uint32_t hid : hits_) {
       if (entities_[hid].is_player() && entities_[hid].health > 0 &&
           hid != e.owner) {
         direct = true;
@@ -305,25 +305,23 @@ void World::world_phase(vt::TimePoint now, vt::Duration dt,
       }
     }
     if (tr.hit() || direct || now >= e.expire_at) {
-      explode_at(*this, e.owner, e.origin, nullptr, &events);
+      explode_at(*this, e.owner, e.origin, nullptr, &events, &hits_);
       remove_entity(id);
     } else {
       relink(e);
     }
   }
-  charge(costs_.per_projectile_step * steps);
+  charge(costs_.per_projectile_step * static_cast<int64_t>(stepping_.size()));
 
   // Item respawns.
-  int item_checks = 0;
-  for (auto& e : entities_) {
-    if (!e.active || e.type != EntityType::kItem) continue;
-    ++item_checks;
+  for (const uint32_t id : item_ids_) {
+    Entity& e = entities_[id];
     if (!e.available && now >= e.respawn_at) {
       e.available = true;
       mark_dirty(e.id);
     }
   }
-  charge(costs_.per_item_check * item_checks);
+  charge(costs_.per_item_check * static_cast<int64_t>(item_ids_.size()));
 }
 
 void World::begin_restore() {
@@ -332,6 +330,8 @@ void World::begin_restore() {
   active_count_ = 0;
   tree_.clear_all_objects();
   pending_projectiles_.clear();
+  projectile_ids_.clear();
+  item_ids_.clear();
   // Every slot may change: the next refresh re-derives each row.
   std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
 }
@@ -344,6 +344,8 @@ void World::restore_entity(const Entity& e) {
   slot = e;
   slot.areanode = -1;  // links are restored separately, per node
   ++active_count_;
+  if (std::vector<uint32_t>* ids = ids_of(e.type))
+    ids->insert(std::lower_bound(ids->begin(), ids->end(), e.id), e.id);
 }
 
 void World::restore_link(uint32_t id, int node) {

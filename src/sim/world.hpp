@@ -139,10 +139,19 @@ class World {
   };
   // Thread-safe; callable from request processing.
   void queue_projectile(const ProjectileSpec& spec);
-  size_t pending_projectiles() const;
+  size_t pending_projectiles() const { return pending_projectiles_.size(); }
 
   // --- world physics phase (single-threaded) ---
+  // Steps the live projectiles and checks the items through the id lists
+  // below, never the entity storage; its containers are world-owned and
+  // reused, so steady state allocates nothing.
   void world_phase(vt::TimePoint now, vt::Duration dt, EventSink& events);
+  // Ascending ids of the live projectiles and items, kept by spawn,
+  // remove and restore.
+  const std::vector<uint32_t>& projectile_ids() const {
+    return projectile_ids_;
+  }
+  const std::vector<uint32_t>& item_ids() const { return item_ids_; }
 
   // --- SoA entity view (reply phase, DESIGN.md §15) ---
   // Records that entity `id` changed a field the view carries. Safe from
@@ -222,6 +231,18 @@ class World {
 
   std::unique_ptr<vt::Mutex> projectile_mu_;  // null without a platform
   std::vector<ProjectileSpec> pending_projectiles_;
+
+  std::vector<uint32_t> projectile_ids_, item_ids_;
+  // The id list an entity of `type` belongs on, or null.
+  std::vector<uint32_t>* ids_of(EntityType type) {
+    return type == EntityType::kProjectile ? &projectile_ids_
+           : type == EntityType::kItem     ? &item_ids_
+                                           : nullptr;
+  }
+  // World-phase scratch: the specs being materialized, the projectile ids
+  // being stepped (an explosion removes from the live list) and gathers.
+  std::vector<ProjectileSpec> specs_;
+  std::vector<uint32_t> stepping_, hits_;
 };
 
 }  // namespace qserv::sim

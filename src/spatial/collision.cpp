@@ -132,10 +132,13 @@ TraceResult CollisionWorld::trace_box(const Vec3& start, const Vec3& end,
   out.endpos = end;
   const Vec3 delta = end - start;
 
-  // Gather candidates once over the whole swept volume.
+  // Gather candidates once over the whole swept volume, into per-thread
+  // scratch (traces run concurrently and never yield mid-trace), so a
+  // steady-state trace allocates nothing.
   const Aabb swept =
       Aabb::at(start, mins, maxs).swept(delta).expanded(kTraceEpsilon);
-  std::vector<uint32_t> candidates;
+  thread_local std::vector<uint32_t> candidates;
+  candidates.clear();
   query(swept, candidates);
   out.brushes_tested = static_cast<int>(candidates.size());
 

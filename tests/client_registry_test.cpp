@@ -35,6 +35,8 @@ struct Fixture {
 
 TEST(ClientRegistry, SlotReuseClearsStaleDeltaState) {
   Fixture f;
+  net::VirtualNetwork net(f.platform, {});
+  auto sock0 = net.open(5000);
   ClientRegistry& reg = f.registry();
   vt::LockGuard g(reg.mutex());
 
@@ -42,8 +44,8 @@ TEST(ClientRegistry, SlotReuseClearsStaleDeltaState) {
   ASSERT_EQ(slot, 0);
   reg.init_pending_slot_locked(slot, 7001, 0, "first");
   ClientSlot& c = reg.slot(slot);
+  reg.spawn_slot_locked(c, 1, 0, *sock0, 1);
   // Simulate a session that accumulated delta baselines and sequencing.
-  c.pending_spawn = false;
   c.last_seq = 941;
   c.client_baseline_frame = 1204;
   c.history.push_back({1204, {}});
@@ -105,19 +107,23 @@ TEST(ClientRegistry, MigrationHandsOwnershipAndRebindsChannel) {
   net::VirtualNetwork net(f.platform, {});
   auto sock0 = net.open(5000);
   auto sock1 = net.open(5001);
+  f.cfg.threads = 2;
   ClientRegistry& reg = f.registry();
   vt::LockGuard g(reg.mutex());
 
   reg.init_pending_slot_locked(0, 7001, 0, "mover");
   ClientSlot& c = reg.slot(0);
-  c.pending_spawn = false;
-  c.chan = std::make_unique<net::NetChannel>(*sock0, c.remote_port);
+  reg.spawn_slot_locked(c, 1, 0, *sock0, 1);
 
   reg.migrate_slot_locked(c, 1, *sock1);
   EXPECT_EQ(c.owner_thread, 1);
   // The next snapshot must re-teach the port even if the client has no
-  // request pending on the new owner.
+  // request pending on the new owner, so the new owner queues it.
   EXPECT_TRUE(c.notify_port);
+  EXPECT_EQ(c.reply_queue, 1);
+  EXPECT_EQ(reg.reply_queue(1), std::vector<int>{0});
+  EXPECT_EQ(reg.active_clients(0b01), 0);
+  EXPECT_EQ(reg.active_clients(0b10), 1);
   // Same channel object: sequencing state survives the migration so the
   // peer sees one continuous stream.
   ASSERT_NE(c.chan, nullptr);
@@ -132,22 +138,83 @@ TEST(ClientRegistry, ResumeResetsSequencesAndBaselines) {
 
   reg.init_pending_slot_locked(0, 7001, 0, "resumer");
   ClientSlot& c = reg.slot(0);
-  c.pending_spawn = false;
+  reg.spawn_slot_locked(c, 1, 0, *sock0, 1);
   c.awaiting_resume = true;
   c.last_seq = 500;
   c.client_baseline_frame = 77;
   c.history.push_back({77, {}});
 
-  reg.resume_slot_locked(c, *sock0);
+  reg.resume_slot_locked(c, *sock0, 41);
   EXPECT_FALSE(c.awaiting_resume);
   EXPECT_TRUE(c.notify_port);
+  EXPECT_EQ(c.events_through, 41u);
   // The reconnected peer restarts its sequences and has reconstructed no
   // snapshot; stale state would reject all its fresh moves.
   EXPECT_EQ(c.last_seq, 0u);
   EXPECT_EQ(c.client_baseline_frame, 0u);
   EXPECT_TRUE(c.history.empty());
   ASSERT_NE(c.chan, nullptr);
-  ASSERT_NE(c.buffer, nullptr);
+}
+
+// Resume may run on a thread that does not own the client, so its reply
+// is queued only at the next flip; every other site queues directly, once
+// per owner however often it is called.
+TEST(ClientRegistry, ReplyQueueingAndActiveCounts) {
+  Fixture f;
+  f.cfg.threads = 2;
+  net::VirtualNetwork net(f.platform, {});
+  auto sock0 = net.open(5000);
+  auto sock1 = net.open(5001);
+  ClientRegistry& reg = f.registry();
+  std::vector<int> pending;
+  {
+    vt::LockGuard g(reg.mutex());
+    reg.init_pending_slot_locked(0, 7001, 0, "a");
+    reg.init_pending_slot_locked(1, 7002, 1, "b");
+    EXPECT_EQ(reg.active_clients(~0ull), 0);  // not spawned yet
+    reg.take_pending_lifecycle_locked(pending);
+    EXPECT_EQ(pending, (std::vector<int>{0, 1}));
+    reg.spawn_slot_locked(reg.slot(0), 10, 0, *sock0, 5);
+    reg.spawn_slot_locked(reg.slot(1), 11, 1, *sock1, 5);
+    EXPECT_EQ(reg.active_clients(0b01), 1);
+    EXPECT_EQ(reg.active_clients(0b11), 2);
+    // Covered clients below a slot, for the reply phase's in-order
+    // buffer-update charges.
+    EXPECT_EQ(reg.active_below(0b11, 0), 0);
+    EXPECT_EQ(reg.active_below(0b11, 1), 1);
+    EXPECT_EQ(reg.active_below(0b10, 1), 0);
+    EXPECT_EQ(reg.active_below(0b11, 2), 2);
+  }
+  ClientSlot& a = reg.slot(0);
+  reg.queue_reply(a);
+  reg.queue_reply(a);
+  EXPECT_EQ(reg.reply_queue(0), std::vector<int>{0});
+
+  ClientSlot& b = reg.slot(1);
+  {
+    vt::LockGuard g(reg.mutex());
+    b.awaiting_resume = true;
+    reg.resume_slot_locked(b, *sock1, 7);
+  }
+  EXPECT_TRUE(reg.reply_queue(1).empty());
+  reg.flush_deferred_replies();
+  EXPECT_EQ(reg.reply_queue(1), std::vector<int>{1});
+  EXPECT_EQ(b.reply_queue, 1);
+
+  // A disconnecting client stops counting and is listed for the master
+  // window once, however many disconnects arrive.
+  {
+    vt::LockGuard g(reg.mutex());
+    reg.mark_disconnect_locked(b);
+    reg.mark_disconnect_locked(b);
+    EXPECT_EQ(reg.active_clients(0b10), 0);
+    reg.take_pending_lifecycle_locked(pending);
+    EXPECT_EQ(pending, std::vector<int>{1});
+    reg.release_slot_locked(b);
+    EXPECT_EQ(b.reply_queue, -1);  // its queue entry is now stale
+    reg.release_slot_locked(a);
+    EXPECT_EQ(reg.active_clients(~0ull), 0);
+  }
 }
 
 TEST(ClientRegistry, ResetRunCountersKeepsLifetimeOnes) {

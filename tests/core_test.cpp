@@ -248,37 +248,63 @@ TEST(LockManager, ListLocksAttributeWaitByNodeKind) {
   EXPECT_LT(st0.breakdown.lock_parent.ns, micros(10).ns);
 }
 
-TEST(GlobalStateBuffer, EmitSealClear) {
+// Sealing moves the frame's events into the log and empties the live
+// buffer: the next frame starts from nothing.
+TEST(GlobalStateBuffer, SealEmptiesTheLiveBuffer) {
   vt::SimPlatform p;
   GlobalStateBuffer buf(p);
   p.spawn("t", Domain::kServer, [&] {
     buf.emit(net::GameEvent{1, 2, 3, {}});
     buf.emit(net::GameEvent{4, 5, 6, {}});
-    const SealedEvents events = buf.seal_frame();
-    ASSERT_EQ(events->size(), 2u);
-    EXPECT_EQ((*events)[1].kind, 4);
+    EXPECT_EQ(buf.seal_frame(1), 2u);
+    std::vector<net::GameEvent> events;
+    buf.events_after(0, events);
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[1].kind, 4);
+    EXPECT_EQ(buf.seal_frame(2), 0u);  // nothing emitted: no entry
+    EXPECT_EQ(buf.logged_frames(), 1u);
     buf.emit(net::GameEvent{7, 0, 0, {}});
-    buf.clear();
-    EXPECT_TRUE(buf.seal_frame()->empty());
+    EXPECT_EQ(buf.seal_frame(3), 1u);
+    events.clear();
+    buf.events_after(1, events);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].kind, 7);
   });
   p.run();
 }
 
-TEST(ReplyBuffer, AppendDrain) {
+// A client's reply carries every logged frame after the one its events
+// are complete through, oldest first; trimming drops only frames every
+// client has consumed.
+TEST(GlobalStateBuffer, EventLogReadsAfterFrameAndTrims) {
   vt::SimPlatform p;
-  ReplyBuffer buf(p);
+  GlobalStateBuffer buf(p);
   p.spawn("t", Domain::kServer, [&] {
-    using Events = std::vector<net::GameEvent>;
-    buf.append_block(std::make_shared<const Events>(Events{{1, 0, 0, {}}}));
-    buf.append_block(std::make_shared<const Events>(
-        Events{{2, 0, 0, {}}, {3, 0, 0, {}}}));
-    EXPECT_EQ(buf.size(), 3u);
-    std::vector<net::GameEvent> out{net::GameEvent{9, 0, 0, {}}};
-    buf.drain_into(out);
-    ASSERT_EQ(out.size(), 4u);
-    EXPECT_EQ(out[0].kind, 9);  // existing contents preserved, order kept
-    EXPECT_EQ(out[1].kind, 1);
-    EXPECT_EQ(buf.size(), 0u);
+    buf.emit(net::GameEvent{1, 0, 0, {}});
+    buf.seal_frame(3);
+    buf.emit(net::GameEvent{2, 0, 0, {}});
+    buf.emit(net::GameEvent{3, 0, 0, {}});
+    buf.seal_frame(5);
+    buf.seal_frame(6);  // no events: no entry
+    buf.emit(net::GameEvent{4, 0, 0, {}});
+    buf.seal_frame(7);
+    EXPECT_EQ(buf.logged_frames(), 3u);
+    const auto kinds_after = [&](uint64_t through) {
+      std::vector<net::GameEvent> out{net::GameEvent{9, 0, 0, {}}};
+      buf.events_after(through, out);
+      std::vector<int> kinds;
+      for (const auto& e : out) kinds.push_back(e.kind);
+      return kinds;
+    };
+    EXPECT_EQ(kinds_after(0), (std::vector<int>{9, 1, 2, 3, 4}));
+    EXPECT_EQ(kinds_after(3), (std::vector<int>{9, 2, 3, 4}));
+    EXPECT_EQ(kinds_after(4), (std::vector<int>{9, 2, 3, 4}));
+    EXPECT_EQ(kinds_after(6), (std::vector<int>{9, 4}));
+    EXPECT_EQ(kinds_after(7), (std::vector<int>{9}));
+    buf.trim_through(5);
+    EXPECT_EQ(buf.logged_frames(), 1u);
+    EXPECT_EQ(kinds_after(5), (std::vector<int>{9, 4}));
+    EXPECT_FALSE(buf.trim_due());
   });
   p.run();
 }

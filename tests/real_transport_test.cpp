@@ -78,6 +78,38 @@ TEST(RealUdp, SelectorPokeAndTimeout) {
   EXPECT_FALSE(sel->wait_until(p.now() + vt::seconds(10)));
 }
 
+// The selector wakes at once for a datagram parked in a socket's peek
+// slot (already out of the kernel, so invisible to epoll) and for one
+// still queued in the kernel (epoll is level-triggered).
+TEST(RealUdp, SelectorWakesForParkedAndKernelQueuedDatagrams) {
+  vt::RealPlatform p;
+  net::RealUdpTransport net(p, {});
+  auto a = net.open(36050);
+  auto b = net.open(36051);
+  auto sel = net.make_selector();
+  sel->add(*b);
+  const auto wakes_at_once = [&] {
+    const auto t0 = p.now();
+    const bool ready = sel->wait_until(p.now() + vt::seconds(10));
+    return ready && (p.now() - t0).ns < vt::seconds(1).ns;
+  };
+
+  ASSERT_TRUE(a->send(36051, {1}));
+  EXPECT_TRUE(wakes_at_once());  // kernel-queued
+  ASSERT_TRUE(b->has_ready());   // peeks: parks it, kernel queue empty
+  EXPECT_TRUE(wakes_at_once());  // parked
+  ASSERT_TRUE(a->send(36051, {2}));
+  EXPECT_TRUE(wakes_at_once());  // parked plus kernel-queued
+  net::Datagram d;
+  ASSERT_TRUE(b->try_recv(d));
+  EXPECT_EQ(d.payload, std::vector<uint8_t>{1});
+  EXPECT_TRUE(wakes_at_once());  // the second, still in the kernel
+  ASSERT_TRUE(b->try_recv(d));
+  EXPECT_EQ(d.payload, std::vector<uint8_t>{2});
+  EXPECT_FALSE(sel->wait_until(p.now() + vt::millis(20)));  // drained
+  sel->remove(*b);
+}
+
 // Oversized datagrams are clamped at recvfrom, counted, and the
 // truncated bytes flow into the normal parse path without crashing it —
 // the real-socket edge of the protocol-fuzz hardening.

@@ -1,11 +1,15 @@
-// Reply-path allocation discipline (DESIGN.md §15): sealed event blocks
-// make the per-frame reply-buffer fan-out a refcount bump instead of N
-// event copies, and the view refresh, sweep and span encoders reuse their
-// buffers, so a steady-state reply allocates nothing where the oracle
-// encoders (tests/reply_oracle.hpp) allocate per message. This binary
-// includes the bench allocation counter (global operator new override) so
-// the assertions count real heap traffic.
+// Reply-path allocation discipline (DESIGN.md §15): the event log makes
+// the per-frame event fan-out one copy per reply instead of a buffer
+// update per client, the world phase reuses world-owned containers, and
+// the view refresh, sweep and span encoders reuse their buffers, so a
+// steady-state reply allocates nothing where the oracle encoders
+// (tests/reply_oracle.hpp) allocate per message. This binary includes the
+// bench allocation counter (global operator new override) so the
+// assertions count real heap traffic.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "bench/alloc_counter.hpp"
 #include "src/core/global_state.hpp"
@@ -20,66 +24,129 @@ namespace {
 
 net::GameEvent ev(uint8_t kind) { return net::GameEvent{kind, 0, 0, {}}; }
 
-// Sealed blocks flow through reply buffers by reference, oldest first,
-// and null/empty blocks are dropped at the door.
-TEST(ReplyAlloc, SealedBlocksDrainInOrder) {
+// Three clients complete through different frames each read their own
+// tail of the log, oldest frame first; frames without events log nothing.
+TEST(ReplyAlloc, EventLogReadsEachClientsTailInOrder) {
   vt::SimPlatform p;
   GlobalStateBuffer gsb(p);
-  ReplyBuffer rb(p);
   p.spawn("t", vt::Domain::kServer, [&] {
     gsb.emit(ev(1));
     gsb.emit(ev(2));
-    const SealedEvents block = gsb.seal_frame();
-    ASSERT_TRUE(block);
-    EXPECT_EQ(block->size(), 2u);
-
-    rb.append_block(block);
+    EXPECT_EQ(gsb.seal_frame(1), 2u);
+    EXPECT_EQ(gsb.seal_frame(2), 0u);  // empty frame: no entry
     gsb.emit(ev(3));
-    rb.append_block(gsb.seal_frame());  // the live buffer restarted empty
-    rb.append_block(nullptr);
-    rb.append_block(gsb.seal_frame());  // empty frame: dropped
-    EXPECT_EQ(rb.size(), 3u);
+    EXPECT_EQ(gsb.seal_frame(3), 1u);
+    EXPECT_EQ(gsb.logged_frames(), 2u);
 
     std::vector<net::GameEvent> out;
-    rb.drain_into(out);
+    gsb.events_after(0, out);  // joined before frame 1
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].kind, 1);
     EXPECT_EQ(out[1].kind, 2);
     EXPECT_EQ(out[2].kind, 3);
-    EXPECT_EQ(rb.size(), 0u);
+    out.clear();
+    gsb.events_after(2, out);  // replied at frame 2
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].kind, 3);
+    out.clear();
+    gsb.events_after(3, out);  // replied this frame already
+    EXPECT_TRUE(out.empty());
   });
   p.run();
 }
 
-// Once the pool is warm and every frame's readers let go, sealing and
-// fanning out a frame's events performs zero heap allocations.
-TEST(ReplyAlloc, SealFrameSteadyStateAllocFree) {
+// Once warm, sealing frames, reading three clients' tails and trimming
+// what they all consumed performs zero heap allocations.
+TEST(ReplyAlloc, EventLogSteadyStateAllocFree) {
   vt::SimPlatform p;
   GlobalStateBuffer gsb(p);
-  ReplyBuffer rb0(p), rb1(p), rb2(p);
   p.spawn("t", vt::Domain::kServer, [&] {
-    std::vector<net::GameEvent> drained;
-    drained.reserve(64);
-    SealedEvents held;  // the reply phase holds the frame's block too
-    const auto frame = [&] {
+    std::vector<net::GameEvent> out;
+    out.reserve(1024);
+    uint64_t through[3] = {0, 0, 0};
+    uint64_t frame = 0;
+    const auto run_frame = [&] {
+      ++frame;
       for (int i = 0; i < 8; ++i) gsb.emit(ev(uint8_t(1 + i)));
-      held = gsb.seal_frame();
-      rb0.append_block(held);
-      rb1.append_block(held);
-      rb2.append_block(held);
-      drained.clear();
-      rb0.drain_into(drained);
-      rb1.drain_into(drained);
-      rb2.drain_into(drained);
-      EXPECT_EQ(drained.size(), 24u);
+      gsb.seal_frame(frame);
+      if (gsb.trim_due())
+        gsb.trim_through(std::min({through[0], through[1], through[2]}));
+      // Client k replies every k+1 frames.
+      for (int k = 0; k < 3; ++k) {
+        if (frame % static_cast<uint64_t>(k + 1) != 0) continue;
+        out.clear();
+        gsb.events_after(through[k], out);
+        EXPECT_EQ(out.size(), 8u * (frame - through[k]));
+        through[k] = frame;
+      }
     };
-    for (int warm = 0; warm < 4; ++warm) frame();
+    for (int warm = 0; warm < 200; ++warm) run_frame();
     const uint64_t before = bench::heap_allocs();
-    for (int hot = 0; hot < 32; ++hot) frame();
+    for (int hot = 0; hot < 400; ++hot) run_frame();
     EXPECT_EQ(bench::heap_allocs() - before, 0u)
-        << "sealing/fan-out must reuse pooled blocks and capacities";
+        << "sealing, reading and trimming must reuse the log's capacity";
+    EXPECT_LT(gsb.logged_frames(), 200u);  // trimmed as it goes
   });
   p.run();
+}
+
+class ReservedSink : public sim::EventSink {
+ public:
+  ReservedSink() { events.reserve(4096); }
+  void emit(const net::GameEvent& e) override { events.push_back(e); }
+  std::vector<net::GameEvent> events;
+};
+
+// Once warm, the world phase — materializing grenades, stepping them,
+// exploding them and respawning taken items — allocates nothing.
+TEST(ReplyAlloc, WorldPhaseSteadyStateAllocFree) {
+  const auto map = spatial::make_large_deathmatch(3);
+  sim::World world(map, sim::World::Config{4, 3});
+  world.reserve_entities(world.entity_storage_size() + 64);
+  ASSERT_FALSE(map.spawns.empty());
+  ASSERT_FALSE(world.item_ids().empty());
+  ReservedSink sink;
+  vt::TimePoint t{};
+  uint64_t hot_allocs = 0;
+  size_t max_live = 0;
+  int respawned = 0;
+  for (uint64_t frame = 1; frame <= 240; ++frame) {
+    // Request-phase work, outside the count: a grenade thrown on an
+    // 8-frame cycle of directions from a fixed spawn point, and every
+    // item taken every 16th frame.
+    sim::World::ProjectileSpec spec;
+    spec.origin = map.spawns[0].origin + Vec3{0, 0, 30};
+    const float a = static_cast<float>(frame % 8) * 0.785398f;
+    spec.dir = Vec3{std::cos(a), std::sin(a), 0};
+    spec.expire_at = t + vt::millis(400);
+    spec.order = frame;
+    world.queue_projectile(spec);
+    if (frame % 16 == 0) {
+      for (const uint32_t id : world.item_ids()) {
+        sim::Entity& item = *world.get(id);
+        item.available = false;
+        item.respawn_at = t + vt::millis(200);
+        world.mark_dirty(id);
+      }
+    }
+    const auto taken = [&] {
+      return std::count_if(
+          world.item_ids().begin(), world.item_ids().end(),
+          [&](uint32_t id) { return !world.get(id)->available; });
+    };
+    const auto taken_before = taken();
+    const uint64_t before = bench::heap_allocs();
+    world.world_phase(t, vt::millis(30), sink);
+    if (frame > 80) hot_allocs += bench::heap_allocs() - before;
+    max_live = std::max(max_live, world.projectile_ids().size());
+    respawned += static_cast<int>(taken_before - taken());
+    sink.events.clear();
+    world.refresh_view();
+    t = t + vt::millis(30);
+  }
+  EXPECT_EQ(hot_allocs, 0u);
+  EXPECT_GT(max_live, 1u);   // several grenades in flight at once
+  EXPECT_GT(respawned, 0);  // items came back through the world phase
 }
 
 // Once warm, refreshing the view, sweeping and span-encoding full and

@@ -1,10 +1,11 @@
 // View oracle (DESIGN.md §15): the world's entity view is patched
 // incrementally from dirty marks, and after every refresh it must equal a
-// from-scratch repack byte for byte. Covered here at each mutation site
-// directly, through live sequential and 2-thread parallel games with
-// combat, grenades, item pickups/respawns, teleports, deaths, respawns
-// and client churn (simulated, and on real threads), and across a
-// checkpoint restore with journal-tail replay.
+// from-scratch repack byte for byte; likewise the world's projectile and
+// item id lists must equal a full entity scan. Covered here at each
+// mutation site directly, through live sequential and 2-thread parallel
+// games with combat, grenades, item pickups/respawns, teleports, deaths,
+// respawns and client churn (simulated, and on real threads), and across
+// a checkpoint restore with journal-tail replay.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,7 +28,20 @@
 namespace qserv {
 namespace {
 
+// The world's projectile and item id lists equal a full entity scan.
+bool id_lists_match_scan(const sim::World& world) {
+  std::vector<uint32_t> projectiles, items;
+  world.for_each_entity([&](const sim::Entity& e) {
+    if (e.type == sim::EntityType::kProjectile) projectiles.push_back(e.id);
+    if (e.type == sim::EntityType::kItem) items.push_back(e.id);
+  });
+  return projectiles == world.projectile_ids() && items == world.item_ids();
+}
+
 ::testing::AssertionResult refreshed_view_matches_repack(sim::World& world) {
+  if (!id_lists_match_scan(world))
+    return ::testing::AssertionFailure()
+           << "projectile/item id lists differ from an entity scan";
   world.refresh_view();
   sim::FrameView fresh;
   fresh.rebuild(world);
@@ -156,10 +170,11 @@ class ViewOracleHook final : public core::FrameHook {
     fresh_.rebuild(world_);
     ++frames;
     if (!sim::views_identical(world_.view(), fresh_)) ++mismatches;
+    if (!id_lists_match_scan(world_)) ++id_list_mismatches;
     tally(world_.view());
   }
 
-  uint64_t frames = 0, mismatches = 0;
+  uint64_t frames = 0, mismatches = 0, id_list_mismatches = 0;
   uint64_t projectile_rows = 0, item_flips = 0, teleports = 0, deaths = 0;
   uint64_t joins = 0, leaves = 0;
 
@@ -236,6 +251,7 @@ void run_live_game(int threads) {
 
   EXPECT_GT(oracle.frames, 500u);
   EXPECT_EQ(oracle.mismatches, 0u);
+  EXPECT_EQ(oracle.id_list_mismatches, 0u);
   // The game exercised every kind of view mutation.
   EXPECT_GT(oracle.projectile_rows, 0u);
   EXPECT_GT(oracle.item_flips, 0u);
@@ -281,6 +297,7 @@ TEST(ViewOracleE2E, RealThreadsParallelGameMatchesRepack) {
   platform.join_all();
   EXPECT_GT(oracle.frames, 20u);
   EXPECT_EQ(oracle.mismatches, 0u);
+  EXPECT_EQ(oracle.id_list_mismatches, 0u);
 }
 
 // A checkpoint restore with journal-tail replay leaves a view equal to a
@@ -337,6 +354,7 @@ TEST(ViewOracleE2E, RestoreWithTailReplayThenPlay) {
   p.run();
   EXPECT_GT(oracle.frames, 100u);
   EXPECT_EQ(oracle.mismatches, 0u);
+  EXPECT_EQ(oracle.id_list_mismatches, 0u);
 }
 
 }  // namespace
