@@ -59,8 +59,6 @@ struct ServerConfig {
   // (QuakeWorld-style). Falls back to full snapshots whenever no
   // acknowledged baseline is available, so it is loss-safe.
   bool delta_snapshots = false;
-  // Per-client history of sent snapshots kept for baselining.
-  int snapshot_history = 8;
 
   // Client liveness (QuakeWorld's sv_timeout): a client heard from
   // nothing for this long is reaped between frames — its entity leaves

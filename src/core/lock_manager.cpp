@@ -73,16 +73,16 @@ void LockManager::plan_request(LockPolicy policy, const sim::Entity& player,
         // from the player to the world edge along the aim direction.
         const Vec3 dir = sim::aim_dir(player, cmd.pitch_deg);
         tree_.leaves_for(
-            directional_bounds(player.bounds(), dir, tree_.world_bounds(),
-                               sim::kDirectionalLockPad),
+            directional_bounds(sim::load_bounds(player), dir,
+                               tree_.world_bounds(), sim::kDirectionalLockPad),
             leaves);
       } else {
         // Type-1 object (completed during world physics): expanded
         // bounding box covering the maximum request-time interaction
         // range.
         tree_.leaves_for(
-            player.bounds().expanded(sim::kGrenadeRequestRange +
-                                     sim::kDirectionalLockPad),
+            sim::load_bounds(player).expanded(sim::kGrenadeRequestRange +
+                                              sim::kDirectionalLockPad),
             leaves);
       }
     }

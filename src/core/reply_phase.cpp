@@ -16,6 +16,10 @@
 
 namespace qserv::core {
 
+// Sent snapshots each client keeps as delta baselines: a client whose
+// acknowledged frame has fallen further behind gets a full snapshot.
+constexpr size_t kSnapshotHistory = 8;
+
 void ReplyPhase::prepare(ThreadStats& st) {
   PipelineContext& ctx = pipe_.ctx_;
   pipe_.frame_events_ = ctx.global_events.seal_frame(pipe_.frames_);
@@ -111,8 +115,7 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
     }
     if (ctx.cfg.delta_snapshots) {
       c.history.push_back({snap.server_frame, snap.entities});
-      while (static_cast<int>(c.history.size()) > ctx.cfg.snapshot_history)
-        c.history.pop_front();
+      while (c.history.size() > kSnapshotHistory) c.history.pop_front();
     }
     c.chan->send_in_place(w.mutable_data(),
                           w.size() - net::NetChannel::kHeaderReserve);

@@ -9,10 +9,9 @@
 #include "src/obs/engine_hook.hpp"
 #include "src/obs/trace.hpp"
 #include "src/recovery/checkpoint.hpp"
-#include "src/recovery/digest.hpp"
 #include "src/recovery/engine_hook.hpp"
+#include "src/recovery/replay.hpp"
 #include "src/resilience/engine_hook.hpp"
-#include "src/sim/move.hpp"
 #include "src/util/check.hpp"
 
 namespace qserv::core {
@@ -242,18 +241,6 @@ const recovery::BlackBox* Server::blackbox() const {
   return recovery_ == nullptr ? nullptr : recovery_->blackbox();
 }
 
-recovery::LoadError Server::restore_from(const std::vector<uint8_t>& image) {
-  return restore_from(image, {}, nullptr);
-}
-
-namespace {
-
-struct NullEventSink final : sim::EventSink {
-  void emit(const net::GameEvent&) override {}
-};
-
-}  // namespace
-
 recovery::LoadError Server::restore_from(
     const std::vector<uint8_t>& image,
     const std::vector<uint8_t>& journal_image, RestoreStats* stats,
@@ -267,23 +254,18 @@ recovery::LoadError Server::restore_from(
   // bad journal must leave this freshly constructed server untouched so
   // the caller can fall back to the checkpoint-only restore.
   recovery::JournalFile jf;
-  std::vector<const recovery::FrameJournal*> tail;
+  recovery::JournalTail tail;
   if (!journal_image.empty()) {
     const LoadError jerr = recovery::decode_journal(journal_image, jf);
     if (jerr != LoadError::kNone) return jerr;
-    uint64_t expected = c.frame + 1;
-    for (const auto& fj : jf.frames) {
-      if (fj.frame <= c.frame) continue;  // ring reaches further back
-      if (fj.frame != expected) return LoadError::kCorrupt;  // gap
-      ++expected;
-      tail.push_back(&fj);
-    }
+    if (!recovery::select_tail(jf, c.frame, tail).empty())
+      return LoadError::kCorrupt;  // gap
   }
 
   // Detach cost charging for the whole restore: re-executed work already
   // paid its cost in the original timeline (re-charging would advance
-  // virtual time and diverge from replay.cpp's model), and a shard
-  // supervisor drives this from a platform timer, outside any fiber.
+  // virtual time), and a shard supervisor drives this from a platform
+  // timer, outside any fiber.
   struct ChargingGuard {
     sim::World& w;
     vt::Platform* saved;
@@ -295,94 +277,25 @@ recovery::LoadError Server::restore_from(
   world_.reserve_entities(c.entity_storage);
   recovery::restore_world(c, world_);
 
-  // The registry image evolves through the tail: lifecycle records add
-  // and remove sessions after the checkpoint. kInvalidSlot marks records
-  // born in the tail — they get a free slot index at install time.
-  constexpr uint16_t kInvalidSlot = 0xffff;
-  std::vector<recovery::ClientRecord> clients = c.clients;
-  std::vector<uint16_t> evicted(c.evicted_ports);
-  const auto find_client = [&clients](uint32_t entity) -> int {
-    for (size_t i = 0; i < clients.size(); ++i)
-      if (clients[i].entity_id == entity) return static_cast<int>(i);
-    return -1;
-  };
+  // Re-execute the tail against the restored world through the same
+  // replayer qserv-replay runs, in checkpoint-era time (rebasing happens
+  // after, off the last replayed frame), checking every frame digest. A
+  // mismatch means the journal and checkpoint disagree; this
+  // half-replayed server must then be discarded.
+  const recovery::ReplayResult replay = recovery::replay_tail(world_, tail);
+  if (replay.diverged) return LoadError::kReplayDiverged;
+  recovery::advance_registry(tail, c);
 
-  // Re-execute the tail against the restored world, in checkpoint-era
-  // time (rebasing happens after, off the last replayed frame), checking
-  // every frame digest. A mismatch means the journal and checkpoint
-  // disagree; this half-replayed server must then be discarded.
-  NullEventSink sink;
-  uint64_t next_order = c.next_order;
-  uint64_t resume_frame = c.frame;
-  int64_t resume_t_ns = c.captured_at_ns;
   RestoreStats rs;
   rs.checkpoint_frame = c.frame;
-  for (const recovery::FrameJournal* fj : tail) {
-    for (const auto& rec : fj->records) {
-      switch (rec.kind) {
-        case recovery::RecordKind::kWorldPhase:
-          world_.world_phase(vt::TimePoint{rec.t_ns},
-                             vt::Duration{rec.dt_ns}, sink);
-          break;
-        case recovery::RecordKind::kMoveExec: {
-          sim::Entity* p = world_.get(rec.entity);
-          if (p == nullptr || !p->is_player())
-            return LoadError::kReplayDiverged;
-          sim::execute_move(world_, *p, rec.cmd, vt::TimePoint{rec.t_ns},
-                            nullptr, &sink, rec.order);
-          ++rs.tail_moves;
-          const int ci = find_client(rec.entity);
-          if (ci >= 0) {
-            clients[static_cast<size_t>(ci)].last_seq = rec.cmd.sequence;
-            clients[static_cast<size_t>(ci)].last_move_time_ns = rec.t_ns;
-          }
-          break;
-        }
-        case recovery::RecordKind::kConnectSpawn:
-        case recovery::RecordKind::kHandoffIn: {
-          sim::Entity& e = world_.spawn_player(rec.name);
-          if (e.id != rec.entity) return LoadError::kReplayDiverged;
-          if (rec.kind == recovery::RecordKind::kHandoffIn) {
-            recovery::apply_handoff_state(e, rec.hand);
-            world_.relink(e);
-          }
-          ++rs.tail_lifecycle;
-          recovery::ClientRecord r;
-          r.slot = kInvalidSlot;
-          r.remote_port = rec.port;
-          r.name = rec.name;
-          r.entity_id = rec.entity;
-          r.owner_thread = rec.thread;
-          clients.push_back(std::move(r));
-          break;
-        }
-        case recovery::RecordKind::kDisconnect:
-        case recovery::RecordKind::kEvict:
-        case recovery::RecordKind::kHandoffOut: {
-          if (world_.get(rec.entity) == nullptr)
-            return LoadError::kReplayDiverged;
-          world_.remove_entity(rec.entity);
-          ++rs.tail_lifecycle;
-          const int ci = find_client(rec.entity);
-          if (ci >= 0) clients.erase(clients.begin() + ci);
-          if (rec.kind == recovery::RecordKind::kEvict)
-            evicted.push_back(rec.port);
-          break;
-        }
-        case recovery::RecordKind::kDropped:
-          break;  // forensic only
-      }
-      if (rec.order != recovery::kNoOrder && rec.order >= next_order)
-        next_order = rec.order + 1;
-    }
-    if (recovery::world_digest(world_) != fj->digest)
-      return LoadError::kReplayDiverged;
-    ++rs.tail_frames;
-    resume_frame = fj->frame;
-    resume_t_ns = fj->world_t0_ns + fj->world_dt_ns;
-  }
-  rs.resume_frame = resume_frame;
+  rs.tail_frames = replay.frames_checked;
+  rs.tail_moves = replay.moves_applied;
+  rs.tail_lifecycle = replay.lifecycle_applied;
   rs.digest_verified = !tail.empty();
+  rs.resume_frame = tail.empty() ? c.frame : tail.back()->frame;
+  const int64_t resume_t_ns =
+      tail.empty() ? c.captured_at_ns
+                   : tail.back()->world_t0_ns + tail.back()->world_dt_ns;
 
   // Map recorded-time onto restart-time: every absolute-time entity
   // field shifts by the same delta, so cooldowns, respawns and projectile
@@ -390,7 +303,7 @@ recovery::LoadError Server::restore_from(
   // last replayed frame (the checkpoint capture time when no tail ran).
   world_.rebase_times(platform_.now() - vt::TimePoint{resume_t_ns});
 
-  pipeline_->restore(resume_frame, next_order);
+  pipeline_->restore(rs.resume_frame, c.next_order);
 
   // Replies sent during the tail advanced each channel's out-sequence
   // past the checkpointed value; a peer that saw them would discard
@@ -402,9 +315,10 @@ recovery::LoadError Server::restore_from(
       extra_out_seq_bump;
 
   vt::LockGuard g(registry_.mutex());
-  for (const auto& r : clients) {
-    int slot_index = static_cast<int>(r.slot);
-    if (r.slot == kInvalidSlot) slot_index = registry_.find_free_locked();
+  for (const auto& r : c.clients) {
+    const int slot_index = r.slot == recovery::kSlotBornInTail
+                               ? registry_.find_free_locked()
+                               : static_cast<int>(r.slot);
     if (slot_index < 0 ||
         slot_index >= static_cast<int>(registry_.slots().size()))
       continue;
@@ -413,7 +327,7 @@ recovery::LoadError Server::restore_from(
         std::clamp(static_cast<int>(r.owner_thread), 0, cfg_.threads - 1);
     ClientSlot& cl = registry_.install_slot_locked(
         slot_index, r.remote_port, r.name, r.entity_id, owner,
-        *sockets_[static_cast<size_t>(owner)], resume_frame);
+        *sockets_[static_cast<size_t>(owner)], rs.resume_frame);
     // Stay silent until the peer makes contact. A peer that never
     // noticed the restart keeps sending moves on the restored channel
     // sequences and gets its reply then; a peer that noticed has reset
@@ -428,7 +342,7 @@ recovery::LoadError Server::restore_from(
     cl.chan->restore_state(r.chan_out_seq + out_seq_bump, r.chan_in_seq,
                            r.chan_in_acked);
   }
-  for (const uint16_t p : evicted) registry_.remember_evicted_locked(p);
+  for (const uint16_t p : c.evicted_ports) registry_.remember_evicted_locked(p);
   registry_.set_restored();
   if (stats != nullptr) *stats = rs;
   return LoadError::kNone;
@@ -470,9 +384,7 @@ bool Server::adopt_session(const SessionTransfer& t) {
   if (registry_.index_of_port_locked(t.remote_port) >= 0) return false;
   const int idx = registry_.find_free_locked();
   if (idx < 0) return false;
-  sim::Entity& e = world_.spawn_player(t.name);
-  recovery::apply_handoff_state(e, t.state);
-  world_.relink(e);
+  const sim::Entity& e = recovery::adopt_player(world_, t.name, t.state);
   const int owner = idx % std::max(1, cfg_.threads);
   ClientSlot& cl = registry_.install_slot_locked(
       idx, t.remote_port, t.name, e.id, owner,

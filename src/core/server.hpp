@@ -193,14 +193,6 @@ class Server : public Engine {
   const recovery::FlightRecorder* recorder() const;
   const recovery::CheckpointManager* checkpoints() const;
   const recovery::BlackBox* blackbox() const;
-  // Warm restart: installs a decoded checkpoint — world, client registry
-  // with netchan sequences, remembered evictions, frame/order counters —
-  // into this freshly constructed server. Call after construction, before
-  // start(). Restored clients either continue seamlessly on their old
-  // ports (channel state survives) or re-adopt their slot by name when
-  // they reconnect from a fresh port.
-  recovery::LoadError restore_from(const std::vector<uint8_t>& image);
-
   // What a tail-replaying restore actually did (supervisor / bench
   // reporting).
   struct RestoreStats {
@@ -211,14 +203,22 @@ class Server : public Engine {
     uint64_t tail_lifecycle = 0;
     bool digest_verified = false;  // every tail frame matched its digest
   };
-  // Warm restart with journal-tail replay: restores the checkpoint, then
-  // re-executes the journal frames recorded after it — digest-verified
-  // per frame — so the engine resumes at the failure frame instead of
-  // silently dropping post-checkpoint history. Registry deltas in the
-  // tail (spawns, disconnects, evictions, cross-shard handoffs) are
-  // applied to the restored slots. Returns kReplayDiverged on a digest
-  // mismatch, after which this server must be discarded (state is
-  // partially replayed).
+  // Warm restart: installs a decoded checkpoint — world, client registry
+  // with netchan sequences, remembered evictions, frame/order counters —
+  // into this freshly constructed server. Call after construction, before
+  // start(). Restored clients either continue seamlessly on their old
+  // ports (channel state survives) or re-adopt their slot by name when
+  // they reconnect from a fresh port.
+  //
+  // With a journal image, the journal frames recorded after the
+  // checkpoint are then re-executed through recovery::replay_tail —
+  // digest-verified per frame — so the engine resumes at the failure
+  // frame instead of silently dropping post-checkpoint history. Registry
+  // deltas in the tail (spawns, disconnects, evictions, cross-shard
+  // handoffs) are applied to the restored slots. A gap in the tail
+  // returns kCorrupt before any state is touched; a digest mismatch
+  // returns kReplayDiverged, after which this server must be discarded
+  // (state is partially replayed).
   //
   // extra_out_seq_bump: additional out-sequence headroom on every
   // restored channel, on top of the tail-derived bump. A caller
@@ -227,10 +227,10 @@ class Server : public Engine {
   // advances) must pass a strictly growing value, or every generation
   // re-sends sequences a prior generation already burned and the peers
   // discard its packets — redirects included — as duplicates.
-  recovery::LoadError restore_from(const std::vector<uint8_t>& image,
-                                   const std::vector<uint8_t>& journal_image,
-                                   RestoreStats* stats,
-                                   uint32_t extra_out_seq_bump = 0);
+  recovery::LoadError restore_from(
+      const std::vector<uint8_t>& image,
+      const std::vector<uint8_t>& journal_image = {},
+      RestoreStats* stats = nullptr, uint32_t extra_out_seq_bump = 0);
 
   // Hot-restart handoff capture: the current engine state as a
   // qserv-ckpt-v1 blob, off the periodic schedule. Requires
@@ -285,11 +285,11 @@ class Server : public Engine {
   void detach_world_charging() { world_.exchange_platform(nullptr); }
 
   bool extract_session(uint16_t port, SessionTransfer& out);
-  // Installs a transferred session on this engine: spawns a player named
-  // t.name (consuming the world RNG exactly as journal replay will),
-  // applies the carried state, relinks at the carried origin, binds the
-  // port and flags notify_port + a forced full snapshot so the peer's
-  // next reply re-teaches it the new server port. Journals kHandoffIn.
+  // Installs a transferred session on this engine: materializes the
+  // player through recovery::adopt_player (the sequence journal replay
+  // re-executes for kHandoffIn), binds the port and flags notify_port +
+  // a forced full snapshot so the peer's next reply re-teaches it the new
+  // server port. Journals kHandoffIn.
   // False when the registry is full or the port is already bound (no
   // world state is touched in that case — callers may retry elsewhere).
   bool adopt_session(const SessionTransfer& t);

@@ -98,6 +98,20 @@ bool count_fits(const net::ByteReader& r, uint64_t count, size_t min_bytes) {
   return count <= r.remaining() / min_bytes;
 }
 
+// The inverse of capture_handoff_state, field for field.
+void apply_handoff_state(sim::Entity& e, const HandoffState& hs) {
+  e.origin = hs.origin;
+  e.velocity = hs.velocity;
+  e.yaw_deg = hs.yaw_deg;
+  e.health = hs.health;
+  e.armor = hs.armor;
+  e.frags = hs.frags;
+  e.grenades = hs.grenades;
+  e.weapon = static_cast<sim::Weapon>(hs.weapon);
+  e.next_attack = vt::TimePoint{hs.next_attack_ns};
+  e.deaths = hs.deaths;
+}
+
 }  // namespace
 
 const char* record_kind_name(RecordKind k) {
@@ -129,17 +143,12 @@ HandoffState capture_handoff_state(const sim::Entity& e) {
   return hs;
 }
 
-void apply_handoff_state(sim::Entity& e, const HandoffState& hs) {
-  e.origin = hs.origin;
-  e.velocity = hs.velocity;
-  e.yaw_deg = hs.yaw_deg;
-  e.health = hs.health;
-  e.armor = hs.armor;
-  e.frags = hs.frags;
-  e.grenades = hs.grenades;
-  e.weapon = static_cast<sim::Weapon>(hs.weapon);
-  e.next_attack = vt::TimePoint{hs.next_attack_ns};
-  e.deaths = hs.deaths;
+sim::Entity& adopt_player(sim::World& w, const std::string& name,
+                          const HandoffState& hs) {
+  sim::Entity& e = w.spawn_player(name);
+  apply_handoff_state(e, hs);
+  w.relink(e);
+  return e;
 }
 
 const char* drop_reason_name(DropReason r) {

@@ -58,8 +58,8 @@ enum class RecordKind : uint8_t {
 // The gameplay-relevant player state a cross-shard handoff carries. This
 // is deliberately a closed list: both the live adoption path and journal
 // replay apply exactly these fields over a fresh spawn_player() (see
-// apply_handoff_state), so any field missing here keeps its spawn default
-// on BOTH paths and per-frame digests stay bit-identical.
+// adopt_player), so any field missing here keeps its spawn default on
+// BOTH paths and per-frame digests stay bit-identical.
 struct HandoffState {
   Vec3 origin;
   Vec3 velocity;
@@ -75,9 +75,13 @@ struct HandoffState {
 
 // Captures the handoff payload from a live player entity.
 HandoffState capture_handoff_state(const sim::Entity& e);
-// Applies the payload over a freshly spawned player (live adoption and
-// replay both call this; see HandoffState). Does not relink.
-void apply_handoff_state(sim::Entity& e, const HandoffState& hs);
+// Materializes a handed-off player in `w`: a fresh spawn_player() (which
+// consumes the world RNG like any spawn), the HandoffState fields over
+// it, then a relink at the carried origin. Live adoption
+// (core::Server::adopt_session) and journal replay both call this, so
+// the two cannot drift apart.
+sim::Entity& adopt_player(sim::World& w, const std::string& name,
+                          const HandoffState& hs);
 
 // Why a datagram did not reach the world (forensics; never replayed).
 enum class DropReason : uint8_t {

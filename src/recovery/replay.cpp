@@ -1,8 +1,10 @@
 #include "src/recovery/replay.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <utility>
 
 #include "src/recovery/digest.hpp"
 #include "src/sim/move.hpp"
@@ -70,6 +72,151 @@ std::string ReplayResult::summary() const {
                 frames_checked, moves_applied, lifecycle_applied, start_frame);
 }
 
+std::string select_tail(const JournalFile& journal, uint64_t ckpt_frame,
+                        JournalTail& tail) {
+  tail.clear();
+  uint64_t expected = ckpt_frame + 1;
+  for (const auto& fj : journal.frames) {
+    if (fj.frame <= ckpt_frame) continue;  // ring reaches further back
+    if (fj.frame != expected) {
+      return format("journal gap: expected frame %" PRIu64
+                    ", ring has %" PRIu64,
+                    expected, fj.frame);
+    }
+    ++expected;
+    tail.push_back(&fj);
+  }
+  return "";
+}
+
+ReplayResult replay_tail(sim::World& world, const JournalTail& tail) {
+  ReplayResult res;
+  NullSink sink;
+  const auto diverge = [&res](uint64_t frame, uint32_t entity,
+                              std::string detail) {
+    res.diverged = true;
+    res.divergent_frame = frame;
+    res.divergent_entity = entity;
+    res.detail = std::move(detail);
+    return res;
+  };
+  for (const FrameJournal* fj : tail) {
+    for (const auto& rec : fj->records) {
+      switch (rec.kind) {
+        case RecordKind::kWorldPhase:
+          world.world_phase(vt::TimePoint{rec.t_ns}, vt::Duration{rec.dt_ns},
+                            sink);
+          break;
+        case RecordKind::kMoveExec: {
+          sim::Entity* p = world.get(rec.entity);
+          if (p == nullptr || !p->is_player()) {
+            return diverge(fj->frame, rec.entity,
+                           format("move for entity %u which is %s in replay",
+                                  rec.entity,
+                                  p == nullptr ? "missing" : "not a player"));
+          }
+          sim::execute_move(world, *p, rec.cmd, vt::TimePoint{rec.t_ns},
+                            nullptr, &sink, rec.order);
+          ++res.moves_applied;
+          break;
+        }
+        case RecordKind::kConnectSpawn:
+        case RecordKind::kHandoffIn: {
+          const sim::Entity& e =
+              rec.kind == RecordKind::kHandoffIn
+                  ? adopt_player(world, rec.name, rec.hand)
+                  : world.spawn_player(rec.name);
+          ++res.lifecycle_applied;
+          if (e.id != rec.entity) {
+            return diverge(fj->frame, rec.entity,
+                           format("%s allocated entity %u, live allocated %u",
+                                  record_kind_name(rec.kind), e.id,
+                                  rec.entity));
+          }
+          break;
+        }
+        case RecordKind::kDisconnect:
+        case RecordKind::kEvict:
+        case RecordKind::kHandoffOut:
+          if (world.get(rec.entity) == nullptr) {
+            return diverge(fj->frame, rec.entity,
+                           format("%s of entity %u which is missing in replay",
+                                  record_kind_name(rec.kind), rec.entity));
+          }
+          world.remove_entity(rec.entity);
+          ++res.lifecycle_applied;
+          break;
+        case RecordKind::kDropped:
+          break;  // forensic only
+      }
+    }
+
+    const uint64_t d = world_digest(world);
+    ++res.frames_checked;
+    if (d != fj->digest) {
+      res.want_digest = fj->digest;
+      res.got_digest = d;
+      if (fj->entity_digests.empty()) return diverge(fj->frame, 0, "");
+      std::vector<EntityDigest> got;
+      world_digest(world, &got);
+      std::string detail;
+      const uint32_t entity =
+          first_divergent_entity(fj->entity_digests, got, &detail);
+      return diverge(fj->frame, entity, std::move(detail));
+    }
+  }
+  res.ok = true;
+  return res;
+}
+
+void advance_registry(const JournalTail& tail, CheckpointData& ckpt) {
+  auto& clients = ckpt.clients;
+  const auto find_client = [&clients](uint32_t entity) {
+    return std::find_if(
+        clients.begin(), clients.end(),
+        [entity](const ClientRecord& r) { return r.entity_id == entity; });
+  };
+  for (const FrameJournal* fj : tail) {
+    for (const auto& rec : fj->records) {
+      switch (rec.kind) {
+        case RecordKind::kMoveExec: {
+          const auto it = find_client(rec.entity);
+          if (it != clients.end()) {
+            it->last_seq = rec.cmd.sequence;
+            it->last_move_time_ns = rec.t_ns;
+          }
+          break;
+        }
+        case RecordKind::kConnectSpawn:
+        case RecordKind::kHandoffIn: {
+          ClientRecord r;
+          r.slot = kSlotBornInTail;
+          r.remote_port = rec.port;
+          r.name = rec.name;
+          r.entity_id = rec.entity;
+          r.owner_thread = rec.thread;
+          clients.push_back(std::move(r));
+          break;
+        }
+        case RecordKind::kDisconnect:
+        case RecordKind::kEvict:
+        case RecordKind::kHandoffOut: {
+          const auto it = find_client(rec.entity);
+          if (it != clients.end()) clients.erase(it);
+          if (rec.kind == RecordKind::kEvict)
+            ckpt.evicted_ports.push_back(rec.port);
+          break;
+        }
+        case RecordKind::kWorldPhase:
+        case RecordKind::kDropped:
+          break;
+      }
+      if (rec.order != kNoOrder && rec.order >= ckpt.next_order)
+        ckpt.next_order = rec.order + 1;
+    }
+  }
+}
+
 ReplayResult replay_verify(const CheckpointData& ckpt,
                            const JournalFile& journal) {
   ReplayResult res;
@@ -92,117 +239,16 @@ ReplayResult replay_verify(const CheckpointData& ckpt,
     res.detail = "restored world digest differs at the checkpoint itself";
     return res;
   }
-
-  NullSink sink;
-  std::vector<EntityDigest> got_entities;
-  uint64_t expected = ckpt.frame + 1;
-  for (const auto& fj : journal.frames) {
-    if (fj.frame <= ckpt.frame) continue;  // ring reaches further back
-    if (fj.frame != expected) {
-      res.error = format("journal gap: expected frame %" PRIu64
-                         ", ring has %" PRIu64,
-                         expected, fj.frame);
-      return res;
-    }
-    ++expected;
-
-    for (const auto& rec : fj.records) {
-      switch (rec.kind) {
-        case RecordKind::kWorldPhase:
-          world.world_phase(vt::TimePoint{rec.t_ns}, vt::Duration{rec.dt_ns},
-                            sink);
-          break;
-        case RecordKind::kMoveExec: {
-          sim::Entity* p = world.get(rec.entity);
-          if (p == nullptr || !p->is_player()) {
-            res.diverged = true;
-            res.divergent_frame = fj.frame;
-            res.divergent_entity = rec.entity;
-            res.detail = format("move for entity %u which is %s in replay",
-                                rec.entity,
-                                p == nullptr ? "missing" : "not a player");
-            return res;
-          }
-          sim::execute_move(world, *p, rec.cmd, vt::TimePoint{rec.t_ns},
-                            nullptr, &sink, rec.order);
-          ++res.moves_applied;
-          break;
-        }
-        case RecordKind::kConnectSpawn: {
-          sim::Entity& e = world.spawn_player(rec.name);
-          ++res.lifecycle_applied;
-          if (e.id != rec.entity) {
-            res.diverged = true;
-            res.divergent_frame = fj.frame;
-            res.divergent_entity = rec.entity;
-            res.detail =
-                format("spawn allocated entity %u, live allocated %u", e.id,
-                       rec.entity);
-            return res;
-          }
-          break;
-        }
-        case RecordKind::kDisconnect:
-        case RecordKind::kEvict:
-        case RecordKind::kHandoffOut: {
-          if (world.get(rec.entity) == nullptr) {
-            res.diverged = true;
-            res.divergent_frame = fj.frame;
-            res.divergent_entity = rec.entity;
-            res.detail = format("%s of entity %u which is missing in replay",
-                                record_kind_name(rec.kind), rec.entity);
-            return res;
-          }
-          world.remove_entity(rec.entity);
-          ++res.lifecycle_applied;
-          break;
-        }
-        case RecordKind::kHandoffIn: {
-          // Mirrors the live adoption path exactly: fresh spawn (consumes
-          // the world RNG identically), then the closed HandoffState field
-          // list, then relink at the carried origin.
-          sim::Entity& e = world.spawn_player(rec.name);
-          ++res.lifecycle_applied;
-          if (e.id != rec.entity) {
-            res.diverged = true;
-            res.divergent_frame = fj.frame;
-            res.divergent_entity = rec.entity;
-            res.detail = format(
-                "handoff-in allocated entity %u, live allocated %u", e.id,
-                rec.entity);
-            return res;
-          }
-          apply_handoff_state(e, rec.hand);
-          world.relink(e);
-          break;
-        }
-        case RecordKind::kDropped:
-          break;  // forensic only
-      }
-    }
-
-    const bool want_entities = !fj.entity_digests.empty();
-    const uint64_t d =
-        world_digest(world, want_entities ? &got_entities : nullptr);
-    ++res.frames_checked;
-    if (d != fj.digest) {
-      res.diverged = true;
-      res.divergent_frame = fj.frame;
-      res.want_digest = fj.digest;
-      res.got_digest = d;
-      if (want_entities) {
-        res.divergent_entity = first_divergent_entity(
-            fj.entity_digests, got_entities, &res.detail);
-      }
-      return res;
-    }
-  }
-
-  if (res.frames_checked == 0) {
+  JournalTail tail;
+  res.error = select_tail(journal, ckpt.frame, tail);
+  if (!res.error.empty()) return res;
+  if (tail.empty()) {
     res.error = "no journal frames follow the checkpoint";
     return res;
   }
-  res.ok = true;
+
+  res = replay_tail(world, tail);
+  res.start_frame = ckpt.frame;
   return res;
 }
 

@@ -55,6 +55,9 @@ Shard::Shard(vt::Platform& platform, net::Transport& net,
 Shard::~Shard() = default;
 
 void Shard::build() {
+  // The old generation unbinds its ports before the new one binds them.
+  server_.reset();
+  hook_.reset();
   server_ =
       std::make_unique<core::ParallelServer>(platform_, net_, map_, cfg_);
   hook_ = std::make_unique<ShardEngineHook>(mgr_, index_, *server_);
@@ -110,58 +113,45 @@ Shard::capture_images() {
   return {cap_ckpt_, cap_jrnl_};
 }
 
-Shard::RestoreOutcome Shard::rebuild_and_restore() {
-  QSERV_CHECK(quiesced());
-  RestoreOutcome out;
-  auto [image, journal] = capture_images();
-  out.had_checkpoint = !image.empty();
-  const auto t0 = std::chrono::steady_clock::now();
-  server_.reset();
-  hook_.reset();
-  build();
+Shard::RestoreOutcome Shard::restore_images(
+    const std::vector<uint8_t>& image, const std::vector<uint8_t>& journal) {
   const uint32_t seq_bump =
       static_cast<uint32_t>(restores_) * kSeqBumpPerGeneration;
-  if (!image.empty()) {
-    core::Server::RestoreStats stats{};
-    recovery::LoadError err =
-        server_->restore_from(image, journal, &stats, seq_bump);
-    out.error = err;
-    out.stats = stats;
-    if (err == recovery::LoadError::kNone) {
-      out.used_tail = stats.tail_frames > 0;
-      out.mode = out.used_tail ? RestoreMode::kTailReplay
-                               : RestoreMode::kCheckpointOnly;
-    } else if (err == recovery::LoadError::kReplayDiverged) {
-      // The journal tail is unusable but the checkpoint itself is intact:
-      // fall back to checkpoint-only on yet another fresh engine (the
-      // diverged one has already mutated its world).
-      server_.reset();
-      hook_.reset();
-      build();
-      err = server_->restore_from(image, {}, nullptr, seq_bump);
-      out.used_tail = false;
+  RestoreOutcome out;
+  build();
+  out.error = server_->restore_from(image, journal, &out.stats, seq_bump);
+  if (out.error == recovery::LoadError::kNone) {
+    out.used_tail = out.stats.tail_frames > 0;
+    out.mode = out.used_tail ? RestoreMode::kTailReplay
+                             : RestoreMode::kCheckpointOnly;
+  } else if (out.error == recovery::LoadError::kReplayDiverged) {
+    build();
+    if (server_->restore_from(image, {}, nullptr, seq_bump) ==
+        recovery::LoadError::kNone)
       out.mode = RestoreMode::kCheckpointOnly;
-    }
-    if (err != recovery::LoadError::kNone) {
-      // Last rung of the fallback chain: the checkpoint itself is
-      // unusable (checksum mismatch, truncation, corruption — or the
-      // checkpoint-only retry above also failed). Come back empty on a
-      // fresh engine rather than staying down: the silence backstop
-      // reconnects clients and every rejoin is served a forced full
-      // snapshot because the fresh baseline is 0 by construction. The
-      // first error is preserved in out.error for the journal/trace.
-      server_.reset();
-      hook_.reset();
-      build();
-      out.used_tail = false;
-      out.stats = core::Server::RestoreStats{};
-      out.mode = RestoreMode::kFreshRebuild;
-    }
-  } else {
+  }
+  return out;
+}
+
+Shard::RestoreOutcome Shard::rebuild_and_restore() {
+  QSERV_CHECK(quiesced());
+  auto [image, journal] = capture_images();
+  const auto t0 = std::chrono::steady_clock::now();
+  RestoreOutcome out;
+  if (!image.empty()) out = restore_images(image, journal);
+  out.had_checkpoint = !image.empty();
+  if (out.mode == RestoreMode::kNone) {
+    // Last rung of the fallback chain: no checkpoint was ever taken, or
+    // it is unusable (checksum mismatch, truncation, corruption — or the
+    // checkpoint-only retry also failed). Come back empty on a fresh
+    // engine rather than staying down: the silence backstop reconnects
+    // clients and every rejoin is served a forced full snapshot because
+    // the fresh baseline is 0 by construction. The first error is
+    // preserved in out.error for the journal/trace.
+    build();
+    out.stats = core::Server::RestoreStats{};
     out.mode = RestoreMode::kFreshRebuild;
   }
-  // No checkpoint ever taken (or unusable): come back empty and let
-  // clients reconnect.
   // Either way this generation is about to go live: give the fleet
   // observer its pre-start window to re-attach tracer/metrics hooks, or
   // the restored shard would go dark for the rest of the run.
@@ -178,41 +168,27 @@ std::vector<core::Server::SessionTransfer> Shard::shed() {
   QSERV_CHECK(quiesced());
   capture_images();
   std::vector<core::Server::SessionTransfer> out;
+  // Throwaway engine: restore the dead generation's state just far
+  // enough to extract every session, then tear it down. Never started,
+  // so extract_session runs single-threaded by construction.
+  if (!cap_ckpt_.empty() &&
+      restore_images(cap_ckpt_, cap_jrnl_).mode != RestoreMode::kNone) {
+    server_->detach_world_charging();
+    std::vector<uint16_t> ports;
+    {
+      core::ClientRegistry& reg = server_->registry();
+      vt::LockGuard g(reg.mutex());
+      ports.reserve(reg.port_map().size());
+      for (const auto& [port, idx] : reg.port_map()) ports.push_back(port);
+    }
+    std::sort(ports.begin(), ports.end());  // deterministic handoff order
+    for (uint16_t port : ports) {
+      core::Server::SessionTransfer t;
+      if (server_->extract_session(port, t)) out.push_back(std::move(t));
+    }
+  }
   server_.reset();
   hook_.reset();
-  if (!cap_ckpt_.empty()) {
-    // Throwaway engine: restore the dead generation's state just far
-    // enough to extract every session, then tear it down. Never started,
-    // so extract_session runs single-threaded by construction.
-    build();
-    const uint32_t seq_bump =
-        static_cast<uint32_t>(restores_) * kSeqBumpPerGeneration;
-    recovery::LoadError err =
-        server_->restore_from(cap_ckpt_, cap_jrnl_, nullptr, seq_bump);
-    if (err == recovery::LoadError::kReplayDiverged) {
-      server_.reset();
-      hook_.reset();
-      build();
-      err = server_->restore_from(cap_ckpt_, {}, nullptr, seq_bump);
-    }
-    if (err == recovery::LoadError::kNone) {
-      server_->detach_world_charging();
-      std::vector<uint16_t> ports;
-      {
-        core::ClientRegistry& reg = server_->registry();
-        vt::LockGuard g(reg.mutex());
-        ports.reserve(reg.port_map().size());
-        for (const auto& [port, idx] : reg.port_map()) ports.push_back(port);
-      }
-      std::sort(ports.begin(), ports.end());  // deterministic handoff order
-      for (uint16_t port : ports) {
-        core::Server::SessionTransfer t;
-        if (server_->extract_session(port, t)) out.push_back(std::move(t));
-      }
-    }
-    server_.reset();
-    hook_.reset();
-  }
   down_.store(true, std::memory_order_release);
   return out;
 }

@@ -47,9 +47,6 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  // Constructs a fresh engine generation + hook (not started). Called by
-  // the manager at setup and by rebuild_and_restore() after a failure.
-  void build();
   void start();
   void request_stop();
 
@@ -141,6 +138,18 @@ class Shard {
   // (checkpoint image, journal image) of the current generation; both
   // empty when recovery never checkpointed.
   std::pair<std::vector<uint8_t>, std::vector<uint8_t>> capture_images();
+
+  // Tears down the current generation, if any, and constructs a fresh
+  // engine + hook (not started).
+  void build();
+
+  // Restores `image` + `journal` into a fresh generation and walks the
+  // first fallback rung: a diverged tail has already mutated that
+  // engine's world but leaves the checkpoint intact, so build again and
+  // restore the checkpoint alone. mode stays kNone when neither took;
+  // error is the first error hit.
+  RestoreOutcome restore_images(const std::vector<uint8_t>& image,
+                                const std::vector<uint8_t>& journal);
 
   vt::Platform& platform_;
   net::Transport& net_;

@@ -114,6 +114,11 @@ inline Vec3 load_origin(const Entity& e) {
           std::atomic_ref<float>(o.y).load(std::memory_order_relaxed),
           std::atomic_ref<float>(o.z).load(std::memory_order_relaxed)};
 }
+// Lock planning reads the mover's bounds before it holds any region lock,
+// while another worker's combat may respawn the mover (store_origin).
+inline Aabb load_bounds(const Entity& e) {
+  return Aabb::at(load_origin(e), e.mins, e.maxs);
+}
 inline void store_origin(Entity& e, const Vec3& v) {
   std::atomic_ref<float>(e.origin.x).store(v.x, std::memory_order_relaxed);
   std::atomic_ref<float>(e.origin.y).store(v.y, std::memory_order_relaxed);

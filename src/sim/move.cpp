@@ -68,7 +68,7 @@ spatial::TraceResult clip_move(ClipContext& ctx, const Vec3& start,
 }  // namespace
 
 Aabb move_bounds(const Entity& player, const net::MoveCmd& cmd) {
-  return player.bounds().expanded(max_travel(cmd) + kTouchMargin + 16.0f);
+  return load_bounds(player).expanded(max_travel(cmd) + kTouchMargin + 16.0f);
 }
 
 MoveStats execute_move(World& world, Entity& player, const net::MoveCmd& cmd,

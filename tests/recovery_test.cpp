@@ -394,9 +394,22 @@ TEST(Determinism, TwoIdenticalParallelRunsSealIdenticalDigests) {
 
 // Real platform: live runs are not bit-reproducible across executions
 // (frame formation follows real scheduling), so the acceptance is
-// replay-vs-live identity — re-executing the journal from the latest
-// checkpoint must reproduce the live digests exactly. Runs under TSan in
-// CI.
+// replay-vs-live identity — re-executing the journal from a checkpoint
+// must reproduce the live digests exactly. Runs under TSan in CI.
+//
+// The replay anchors on the first checkpoint, copied in the master window
+// that publishes it. The latest checkpoint would not do: when the run
+// stops right after taking one, no frame follows it to check.
+struct FirstCheckpoint final : core::FrameHook {
+  const core::Server& server;
+  std::vector<uint8_t> image;
+  explicit FirstCheckpoint(const core::Server& s) : server(s) {}
+  void on_frame_end(vt::TimePoint, int, core::ThreadStats&) override {
+    if (image.empty() && server.checkpoints()->has())
+      image = server.checkpoints()->latest();
+  }
+};
+
 TEST(Determinism, RealPlatformReplayMatchesLiveDigests) {
   vt::RealPlatform p;
   net::VirtualNetwork net(p, {});
@@ -405,7 +418,10 @@ TEST(Determinism, RealPlatformReplayMatchesLiveDigests) {
   scfg.threads = 4;
   scfg.recovery.enabled = true;
   scfg.recovery.checkpoint_interval = 16;
+  scfg.recovery.journal_frames = 8192;  // the whole run, from frame 16
   core::ParallelServer server(p, net, map, scfg);
+  FirstCheckpoint first(server);
+  server.add_frame_hook(&first);
   bots::ClientDriver::Config dcfg;
   dcfg.players = 8;
   dcfg.frame_interval = vt::millis(10);  // faster clients, shorter test
@@ -418,9 +434,13 @@ TEST(Determinism, RealPlatformReplayMatchesLiveDigests) {
   });
   p.join_all();
 
-  ASSERT_TRUE(server.checkpoints()->has());
-  const auto rv =
-      recovery::verify_recorded(*server.checkpoints(), *server.recorder());
+  recovery::CheckpointData anchor;
+  ASSERT_EQ(recovery::decode_checkpoint(first.image, anchor),
+            recovery::LoadError::kNone);
+  recovery::JournalFile jf;
+  ASSERT_EQ(recovery::decode_journal(server.recorder()->encode(), jf),
+            recovery::LoadError::kNone);
+  const auto rv = recovery::replay_verify(anchor, jf);
   EXPECT_TRUE(rv.ok) << rv.summary();
   EXPECT_GT(rv.frames_checked, 0u);
 }
@@ -686,72 +706,144 @@ TEST(TailRestore, ReplaysTheJournalTailToTheFailureFrame) {
   EXPECT_EQ(restored->connected_clients(), soak.live_clients);
 }
 
-TEST(TailRestore, TamperedTailRecordIsRejectedAsDiverged) {
-  RecordedSoak soak;
-  recovery::CheckpointData c;
-  ASSERT_EQ(recovery::decode_checkpoint(soak.image, c),
-            recovery::LoadError::kNone);
-  recovery::JournalFile jf;
-  ASSERT_EQ(recovery::decode_journal(soak.journal, jf),
-            recovery::LoadError::kNone);
-  // Tamper with one executed move inside the tail: the replay now
-  // computes a different world, and the per-frame digest check must
-  // refuse the restore instead of resuming from silently wrong state.
-  bool tampered = false;
-  std::deque<recovery::FrameJournal> frames;
-  for (auto& fj : jf.frames) {
-    if (!tampered && fj.frame > c.frame) {
-      for (auto& rec : fj.records) {
-        if (rec.kind == recovery::RecordKind::kMoveExec) {
-          rec.cmd.forward += 25.0f;
-          tampered = true;
-          break;
-        }
-      }
-    }
-    frames.push_back(std::move(fj));
-  }
-  ASSERT_TRUE(tampered);
-  const auto bad = recovery::encode_journal(jf.seed, jf.threads, frames);
+// One replayer: each row rewrites the recorded journal's tail one way,
+// and the result goes through both the offline verifier (replay_verify,
+// what qserv-replay runs) and the warm restore (restore_from). Both run
+// recovery::replay_tail, so their verdicts must agree: identical <->
+// kNone, diverged <-> kReplayDiverged, gap <-> setup error / kCorrupt.
+enum class Verdict { kIdentical, kDiverged, kGap };
 
-  auto victim = std::make_unique<core::ParallelServer>(soak.p, soak.net,
-                                                       soak.map, soak.scfg);
-  EXPECT_EQ(victim->restore_from(soak.image, bad, nullptr),
-            recovery::LoadError::kReplayDiverged);
-  victim.reset();
+struct TailTamper {
+  const char* name;
+  Verdict want;
+  // Rewrites `frames` (the decoded ring; frames after `c.frame` are the
+  // tail) and returns the entity replay_verify must name (0 = none).
+  std::function<uint32_t(const recovery::CheckpointData& c,
+                         std::vector<recovery::FrameJournal>& frames)>
+      apply;
+};
 
-  // The same checkpoint with the authentic journal still restores.
-  auto clean = std::make_unique<core::ParallelServer>(soak.p, soak.net,
-                                                      soak.map, soak.scfg);
-  EXPECT_EQ(clean->restore_from(soak.image, soak.journal, nullptr),
-            recovery::LoadError::kNone);
+// An entity id no world in this suite ever allocates.
+constexpr uint32_t kGhost = 900000;
+
+recovery::FrameJournal& first_tail_frame(
+    const recovery::CheckpointData& c,
+    std::vector<recovery::FrameJournal>& frames) {
+  for (auto& fj : frames)
+    if (fj.frame == c.frame + 1) return fj;
+  ADD_FAILURE() << "no tail frame";
+  return frames.back();
 }
 
-TEST(TailRestore, GapInTheTailIsRejectedAsCorrupt) {
+recovery::JournalRecord* first_tail_move(
+    const recovery::CheckpointData& c,
+    std::vector<recovery::FrameJournal>& frames) {
+  for (auto& fj : frames) {
+    if (fj.frame <= c.frame) continue;
+    for (auto& rec : fj.records)
+      if (rec.kind == recovery::RecordKind::kMoveExec) return &rec;
+  }
+  ADD_FAILURE() << "no executed move in the tail";
+  return nullptr;
+}
+
+// Prepends a lifecycle record for kGhost to the tail's first frame.
+uint32_t prepend_ghost(const recovery::CheckpointData& c,
+                       std::vector<recovery::FrameJournal>& frames,
+                       recovery::RecordKind kind) {
+  recovery::JournalRecord rec;
+  rec.kind = kind;
+  rec.entity = kGhost;
+  rec.port = 39999;
+  rec.name = "ghost";
+  rec.hand.origin = c.entities.front().origin;
+  auto& records = first_tail_frame(c, frames).records;
+  records.insert(records.begin(), rec);
+  return kGhost;
+}
+
+const TailTamper kTailTampers[] = {
+    {"authentic journal", Verdict::kIdentical,
+     [](const auto&, auto&) { return 0u; }},
+    {"move for a missing entity", Verdict::kDiverged,
+     [](const auto& c, auto& frames) {
+       first_tail_move(c, frames)->entity = kGhost;
+       return kGhost;
+     }},
+    {"spawn allocates a different id", Verdict::kDiverged,
+     [](const auto& c, auto& frames) {
+       return prepend_ghost(c, frames, recovery::RecordKind::kConnectSpawn);
+     }},
+    {"handoff-in allocates a different id", Verdict::kDiverged,
+     [](const auto& c, auto& frames) {
+       return prepend_ghost(c, frames, recovery::RecordKind::kHandoffIn);
+     }},
+    {"removal of a missing entity", Verdict::kDiverged,
+     [](const auto& c, auto& frames) {
+       return prepend_ghost(c, frames, recovery::RecordKind::kDisconnect);
+     }},
+    // Every record still applies; only the frame digest notices, and the
+    // per-entity digests name the moved player.
+    {"state tamper only the digest catches", Verdict::kDiverged,
+     [](const auto& c, auto& frames) {
+       recovery::JournalRecord* move = first_tail_move(c, frames);
+       move->cmd.forward += 25.0f;
+       return move->entity;
+     }},
+    // Drop one frame strictly inside the tail (not the first, so the
+    // contiguity check, not the anchor check, must catch it).
+    {"gap inside the tail", Verdict::kGap,
+     [](const auto& c, auto& frames) {
+       std::erase_if(frames, [&](const recovery::FrameJournal& fj) {
+         return fj.frame == c.frame + 3;
+       });
+       return 0u;
+     }},
+};
+
+TEST(TailRestore, VerifyAndRestoreAgreeOnEveryTamperedTail) {
   RecordedSoak soak;
   recovery::CheckpointData c;
   ASSERT_EQ(recovery::decode_checkpoint(soak.image, c),
             recovery::LoadError::kNone);
-  recovery::JournalFile jf;
-  ASSERT_EQ(recovery::decode_journal(soak.journal, jf),
+  recovery::JournalFile authentic;
+  ASSERT_EQ(recovery::decode_journal(soak.journal, authentic),
             recovery::LoadError::kNone);
-  std::deque<recovery::FrameJournal> frames;
-  bool dropped = false;
-  for (auto& fj : jf.frames) {
-    // Drop one frame strictly inside the tail (not the first, so the
-    // contiguity check, not the anchor check, must catch it).
-    if (!dropped && fj.frame > c.frame + 2) {
-      dropped = true;
-      continue;
+  ASSERT_GT(authentic.frames.back().frame, c.frame + 3);
+  ASSERT_FALSE(authentic.frames.back().entity_digests.empty());
+
+  for (const TailTamper& row : kTailTampers) {
+    SCOPED_TRACE(row.name);
+    recovery::JournalFile jf = authentic;
+    const uint32_t entity = row.apply(c, jf.frames);
+    const recovery::ReplayResult verify = recovery::replay_verify(c, jf);
+
+    const std::deque<recovery::FrameJournal> ring(jf.frames.begin(),
+                                                  jf.frames.end());
+    auto server = std::make_unique<core::ParallelServer>(soak.p, soak.net,
+                                                         soak.map, soak.scfg);
+    const recovery::LoadError restore = server->restore_from(
+        soak.image, recovery::encode_journal(jf.seed, jf.threads, ring));
+    server.reset();  // free the ports for the next row
+
+    switch (row.want) {
+      case Verdict::kIdentical:
+        EXPECT_TRUE(verify.ok) << verify.summary();
+        EXPECT_EQ(restore, recovery::LoadError::kNone);
+        break;
+      case Verdict::kDiverged:
+        EXPECT_TRUE(verify.diverged) << verify.summary();
+        EXPECT_EQ(verify.divergent_entity, entity) << verify.summary();
+        EXPECT_EQ(restore, recovery::LoadError::kReplayDiverged);
+        break;
+      case Verdict::kGap:
+        EXPECT_FALSE(verify.diverged) << verify.summary();
+        EXPECT_NE(verify.error.find("gap"), std::string::npos)
+            << verify.summary();
+        EXPECT_EQ(restore, recovery::LoadError::kCorrupt);
+        break;
     }
-    frames.push_back(std::move(fj));
   }
-  ASSERT_TRUE(dropped);
-  const auto gappy = recovery::encode_journal(jf.seed, jf.threads, frames);
-  auto victim = std::make_unique<core::ParallelServer>(soak.p, soak.net,
-                                                       soak.map, soak.scfg);
-  EXPECT_EQ(victim->restore_from(soak.image, gappy, nullptr),
-            recovery::LoadError::kCorrupt);
 }
 
 // --- checkpoint publication vs worker stalls ------------------------------
