@@ -51,7 +51,6 @@ void enable_resilience(core::ServerConfig& scfg) {
   r.window = 16;
   r.dwell = 8;
   r.admission_control = true;
-  r.admission_ratio = 1.25;
   r.move_rate_limit = 45.0;  // honest 30 fps clients stay well under
   r.move_burst = 15.0;
 }

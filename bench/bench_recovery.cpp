@@ -52,7 +52,6 @@ void enable_recovery(core::ServerConfig& scfg) {
   r.enabled = true;
   r.checkpoint_interval = 512;  // ~8 checkpoints per ring span
   r.journal_frames = 4096;
-  r.per_entity_digests = true;
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ struct EnginePorts {
 };
 
 EnginePorts engine_ports(const shard::Config& fleet, int shard) {
-  const uint16_t lo =
-      static_cast<uint16_t>(fleet.base_port + shard * fleet.port_stride);
+  const uint16_t lo = static_cast<uint16_t>(fleet.server.base_port +
+                                            shard * shard::kPortStride);
   return {lo, static_cast<uint16_t>(lo + fleet.server.threads - 1)};
 }
 
@@ -447,7 +447,7 @@ std::vector<Scenario> standard_scenarios(
   }
 
   // 2. Two shards down in the same supervision window: recovery must be
-  // staggered (max_concurrent_restores), both come back, the two
+  // staggered (kMaxConcurrentRestores), both come back, the two
   // survivors replay untouched.
   {
     Scenario s;

@@ -220,11 +220,10 @@ bool ClientRegistry::reap_due() const {
 }
 
 void ClientRegistry::remember_evicted_locked(uint16_t port) {
-  if (!cfg_.recovery.enabled || cfg_.recovery.remembered_evictions == 0)
-    return;
+  if (!cfg_.recovery.enabled) return;
   if (!remembered_set_.insert(port).second) return;
   remembered_evicted_.push_back(port);
-  while (remembered_evicted_.size() > cfg_.recovery.remembered_evictions) {
+  while (remembered_evicted_.size() > kRememberedEvictions) {
     remembered_set_.erase(remembered_evicted_.front());
     remembered_evicted_.pop_front();
   }

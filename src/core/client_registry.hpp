@@ -178,7 +178,9 @@ class ClientRegistry {
   // --- evicted-port memory (inert unless recovery is enabled) ---
   // Remembers an evicted client's port so its straggler moves (or a
   // warm-restarted server it doesn't know crashed) answer kEvicted once
-  // instead of silence. FIFO-bounded. Caller holds mutex().
+  // instead of silence. FIFO-bounded to kRememberedEvictions ports.
+  // Caller holds mutex().
+  static constexpr size_t kRememberedEvictions = 1024;
   void remember_evicted_locked(uint16_t port);
   // Consumes one remembered entry (locks internally); each port is
   // answered a single kEvicted, so a straggler streaming moves cannot

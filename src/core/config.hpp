@@ -84,9 +84,6 @@ struct ServerConfig {
   int max_clients = 512;
   uint64_t seed = 1;
 
-  // How long select() blocks when idle before re-checking the stop flag.
-  vt::Duration select_timeout = vt::millis(50);
-
   // Overload protection & self-healing (src/resilience/): receive-phase
   // backpressure, connect-time admission control, the degradation
   // governor, and the worker watchdog. All off by default.

@@ -213,8 +213,7 @@ void MaintenancePhase::run_invariant_check() {
   PipelineContext& ctx = pipe_.ctx_;
   if (ctx.invariants == nullptr) return;
   const int violations = ctx.invariants->run();
-  if (violations > 0 && ctx.cfg.recovery.enabled &&
-      ctx.cfg.recovery.dump_on_invariant_violation) {
+  if (violations > 0 && ctx.cfg.recovery.enabled) {
     std::string why = "invariant violations: " + std::to_string(violations);
     if (!ctx.invariants->messages().empty())
       why += "\nlast: " + ctx.invariants->messages().back();

@@ -83,7 +83,7 @@ void ParallelServer::worker_loop(int tid) {
     // S: wait for requests on this thread's private port.
     const vt::TimePoint idle0 = platform_.now();
     const bool ready = selectors_[static_cast<size_t>(tid)]->wait_until(
-        platform_.now() + cfg_.select_timeout);
+        platform_.now() + kSelectTimeout);
     const vt::TimePoint idle1 = platform_.now();
     st.breakdown.idle += idle1 - idle0;
     if (st.tracer != nullptr && st.tracer->enabled() && idle1.ns > idle0.ns)

@@ -20,8 +20,7 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
   while (ctx.sockets[static_cast<size_t>(tid)]->try_recv(d)) {
     // Flood/oversize clamp: no legitimate client message approaches this
     // size, so drop before spending any parse work on it.
-    if (ctx.cfg.resilience.max_packet_bytes > 0 &&
-        d.payload.size() > ctx.cfg.resilience.max_packet_bytes) {
+    if (d.payload.size() > resilience::kMaxPacketBytes) {
       ++st.packets_oversized;
       ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kOversized);
       continue;

@@ -28,7 +28,7 @@ void SequentialServer::main_loop() {
     // S: spin in select until a client request arrives.
     const vt::TimePoint idle0 = platform_.now();
     const bool ready =
-        selectors_[0]->wait_until(platform_.now() + cfg_.select_timeout);
+        selectors_[0]->wait_until(platform_.now() + kSelectTimeout);
     const vt::TimePoint idle1 = platform_.now();
     st.breakdown.idle += idle1 - idle0;
     if (st.tracer != nullptr && st.tracer->enabled() && idle1.ns > idle0.ns)

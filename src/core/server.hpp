@@ -319,6 +319,10 @@ class Server : public Engine {
   int evict_most_expensive(ThreadStats& st) override;
 
  protected:
+  // How long an idle worker blocks in select() before re-checking the
+  // stop flag.
+  static constexpr vt::Duration kSelectTimeout = vt::millis(50);
+
   // True when client_timeout is enabled and some connected client has
   // been silent past it — the cue for a maintenance frame when the
   // server is otherwise idle.

@@ -92,19 +92,20 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   driver.start();
 
   // Periodic metrics snapshots: a self-rescheduling platform callback
-  // that stops once the run is over.
+  // that stops once the run is over. It re-arms by reference to this
+  // local, which outlives platform.run().
   std::vector<obs::TimedSnapshot> metrics_series;
+  std::function<void()> tick;
   if (cfg.metrics != nullptr && cfg.metrics_period.ns > 0) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, tick] {
+    tick = [&] {
       if (server->stop_requested()) return;
       obs::TimedSnapshot snap;
       snap.t_seconds = platform.now().seconds();
       snap.samples = cfg.metrics->snapshot();
       metrics_series.push_back(std::move(snap));
-      platform.call_after(cfg.metrics_period, *tick);
+      platform.call_after(cfg.metrics_period, tick);
     };
-    platform.call_after(cfg.metrics_period, *tick);
+    platform.call_after(cfg.metrics_period, tick);
   }
 
   uint64_t overflow_at_measure_start = 0;

@@ -118,7 +118,7 @@ struct ExperimentResult {
   // Resilience: backpressure / admission / governor / watchdog counters.
   uint64_t rejected_busy = 0;        // connects refused by admission control
   uint64_t moves_rate_limited = 0;   // moves dropped by the token bucket
-  uint64_t packets_oversized = 0;    // datagrams over max_packet_bytes
+  uint64_t packets_oversized = 0;    // datagrams over kMaxPacketBytes
   uint64_t moves_coalesced = 0;      // queued moves folded under degradation
   uint64_t governor_evictions = 0;   // clients shed at the last rung
   uint64_t governor_steps_down = 0;

@@ -24,7 +24,7 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
       cfg.map != nullptr ? cfg.map : default_map();
 
   shard::Config fleet = cfg.fleet;
-  fleet.seed = cfg.seed;
+  fleet.server.seed = cfg.seed;
   shard::ShardManager mgr(platform, network, *map, fleet);
   if (cfg.fleet_obs != nullptr) cfg.fleet_obs->attach(mgr);
 
@@ -58,16 +58,18 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
   });
   // Periodic SLO observation windows, armed at the warmup boundary. The
   // callback must not re-arm once stopped or SimPlatform::run() (which
-  // drains the timer queue to empty) would never return.
+  // drains the timer queue to empty) would never return. It re-arms by
+  // reference to this local, which outlives platform.run(); a closure
+  // owning itself through a shared_ptr would never be freed.
   bool stopped = false;
+  std::function<void()> tick;
   if (cfg.fleet_obs != nullptr && cfg.obs_period.ns > 0) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&, tick] {
+    tick = [&] {
       if (stopped) return;
       cfg.fleet_obs->evaluate_window();
-      platform.call_after(cfg.obs_period, *tick);
+      platform.call_after(cfg.obs_period, tick);
     };
-    platform.call_after(cfg.warmup + cfg.obs_period, *tick);
+    platform.call_after(cfg.warmup + cfg.obs_period, tick);
   }
   platform.call_after(cfg.warmup + cfg.measure, [&] {
     stopped = true;

@@ -4,15 +4,6 @@
 
 namespace qserv::net {
 
-const char* open_error_name(OpenError e) {
-  switch (e) {
-    case OpenError::kNone: return "none";
-    case OpenError::kPortInUse: return "port-in-use";
-    case OpenError::kSysError: return "sys-error";
-  }
-  return "?";
-}
-
 std::unique_ptr<Socket> Transport::open(uint16_t port) {
   OpenError err = OpenError::kNone;
   std::unique_ptr<Socket> s = try_open(port, &err);

@@ -41,8 +41,6 @@ enum class OpenError : uint8_t {
   kSysError,   // real transport only: socket()/bind() failed
 };
 
-const char* open_error_name(OpenError e);
-
 // A bound datagram socket. Thread-safe: send and receive may race with
 // delivery (virtual) or run on different threads than the opener (real).
 class Socket {

@@ -1,12 +1,8 @@
 #include "src/recovery/blackbox.hpp"
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 namespace qserv::recovery {
 namespace {
@@ -48,70 +44,6 @@ std::string BlackBox::dump(const std::string& label, const std::string& meta,
   ++dumps_;
   last_path_ = dir.string();
   return last_path_;
-}
-
-// --- fatal-signal path -----------------------------------------------------
-// Only async-signal-safe calls below: open/write/close on pre-published
-// bytes, then re-raise with the default disposition.
-
-namespace {
-
-// {data, len} published as one unit: the handler must never pair an old
-// pointer with a new (possibly larger) length, or it reads past the old
-// buffer. Two static slots alternate; a single atomic pointer swap is the
-// publication point, so the handler always sees a consistent pair. The
-// previous slot is not rewritten until two publishes later, by which time
-// any handler that loaded it has long finished (handlers run to process
-// death) — and in practice each engine republishes only from its own
-// master window.
-struct DumpSlot {
-  const uint8_t* data = nullptr;
-  size_t len = 0;
-};
-DumpSlot g_dump_slots[2];
-std::atomic<const DumpSlot*> g_dump_slot{nullptr};
-std::atomic<int> g_dump_next{0};
-char g_dump_path[512] = {};
-std::atomic<bool> g_installed{false};
-
-void fatal_signal_handler(int sig) {
-  const DumpSlot* slot = g_dump_slot.load(std::memory_order_acquire);
-  const uint8_t* data = slot != nullptr ? slot->data : nullptr;
-  const size_t len = slot != nullptr ? slot->len : 0;
-  if (data != nullptr && len > 0 && g_dump_path[0] != '\0') {
-    const int fd = ::open(g_dump_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      size_t off = 0;
-      while (off < len) {
-        const ssize_t n = ::write(fd, data + off, len - off);
-        if (n <= 0) break;
-        off += static_cast<size_t>(n);
-      }
-      ::close(fd);
-    }
-  }
-  ::signal(sig, SIG_DFL);
-  ::raise(sig);
-}
-
-}  // namespace
-
-void install_signal_dumper(const std::string& path) {
-  std::snprintf(g_dump_path, sizeof g_dump_path, "%s", path.c_str());
-  if (g_installed.exchange(true)) return;
-  for (const int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT})
-    ::signal(sig, fatal_signal_handler);
-}
-
-void publish_signal_dump(const uint8_t* data, size_t len) {
-  if (data == nullptr || len == 0) {
-    g_dump_slot.store(nullptr, std::memory_order_release);
-    return;
-  }
-  const int next = g_dump_next.fetch_add(1, std::memory_order_relaxed) & 1;
-  g_dump_slots[next].data = data;
-  g_dump_slots[next].len = len;
-  g_dump_slot.store(&g_dump_slots[next], std::memory_order_release);
 }
 
 }  // namespace qserv::recovery

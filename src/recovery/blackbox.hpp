@@ -1,16 +1,8 @@
-// The black box: when something goes wrong — an invariant violation, a
-// watchdog stall verdict, a fatal signal — dump everything a post-mortem
-// needs to one directory: the latest checkpoint, the journal tail, the
-// observability trace and a plain-text meta file naming the trigger.
-// Checkpoint + journal feed `qserv-replay`; the trace feeds
-// chrome://tracing.
-//
-// The fatal-signal path is deliberately minimal: handlers may only use
-// async-signal-safe calls, so it writes the already-encoded checkpoint
-// buffer (double-buffered by CheckpointManager, so the published image is
-// never mid-write) with open/write/close and nothing else. Best-effort by
-// nature — a corrupted process may fail to dump — and process-global, so
-// installation is opt-in and last-registration-wins.
+// The black box: when something goes wrong — an invariant violation or a
+// watchdog stall verdict — dump everything a post-mortem needs to one
+// directory: the latest checkpoint, the journal tail, the observability
+// trace and a plain-text meta file naming the trigger. Checkpoint +
+// journal feed `qserv-replay`; the trace feeds chrome://tracing.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +32,5 @@ class BlackBox {
   uint64_t dumps_ = 0;
   std::string last_path_;
 };
-
-// Installs the fatal-signal handler (SIGSEGV, SIGBUS, SIGFPE, SIGILL,
-// SIGABRT) that writes the currently-published checkpoint image to
-// `path`. Process-global, last installation wins.
-void install_signal_dumper(const std::string& path);
-
-// Publishes the image the signal handler writes. Call after every
-// checkpoint store with the manager's latest() bytes: the double buffer
-// guarantees those bytes stay valid and unmodified until the *next*
-// publish. Pass (nullptr, 0) to disarm (e.g. before the buffers die).
-void publish_signal_dump(const uint8_t* data, size_t len);
 
 }  // namespace qserv::recovery

@@ -5,8 +5,7 @@
 // master's between-frames window, where no region locks are held and no
 // worker touches shared state, so serialization needs no synchronization;
 // the CheckpointManager double-buffers the encoded bytes so the latest
-// complete image is always intact (and safe for a signal handler to
-// write) while the next one is being built.
+// complete image is always intact while the next one is being built.
 //
 // The decode side is hardened like net/protocol.cpp: every count is
 // bounded against the remaining bytes before any resize, magic/version
@@ -102,20 +101,18 @@ void restore_world(const CheckpointData& c, sim::World& w);
 
 // Double-buffered store of encoded checkpoints. store() encodes into the
 // buffer NOT currently published, then atomically publishes it, so
-// latest() (and the signal handler's raw pointer) always see a complete
-// image. Tracks the serialize-pause budget the acceptance criteria bound.
+// latest() always sees a complete image. Tracks the serialize-pause
+// budget the acceptance criteria bound.
 //
 // Swap-order audit (why a stall or crash mid-store can never tear the
 // published image): store(N) writes buf_[next] while current_ still names
-// the buffer store(N-1) published — the one every reader (latest(), the
-// signal handler's republished pointer, a shard supervisor peeking at a
-// quarantined engine) holds. Only after encode_checkpoint() fully
-// returned does the atomic release-store of current_ flip readers over;
-// a thread-stall fault injected anywhere inside store(), or a crash that
-// fires the signal dumper mid-encode, leaves current_ pointing at the
-// previous complete image. buf_[current] itself is not rewritten until
-// two stores later, by which point current_ (and the signal dump
-// pointer, republished every checkpoint) has moved off it.
+// the buffer store(N-1) published — the one every reader (latest(), a
+// shard supervisor peeking at a quarantined engine) holds. Only after
+// encode_checkpoint() fully returned does the atomic release-store of
+// current_ flip readers over; a thread-stall fault injected anywhere
+// inside store() leaves current_ pointing at the previous complete
+// image. buf_[current] itself is not rewritten until two stores later,
+// by which point current_ has moved off it.
 class CheckpointManager {
  public:
   // Encodes and publishes; returns the encoded size. Host-clock encode

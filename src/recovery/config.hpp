@@ -9,8 +9,10 @@
 namespace qserv::recovery {
 
 struct Config {
-  // Master switch: journal inbound traffic, record per-frame digests and
-  // take periodic checkpoints. Everything below is inert when false.
+  // Master switch: journal inbound traffic, record per-frame world
+  // digests plus a 32-bit hash per entity (so divergence reports name the
+  // first offending entity) and take periodic checkpoints. Everything
+  // below is inert when false.
   bool enabled = false;
 
   // Frames between checkpoints (0 = never automatically; a black-box dump
@@ -22,24 +24,9 @@ struct Config {
   // input are always in memory").
   uint32_t journal_frames = 2048;
 
-  // Record a 32-bit hash per entity each frame in addition to the frame
-  // digest, so divergence reports name the first offending entity. Costs
-  // ~6 bytes/entity/frame of journal memory.
-  bool per_entity_digests = true;
-
-  // Where black-box dumps land; "" = current directory.
+  // Where black-box dumps land; "" = current directory. An invariant
+  // violation or a watchdog stall verdict always dumps.
   std::string dump_dir;
-
-  bool dump_on_invariant_violation = true;
-  bool dump_on_stall = true;
-  // Installs a process-global fatal-signal handler (SIGSEGV/SIGABRT/...)
-  // that writes the latest pre-encoded checkpoint with async-signal-safe
-  // calls only. Best-effort by nature; off in tests.
-  bool install_signal_handler = false;
-
-  // Cap on remembered ports of evicted clients, so a warm-restarted
-  // server can answer their moves with kEvicted instead of silence.
-  uint32_t remembered_evictions = 1024;
 };
 
 }  // namespace qserv::recovery

@@ -19,21 +19,7 @@ ServerRecovery::ServerRecovery(core::Engine& engine,
       recorder_(engine.config().recovery,
                 static_cast<uint32_t>(engine.config().threads),
                 engine.config().seed),
-      blackbox_(engine.config().recovery.dump_dir) {
-  const Config& rc = engine_.config().recovery;
-  if (rc.install_signal_handler) {
-    install_signal_dumper(
-        (rc.dump_dir.empty() ? std::string(".") : rc.dump_dir) +
-        "/qserv-crash.qckpt");
-  }
-}
-
-ServerRecovery::~ServerRecovery() {
-  // The signal handler holds a raw pointer into the checkpoint buffers;
-  // disarm it before they die.
-  if (engine_.config().recovery.install_signal_handler)
-    publish_signal_dump(nullptr, 0);
-}
+      blackbox_(engine.config().recovery.dump_dir) {}
 
 void ServerRecovery::on_world_tick(int tid, vt::TimePoint t0,
                                    vt::Duration dt) {
@@ -74,18 +60,13 @@ void ServerRecovery::on_drop(int tid, uint16_t port, DropReason why) {
 void ServerRecovery::on_frame_sealed() {
   const Config& rc = engine_.config().recovery;
   std::vector<EntityDigest> per_entity;
-  const uint64_t digest = world_digest(
-      engine_.world(), rc.per_entity_digests ? &per_entity : nullptr);
+  const uint64_t digest = world_digest(engine_.world(), &per_entity);
   recorder_.seal_frame(engine_.frames(), engine_.last_world_t0(),
                        engine_.last_world_dt(), digest,
                        std::move(per_entity));
   if (rc.checkpoint_interval > 0 &&
-      engine_.frames() % rc.checkpoint_interval == 0) {
+      engine_.frames() % rc.checkpoint_interval == 0)
     checkpoints_.store(make_checkpoint(digest));
-    if (rc.install_signal_handler)
-      publish_signal_dump(checkpoints_.latest().data(),
-                          checkpoints_.latest().size());
-  }
 }
 
 std::vector<uint8_t> ServerRecovery::capture_now_encoded() {

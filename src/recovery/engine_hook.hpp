@@ -24,8 +24,6 @@ class ServerRecovery final : public core::FrameHook,
                              public core::LifecycleObserver {
  public:
   ServerRecovery(core::Engine& engine, const spatial::GameMap& map);
-  // Disarms the signal dumper before the checkpoint buffers die.
-  ~ServerRecovery() override;
 
   ServerRecovery(const ServerRecovery&) = delete;
   ServerRecovery& operator=(const ServerRecovery&) = delete;

@@ -30,11 +30,29 @@ enum DegradeLevel : int {
   kShedDebugWork = 3,
   // Last resort: evict the most expensive client (most moves executed
   // since the previous scan) with kServerBusy, at most one per
-  // evict_interval.
+  // kEvictInterval.
   kEvictExpensive = 4,
 };
 
 const char* degrade_level_name(int level);
+
+// Datagrams with payloads larger than this are dropped before any parse
+// work (flood/oversize clamp). The legitimate protocol's largest client
+// message is a connect (~40 bytes), so the bound is generous.
+inline constexpr size_t kMaxPacketBytes = 1400;
+
+// Admission control refuses connects while the rolling p95 frame time
+// exceeds kAdmissionRatio * tick_budget.
+inline constexpr double kAdmissionRatio = 1.25;
+
+// The governor steps the ladder down when p95 exceeds
+// kEnterRatio * tick_budget and back up when it falls below
+// kExitRatio * tick_budget (hysteresis).
+inline constexpr double kEnterRatio = 1.0;
+inline constexpr double kExitRatio = 0.6;
+
+// Pace of the kEvictExpensive rung: at most one eviction per interval.
+inline constexpr vt::Duration kEvictInterval = vt::millis(250);
 
 struct Config {
   // --- receive-phase backpressure ---
@@ -44,24 +62,18 @@ struct Config {
   // this safe: state is retransmitted every frame). 0 disables.
   double move_rate_limit = 0.0;
   double move_burst = 10.0;
-  // Datagrams with payloads larger than this are dropped before any parse
-  // work (flood/oversize clamp). 0 disables. The legitimate protocol's
-  // largest client message is a connect (~40 bytes), so the default is
-  // generous.
-  size_t max_packet_bytes = 1400;
 
   // --- connect-time admission control ---
   // When enabled, new connects are refused with kServerBusy while the
-  // rolling p95 frame time exceeds admission_ratio * tick_budget —
+  // rolling p95 frame time exceeds kAdmissionRatio * tick_budget —
   // serving the admitted population well beats admitting players the
   // frame loop cannot simulate. Duplicate connects (re-acks) always pass.
   bool admission_control = false;
-  double admission_ratio = 1.25;
 
   // --- adaptive degradation governor ---
   // The governor watches a rolling window of frame durations and steps
-  // the degradation ladder down when p95 exceeds enter_ratio*tick_budget,
-  // back up when it falls below exit_ratio*tick_budget (hysteresis), with
+  // the degradation ladder down when p95 exceeds kEnterRatio*tick_budget,
+  // back up when it falls below kExitRatio*tick_budget (hysteresis), with
   // at least `dwell` frames between steps.
   bool governor = false;
   // Target frame duration: the server tick the clients' send rate implies
@@ -69,16 +81,14 @@ struct Config {
   vt::Duration tick_budget = vt::millis(33);
   int window = 32;  // rolling frame-duration window (frames)
   int dwell = 16;   // minimum frames between ladder steps
-  double enter_ratio = 1.0;
-  double exit_ratio = 0.6;
   int max_level = kEvictExpensive;
-  vt::Duration evict_interval = vt::millis(250);  // L4 eviction pace
 
   // --- worker watchdog ---
   // A worker whose heartbeat is older than this is declared stalled: its
   // clients are reassigned to live workers and the stall is counted and
-  // traced. Should comfortably exceed ServerConfig::select_timeout plus
-  // the worst healthy frame time. 0 disables.
+  // traced. Should comfortably exceed an idle worker's 50 ms select()
+  // timeout (core::Server::kSelectTimeout) plus the worst healthy frame
+  // time. 0 disables.
   vt::Duration watchdog_timeout{};
 };
 

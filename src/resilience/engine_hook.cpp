@@ -31,11 +31,10 @@ void ServerResilience::on_master_window(int tid, vt::TimePoint frame_start,
       if (st.tracer != nullptr && st.tracer->enabled())
         st.tracer->record(st.trace_track, "worker-stalled",
                           platform.now().ns, 0, stalled * 1000 + migrated);
-      if (engine_.config().recovery.dump_on_stall)
-        engine_.dump_blackbox("stall", "worker " + std::to_string(stalled) +
-                                           " adjudicated stalled; migrated " +
-                                           std::to_string(migrated) +
-                                           " clients");
+      engine_.dump_blackbox("stall", "worker " + std::to_string(stalled) +
+                                         " adjudicated stalled; migrated " +
+                                         std::to_string(migrated) +
+                                         " clients");
     }
     for (const int back : verdict.recovered) {
       if (st.tracer != nullptr && st.tracer->enabled())
@@ -52,8 +51,7 @@ void ServerResilience::on_master_window(int tid, vt::TimePoint frame_start,
                       level);
   if (level >= kEvictExpensive && platform.now() >= next_expensive_evict_) {
     engine_.evict_most_expensive(st);
-    next_expensive_evict_ =
-        platform.now() + engine_.config().resilience.evict_interval;
+    next_expensive_evict_ = platform.now() + kEvictInterval;
   }
 }
 

@@ -48,13 +48,13 @@ int FrameGovernor::on_frame(vt::Duration frame_time) {
   if (filled_ < window_ms_.size() || frames_since_step_ < cfg_.dwell) {
     return level;
   }
-  if (p95 > budget * cfg_.enter_ratio && level < cfg_.max_level) {
+  if (p95 > budget * kEnterRatio && level < cfg_.max_level) {
     ++level;
     ++counters_.steps_down;
     frames_since_step_ = 0;
     level_.store(level, std::memory_order_relaxed);
     max_level_reached_ = std::max(max_level_reached_, level);
-  } else if (p95 < budget * cfg_.exit_ratio && level > 0) {
+  } else if (p95 < budget * kExitRatio && level > 0) {
     --level;
     ++counters_.steps_up;
     frames_since_step_ = 0;

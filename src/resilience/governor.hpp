@@ -37,12 +37,11 @@ class FrameGovernor {
   double p95_ms() const { return p95_ms_.load(std::memory_order_relaxed); }
 
   // Connect-time admission query: true while the rolling p95 exceeds
-  // admission_ratio * tick_budget. Independent of `governor` being
+  // kAdmissionRatio * tick_budget. Independent of `governor` being
   // enabled — admission control can run without the ladder — but needs
   // on_frame() feeding either way.
   bool admission_overloaded() const {
-    return p95_ms() >
-           cfg_.tick_budget.millis() * cfg_.admission_ratio;
+    return p95_ms() > cfg_.tick_budget.millis() * kAdmissionRatio;
   }
 
   // Graceful-drain gate for hot restart: while set, the receive phase

@@ -16,13 +16,29 @@
 
 namespace qserv::shard {
 
+// Shard i's engine listens on server.base_port + i*kPortStride ..
+// + (threads-1); the stride bounds how many worker ports one shard may
+// claim.
+inline constexpr uint16_t kPortStride = 64;
+
+// Crash-loop circuit breaker window: crash_loop_max_rebuilds rebuilds
+// inside it shed the shard for good.
+inline constexpr vt::Duration kCrashLoopWindow = vt::seconds(10);
+
+// A destination that keeps refusing adoption (registry full) hands the
+// session back to its source after this many retries.
+inline constexpr int kHandoffRetryBudget = 32;
+
+// Fleet-level quarantine cap: at most kMaxConcurrentRestores rebuilds per
+// supervisor tick (simultaneous failures recover staggered, never
+// pausing the whole fleet at once), and when more than kQuarantineCap
+// shards sit in quarantine together the lowest-priority one (fewest
+// heartbeat clients, then highest index) is shed instead of restored.
+inline constexpr int kMaxConcurrentRestores = 1;
+inline constexpr int kQuarantineCap = 2;
+
 struct Config {
-  // Fleet shape. Shard i's engine listens on
-  // base_port + i*port_stride .. + (threads-1); the stride bounds how
-  // many worker ports one shard may claim.
   int shards = 4;
-  uint16_t base_port = 27500;
-  uint16_t port_stride = 64;
 
   // Cross-shard session handoff. A player whose entity crosses its home
   // slab's boundary by more than `boundary_margin` world units is
@@ -31,7 +47,6 @@ struct Config {
   // line from ping-ponging between engines every frame). Set the margin
   // wider than the map to pin sessions to their join shard (digest
   // isolation benches).
-  bool handoff_enabled = true;
   float boundary_margin = 24.0f;
 
   // Supervisor cadence and escalation policy. A shard whose frame
@@ -50,11 +65,10 @@ struct Config {
   // immediate, the k-th thereafter waits restore_backoff * 2^(k-1)
   // (clamped to restore_backoff_max) of virtual time. Independently of
   // the total budget above, crash_loop_max_rebuilds rebuilds inside
-  // crash_loop_window trips the breaker: the shard is shed for good
+  // kCrashLoopWindow trips the breaker: the shard is shed for good
   // instead of being restored forever.
   vt::Duration restore_backoff = vt::millis(25);
   vt::Duration restore_backoff_max = vt::seconds(2);
-  vt::Duration crash_loop_window = vt::seconds(10);
   int crash_loop_max_rebuilds = 4;
 
   // Handoff containment. A shard's inbound mailbox holds at most
@@ -63,29 +77,15 @@ struct Config {
   // never queued without bound toward a dead destination. Transfers
   // stranded for adopt_timeout in the mailbox of a quarantined/down
   // shard are returned to their source shard by the supervisor (0 =
-  // never reclaim). A destination that keeps refusing adoption
-  // (registry full) hands the session back to its source after
-  // handoff_retry_budget retries (0 = retry forever).
+  // never reclaim).
   size_t mailbox_capacity = 1024;
   vt::Duration adopt_timeout = vt::millis(500);
-  int handoff_retry_budget = 32;
 
-  // Fleet-level quarantine cap: at most max_concurrent_restores rebuilds
-  // per supervisor tick (simultaneous failures recover staggered, never
-  // pausing the whole fleet at once), and when more than quarantine_cap
-  // shards sit in quarantine together the lowest-priority one (fewest
-  // heartbeat clients, then highest index) is shed instead of restored.
-  int max_concurrent_restores = 1;
-  int quarantine_cap = 2;
-
-  // Per-engine template. The manager overrides base_port, seed
-  // (derive_seed(seed, streams::kShardBase + i)) and recovery.dump_dir
-  // (suffix "/shard-<i>") per shard; every other field applies as-is.
+  // Per-engine template. Its base_port and seed are the fleet's: the
+  // manager gives shard i base_port + i*kPortStride, seed
+  // derive_seed(seed, streams::kShardBase + i) and recovery.dump_dir
+  // suffix "/shard-<i>"; every other field applies as-is.
   core::ServerConfig server{};
-
-  // Root seed of the whole fleet (also the virtual network's, by harness
-  // convention).
-  uint64_t seed = 1;
 };
 
 }  // namespace qserv::shard

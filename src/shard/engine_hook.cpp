@@ -18,7 +18,7 @@ void ShardEngineHook::on_master_window(int /*tid*/,
                                        vt::TimePoint /*frame_start*/,
                                        core::ThreadStats& /*st*/) {
   adopt_inbound();
-  if (mgr_.config().handoff_enabled) migrate_outbound();
+  migrate_outbound();
   rearm_redirects();
 }
 
@@ -59,7 +59,7 @@ void ShardEngineHook::adopt_inbound() {
       // entries once heard > armed-at.
       pending_redirects_.emplace_back(t.remote_port,
                                       server_.platform().now().ns);
-    } else if (++t.adopt_retries <= mgr_.config().handoff_retry_budget ||
+    } else if (++t.adopt_retries <= kHandoffRetryBudget ||
                t.source_shard < 0 || t.source_shard == index_ ||
                t.source_shard >= mgr_.shards() ||
                mgr_.shard(t.source_shard).down()) {

@@ -19,18 +19,18 @@ ShardManager::ShardManager(vt::Platform& platform, net::Transport& net,
   QSERV_CHECK(cfg_.shards >= 1);
   // A shard's worker ports must fit inside its stride or two shards
   // would claim overlapping ports on the shared network.
-  QSERV_CHECK(cfg_.server.threads <= static_cast<int>(cfg_.port_stride));
+  QSERV_CHECK(cfg_.server.threads <= static_cast<int>(kPortStride));
   shards_.reserve(static_cast<size_t>(cfg_.shards));
   mailboxes_.reserve(static_cast<size_t>(cfg_.shards));
   for (int i = 0; i < cfg_.shards; ++i) {
     core::ServerConfig sc = cfg_.server;
     sc.base_port =
-        static_cast<uint16_t>(cfg_.base_port + i * cfg_.port_stride);
+        static_cast<uint16_t>(cfg_.server.base_port + i * kPortStride);
     // Independent RNG stream per shard: one shard's world events cannot
     // perturb another's, so an unaffected shard replays bit-identically
     // across runs regardless of what its neighbors went through.
-    sc.seed = derive_seed(cfg_.seed, streams::kShardBase +
-                                         static_cast<uint64_t>(i));
+    sc.seed = derive_seed(cfg_.server.seed, streams::kShardBase +
+                                                static_cast<uint64_t>(i));
     if (sc.recovery.enabled) {
       sc.recovery.dump_dir = (sc.recovery.dump_dir.empty()
                                   ? std::string()

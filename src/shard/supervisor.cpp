@@ -88,7 +88,7 @@ void ShardSupervisor::tick() {
       ++quarantined;
   }
   const int cap_victim =
-      quarantined > mgr_.config().quarantine_cap ? pick_cap_victim() : -1;
+      quarantined > kQuarantineCap ? pick_cap_victim() : -1;
   int restores_this_tick = 0;
   for (int i = 0; i < mgr_.shards(); ++i)
     supervise(i, now_ns, cap_victim, restores_this_tick);
@@ -134,7 +134,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         // Wedged: the beat timestamp refreshes both at frame end and from
         // every idle select() timeout (FrameHook::on_idle_wait), so a
         // healthy engine — even one starved of all traffic by a partition
-        // — beats at least every select_timeout. A stale beat means the
+        // — beats at least every select() timeout. A stale beat means the
         // loops themselves stopped (worker stuck inside a frame, barrier
         // hang), which is exactly what quarantine is for.
         escalate = true;
@@ -171,8 +171,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
       auto& stamps = t.rebuild_at_ns;
       stamps.erase(std::remove_if(stamps.begin(), stamps.end(),
                                   [&](int64_t ts) {
-                                    return now_ns - ts >
-                                           cfg.crash_loop_window.ns;
+                                    return now_ns - ts > kCrashLoopWindow.ns;
                                   }),
                    stamps.end());
       if (static_cast<int>(stamps.size()) >= cfg.crash_loop_max_rebuilds) {
@@ -187,9 +186,9 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         break;
       }
       // Stagger: under simultaneous multi-shard failure, rebuild at most
-      // max_concurrent_restores shards per tick so recovery pauses don't
+      // kMaxConcurrentRestores shards per tick so recovery pauses don't
       // pile onto the same instant.
-      if (restores_this_tick >= cfg.max_concurrent_restores) {
+      if (restores_this_tick >= kMaxConcurrentRestores) {
         ++r.backoff_waits;
         break;
       }

@@ -12,12 +12,12 @@
 //  - crash-loop circuit breaker: rebuilds are spaced by exponential
 //    backoff (restore_backoff doubling per restore, clamped), and a
 //    shard that needed >= crash_loop_max_rebuilds rebuilds inside
-//    crash_loop_window is shed instead of rebuilt again.
-//  - quarantine cap: with more than quarantine_cap shards simultaneously
+//    kCrashLoopWindow is shed instead of rebuilt again.
+//  - quarantine cap: with more than kQuarantineCap shards simultaneously
 //    quarantined the lowest-priority one (fewest clients at its last
 //    beat; tie -> highest index) is shed to stop the repair queue from
 //    starving everyone; the rest recover staggered, at most
-//    max_concurrent_restores rebuilds per tick.
+//    kMaxConcurrentRestores rebuilds per tick.
 //  - stale-handoff reclaim: after every supervision pass, transfers that
 //    sat in a non-healthy shard's mailbox past adopt_timeout are pulled
 //    back and re-posted toward their source shard, not left stranded.

@@ -60,9 +60,7 @@ Entity* nearest_player_on_ray(World& world, const Entity& shooter,
   float best_fraction = max_fraction;
   for (const uint32_t id : candidates) {
     Entity* e = world.get(id);
-    if (e == nullptr || !e->is_player() || e->id == shooter.id ||
-        e->health <= 0)
-      continue;
+    if (e == nullptr || !e->alive() || e->id == shooter.id) continue;
     const float f = spatial::ray_vs_aabb(start, delta, e->bounds());
     if (f >= 0.0f && f < best_fraction) {
       best_fraction = f;
@@ -78,7 +76,7 @@ AttackResult fire_hitscan(World& world, Entity& shooter, float pitch_deg,
                           vt::TimePoint now, NodeListLocks* locks,
                           EventSink* events, MoveScratch* scratch) {
   AttackResult res;
-  if (now < shooter.next_attack || shooter.health <= 0) return res;
+  if (now < shooter.next_attack || load_health(shooter) <= 0) return res;
   shooter.next_attack = now + kAttackCooldown;
   res.fired = true;
   world.charge(world.costs().hitscan_exec);
@@ -109,7 +107,7 @@ AttackResult throw_grenade(World& world, Entity& shooter, float pitch_deg,
                            EventSink* events, uint64_t order,
                            MoveScratch* scratch) {
   AttackResult res;
-  if (now < shooter.next_attack || shooter.health <= 0 ||
+  if (now < shooter.next_attack || load_health(shooter) <= 0 ||
       shooter.grenades <= 0)
     return res;
   shooter.next_attack = now + kAttackCooldown;

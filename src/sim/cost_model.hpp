@@ -58,9 +58,6 @@ struct CostModel {
   // --- misc ---
   vt::Duration select_syscall = vt::micros(5);
   vt::Duration signal_syscall = vt::micros(15);
-
-  // Returns a copy with every cost multiplied by `f` (machine-speed knob).
-  CostModel scaled(double f) const;
 };
 
 }  // namespace qserv::sim

@@ -99,7 +99,7 @@ struct Entity {
 
   Aabb bounds() const { return Aabb::at(origin, mins, maxs); }
   bool is_player() const { return type == EntityType::kPlayer; }
-  bool alive() const { return is_player() && health > 0; }
+  bool alive() const;
 };
 
 // World::gather tests the bounds of every entity on the areanode lists it
@@ -125,8 +125,21 @@ inline void store_origin(Entity& e, const Vec3& v) {
   std::atomic_ref<float>(e.origin.z).store(v.z, std::memory_order_relaxed);
 }
 
-const char* entity_type_name(EntityType t);
-const char* weapon_name(Weapon w);
+// A move's region is planned before its locks are held; if another
+// worker's hitscan kills and respawns the mover meanwhile, the move runs
+// while that worker (or the next attacker at the spawn point) writes the
+// mover's health. Request-processing reads and writes of health go
+// through relaxed atomics, like the origin's.
+inline int load_health(const Entity& e) {
+  return std::atomic_ref<int>(const_cast<int&>(e.health))
+      .load(std::memory_order_relaxed);
+}
+inline void store_health(Entity& e, int v) {
+  std::atomic_ref<int>(e.health).store(v, std::memory_order_relaxed);
+}
+inline bool Entity::alive() const {
+  return is_player() && load_health(*this) > 0;
+}
 
 // Game event kinds carried in the global state buffer / snapshots.
 enum class EventKind : uint8_t {

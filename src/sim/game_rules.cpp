@@ -9,14 +9,16 @@ namespace qserv::sim {
 bool apply_damage(World& world, Entity& victim, uint32_t attacker_id,
                   int damage, NodeListLocks* locks, EventSink* events) {
   QSERV_CHECK(victim.is_player());
-  if (victim.health <= 0 || damage <= 0) return false;
+  const int health = load_health(victim);
+  if (health <= 0 || damage <= 0) return false;
 
   const int absorbable = (damage * 2) / 3;
   const int absorbed = std::min(victim.armor, absorbable);
   victim.armor -= absorbed;
-  victim.health -= damage - absorbed;
+  const int left = health - (damage - absorbed);
+  store_health(victim, left);
 
-  if (victim.health > 0) return false;
+  if (left > 0) return false;
 
   // Death: score the frag and respawn the victim in place.
   ++victim.deaths;

@@ -11,9 +11,9 @@ bool pickup_useful(const Entity& player, const Entity& item) {
     case spatial::ItemType::kHealth:
       // Regular health only tops up to the spawn level; megahealth
       // overheals to the hard cap (Quake rules).
-      return player.health < kSpawnHealth;
+      return load_health(player) < kSpawnHealth;
     case spatial::ItemType::kMegaHealth:
-      return player.health < kMaxHealth;
+      return load_health(player) < kMaxHealth;
     case spatial::ItemType::kArmor:
       return player.armor < kMaxArmor;
     case spatial::ItemType::kWeapon:
@@ -27,15 +27,17 @@ bool pickup_useful(const Entity& player, const Entity& item) {
 bool try_pickup(World& world, Entity& player, Entity& item, vt::TimePoint now,
                 EventSink* events) {
   QSERV_CHECK(item.type == EntityType::kItem);
-  if (!item.available || player.health <= 0) return false;
+  if (!item.available || load_health(player) <= 0) return false;
   if (!pickup_useful(player, item)) return false;
 
   switch (item.item) {
     case spatial::ItemType::kHealth:
-      player.health = std::min(kMaxHealth, player.health + kHealthAmount);
+      store_health(player,
+                   std::min(kMaxHealth, load_health(player) + kHealthAmount));
       break;
     case spatial::ItemType::kMegaHealth:
-      player.health = std::min(kMaxHealth, player.health + kMegaHealthAmount);
+      store_health(player, std::min(kMaxHealth, load_health(player) +
+                                                    kMegaHealthAmount));
       break;
     case spatial::ItemType::kArmor:
       player.armor = std::min(kMaxArmor, player.armor + kArmorAmount);

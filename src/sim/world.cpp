@@ -230,7 +230,7 @@ void World::respawn_player(Entity& player, NodeListLocks* locks,
   store_origin(player, sp.origin);
   player.yaw_deg = sp.yaw_deg;
   player.velocity = Vec3{};
-  player.health = kSpawnHealth;
+  store_health(player, kSpawnHealth);
   player.armor = 0;
   player.grenades = kStartGrenades;
   player.weapon = Weapon::kBlaster;

@@ -133,13 +133,14 @@ TEST(Bot, DeterministicForSeed) {
     Bot::Config cfg;
     cfg.seed = seed;
     Bot bot(map, cfg);
-    int64_t fp = 0;
+    uint64_t fp = 0;  // unsigned: the fingerprint wraps by design
     vt::TimePoint now{};
     auto snap = snapshot_at(map.waypoints[0].pos);
     for (int i = 0; i < 100; ++i) {
       now += vt::millis(33);
       const auto cmd = bot.think(snap, 1, now, 33);
-      fp = fp * 31 + static_cast<int64_t>(cmd.yaw_deg * 10) + cmd.buttons;
+      fp = fp * 31 + static_cast<uint64_t>(
+                         static_cast<int64_t>(cmd.yaw_deg * 10) + cmd.buttons);
     }
     return fp;
   };

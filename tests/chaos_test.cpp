@@ -411,7 +411,7 @@ TEST(ShardChaos, FourShardFaultSoakKeepsEveryClient) {
     // A fleet-wide loss storm...
     net.faults().add_loss_burst(t0 + vt::seconds(3), vt::millis(1500), 0.6f);
     // ...then every client (ports 40000+) severed from shard 2's engine
-    // (base_port + 2*port_stride .. +threads-1) for two full seconds —
+    // (base_port + 2*kPortStride .. +threads-1) for two full seconds —
     // longer than both the client timeout and the silence timeout.
     net.faults().add_partition(t0 + vt::seconds(6), vt::seconds(2), 40000,
                                65535, 27628, 27629);

@@ -350,12 +350,13 @@ TEST(VirtualUdp, DeterministicWithSameSeed) {
     VirtualNetwork net(p, cfg);
     auto a = net.open(1);
     auto b = net.open(2);
-    int64_t fp = 0;
+    uint64_t fp = 0;  // unsigned: the fingerprint wraps by design
     p.spawn("t", Domain::kServer, [&] {
       for (uint8_t i = 0; i < 100; ++i) a->send(2, {i});
       p.sleep_for(millis(50));
       Datagram d;
-      while (b->try_recv(d)) fp = fp * 31 + d.deliver_at.ns + d.payload[0];
+      while (b->try_recv(d))
+        fp = fp * 31 + static_cast<uint64_t>(d.deliver_at.ns) + d.payload[0];
     });
     p.run();
     return fp;

@@ -874,14 +874,16 @@ TEST(CheckpointIntegrity, WorkerStallsNeverExposeATornCheckpoint) {
   driver.start();
 
   std::vector<std::vector<uint8_t>> samples;
-  auto sample = std::make_shared<std::function<void()>>();
-  *sample = [&, sample] {
+  // Captured by reference, not by a self-owning shared_ptr (a cycle that
+  // never frees): the local outlives p.run().
+  std::function<void()> sample;
+  sample = [&] {
     if (server.stop_requested()) return;
     if (server.checkpoints()->has())
       samples.push_back(server.checkpoints()->latest());
-    p.call_after(vt::millis(100), *sample);
+    p.call_after(vt::millis(100), sample);
   };
-  p.call_after(vt::millis(100), *sample);
+  p.call_after(vt::millis(100), sample);
   p.call_after(vt::seconds(6), [&] {
     server.request_stop();
     driver.request_stop();

@@ -67,8 +67,6 @@ resilience::Config governor_cfg() {
   cfg.tick_budget = vt::millis(10);
   cfg.window = 8;
   cfg.dwell = 4;
-  cfg.enter_ratio = 1.0;
-  cfg.exit_ratio = 0.6;
   return cfg;
 }
 
@@ -111,7 +109,6 @@ TEST(FrameGovernor, RespectsMaxLevelCap) {
 TEST(FrameGovernor, DisabledLadderStillFeedsAdmissionP95) {
   auto cfg = governor_cfg();
   cfg.governor = false;  // ladder off; admission control may still be on
-  cfg.admission_ratio = 1.25;
   resilience::FrameGovernor gov(cfg);
   EXPECT_FALSE(gov.admission_overloaded());
   for (int i = 0; i < 40; ++i) gov.on_frame(vt::millis(20));
@@ -236,7 +233,6 @@ TEST(Resilience, OversizedPacketsAreDroppedBeforeParsing) {
   net::VirtualNetwork net(p, {});
   const auto map = spatial::make_arena(1024);
   core::ServerConfig scfg;
-  scfg.resilience.max_packet_bytes = 1400;
   core::SequentialServer server(p, net, map, scfg);
   server.start();
 
@@ -266,7 +262,6 @@ TEST(Resilience, AdmissionControlRefusesConnectsPastSaturation) {
   cfg.warmup = vt::seconds(2);
   cfg.measure = vt::seconds(6);
   cfg.server.resilience.admission_control = true;
-  cfg.server.resilience.admission_ratio = 1.25;
   // The initial connect wave lands before the rolling frame-time window
   // has seen any overload, so it is admitted wholesale; graceful churn
   // makes clients rejoin *during* the overload they created, where the

@@ -19,7 +19,9 @@
 #include "src/obs/trace.hpp"
 #include "src/shard/manager.hpp"
 #include "src/shard/router.hpp"
+#include "src/spatial/map_gen.hpp"
 #include "src/util/aabb.hpp"
+#include "src/util/rng.hpp"
 
 namespace qserv {
 namespace {
@@ -62,6 +64,38 @@ TEST(ShardRouter, HomeHysteresisHoldsResidentsNearTheBoundary) {
   EXPECT_EQ(r.home_for(0, {-470.0f, 0.0f, 0.0f}), 1);
   // An unknown current shard falls back to pure geometry.
   EXPECT_EQ(r.home_for(-1, {-490.0f, 0.0f, 0.0f}), 1);
+}
+
+// --- per-shard engine derivation ------------------------------------------
+
+// The fleet's port block and root seed are the engine template's own:
+// shard i listens on server.base_port + i*kPortStride .. + (threads-1)
+// and is seeded derive_seed(server.seed, kShardBase + i). Non-default
+// template values make a manager reading any other field fail here.
+TEST(ShardManager, ShardsDeriveTheirPortsAndSeedsFromTheEngineTemplate) {
+  vt::SimPlatform platform;
+  net::VirtualNetwork net(platform, {});
+  const auto map = spatial::make_large_deathmatch(7);
+  shard::Config fleet;
+  fleet.shards = 3;
+  fleet.server.threads = 2;
+  fleet.server.base_port = 31000;
+  fleet.server.seed = 77;
+  shard::ShardManager mgr(platform, net, map, fleet);
+
+  for (int i = 0; i < fleet.shards; ++i) {
+    const core::ServerConfig& sc = mgr.shard(i).server()->config();
+    const uint16_t base =
+        static_cast<uint16_t>(31000 + i * shard::kPortStride);
+    EXPECT_EQ(sc.base_port, base);
+    EXPECT_EQ(sc.seed, derive_seed(77, streams::kShardBase +
+                                           static_cast<uint64_t>(i)));
+    for (int t = 0; t < fleet.server.threads; ++t) {
+      net::OpenError err = net::OpenError::kNone;
+      EXPECT_EQ(net.try_open(static_cast<uint16_t>(base + t), &err), nullptr);
+      EXPECT_EQ(err, net::OpenError::kPortInUse);
+    }
+  }
 }
 
 // --- fleet soaks ---------------------------------------------------------
@@ -176,23 +210,24 @@ TEST(ShardFleet, CircuitBreakerShedsACrashLoopingShard) {
   cfg.fleet.restore_backoff_max = vt::millis(4);
   cfg.client_silence_timeout = vt::seconds(2);
   const int64_t end_ns = (cfg.warmup + cfg.measure).ns;
-  cfg.schedule_faults = [end_ns](vt::Platform& p, shard::ShardManager& mgr) {
+  // The poll re-arms through these locals, which outlive the run.
+  std::function<void()> tick;
+  int seen = 0;
+  cfg.schedule_faults = [&](vt::Platform& p, shard::ShardManager& mgr) {
     vt::Platform* pp = &p;
     shard::ShardManager* m = &mgr;
     pp->call_after(vt::seconds_d(1.5), [m] { m->crash_shard(1); });
     // Poll: every restore that completes is followed by another crash.
-    auto tick = std::make_shared<std::function<void()>>();
-    auto seen = std::make_shared<int>(0);
-    *tick = [pp, m, tick, seen, end_ns] {
+    tick = [pp, m, &tick, &seen, end_ns] {
       shard::Shard& s = m->shard(1);
       if (s.down() || pp->now().ns >= end_ns) return;
-      if (s.restores() > *seen && !s.crash_flagged()) {
-        *seen = s.restores();
+      if (s.restores() > seen && !s.crash_flagged()) {
+        seen = s.restores();
         m->crash_shard(1);
       }
-      pp->call_after(vt::millis(5), [tick] { (*tick)(); });
+      pp->call_after(vt::millis(5), tick);
     };
-    pp->call_after(vt::seconds_d(1.5), [tick] { (*tick)(); });
+    pp->call_after(vt::seconds_d(1.5), tick);
   };
   const auto r = harness::run_shard_experiment(cfg);
 
@@ -227,6 +262,8 @@ TEST(ShardFleet, AdoptTimeoutReturnsStrandedHandoffsToSource) {
   cfg.fleet.adopt_timeout = vt::millis(100);
   cfg.client_silence_timeout = vt::seconds(2);
   cfg.measure = vt::seconds(6);  // room for two crashes + the 1.5 s gap
+  // The poll re-arms through this local, which outlives the run.
+  std::function<void()> tick;
   cfg.schedule_faults = [&](vt::Platform& p, shard::ShardManager& mgr) {
     vt::Platform* pp = &p;
     shard::ShardManager* m = &mgr;
@@ -234,17 +271,16 @@ TEST(ShardFleet, AdoptTimeoutReturnsStrandedHandoffsToSource) {
     pp->call_after(cfg.warmup + vt::millis(500),
                    [m] { m->crash_shard(1); });
     // Re-crash the moment the first (immediate) restore completes.
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [pp, m, tick, give_up_ns] {
+    tick = [pp, m, &tick, give_up_ns] {
       if (pp->now().ns >= give_up_ns) return;
       shard::Shard& s = m->shard(1);
       if (s.restores() >= 1 && !s.crash_flagged() && !s.down()) {
         m->crash_shard(1);
         return;
       }
-      pp->call_after(vt::millis(2), [tick] { (*tick)(); });
+      pp->call_after(vt::millis(2), tick);
     };
-    pp->call_after(cfg.warmup + vt::millis(500), [tick] { (*tick)(); });
+    pp->call_after(cfg.warmup + vt::millis(500), tick);
   };
   const auto r = harness::run_shard_experiment(cfg);
 

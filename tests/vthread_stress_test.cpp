@@ -33,14 +33,15 @@ TEST_P(MachineSweep, MixedWorkloadIsDeterministic) {
     auto mu = p.make_mutex("m");
     auto cv = p.make_condvar();
     int turnstile = 0;
-    int64_t fingerprint = 0;
+    uint64_t fingerprint = 0;  // unsigned: it wraps by design
     for (int i = 0; i < 10; ++i) {
       p.spawn("w" + std::to_string(i), Domain::kServer, [&, i] {
         Rng rng(static_cast<uint64_t>(i) + 1);
         for (int k = 0; k < 50; ++k) {
           p.compute(micros(rng.range(10, 200)));
           mu->lock();
-          fingerprint = fingerprint * 31 + p.now().ns % 1009 + i;
+          fingerprint = fingerprint * 31 +
+                        static_cast<uint64_t>(p.now().ns % 1009 + i);
           ++turnstile;
           cv->signal();
           mu->unlock();

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Per-file line coverage of src/**/*.cpp with plain gcov, lowest first,
-# then the total. Reports only: no threshold, exit 0 once printed.
+# then the total, then the src/ .cpp/.hpp line count (so a change's size
+# shows next to its coverage). Reports only: no threshold, exit 0 once
+# printed.
 #
 # Build with coverage instrumentation and run the suite first:
 #   cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
@@ -37,3 +39,6 @@ echo "$rows" | awk '{ hit += $1 * $2 / 100; all += $2 }
   END { printf "%7.2f%%  %5d  total\n", 100 * hit / all, all
         printf "%7.2f%%  %5d  total over sources some test ran\n",
                100 * ran_hit / ran, ran }'
+# Physical lines of every src/ .cpp and .hpp, blank and comment included.
+find src \( -name '*.cpp' -o -name '*.hpp' \) -print0 | xargs -0 cat |
+  wc -l | awk '{ printf "          %5d  src/ .cpp/.hpp lines\n", $1 }'
