@@ -124,12 +124,14 @@ class BenchOutput {
 
   // Re-runs `cfg` with tracing on and exports the timeline. Windows are
   // shortened — a trace only needs a few hundred frames to be useful, and
-  // the ring would hold just the tail of a long run anyway.
+  // the ring would hold just the tail of a long run anyway. The ring is
+  // sized so one thread's 3 s, list-lock spans included, fits whole.
   void capture_trace(harness::ExperimentConfig cfg) {
     if (opts_.trace_path.empty()) return;
     cfg.warmup = vt::seconds(1);
     cfg.measure = vt::seconds(2);
-    obs::Tracer tracer;  // bound to the run's platform on attach
+    // Bound to the run's platform on attach.
+    obs::Tracer tracer(obs::Tracer::Config{.capacity_per_track = 1 << 17});
     cfg.tracer = &tracer;
     std::printf("\ncapturing trace...\n");
     std::fflush(stdout);

@@ -37,20 +37,20 @@ EnginePorts engine_ports(const shard::Config& fleet, int shard) {
 
 // Self-rescheduling virtual-time poll, bounded by the run end so the
 // simulated platform's event queue drains. `body` returns true when the
-// hook has fired (or can never fire) and polling should stop. The
-// closure intentionally keeps itself alive via the shared_ptr cycle —
-// the platform owns no copy past the last call (same idiom as the
-// harness's observation tick).
+// hook has fired (or can never fire) and polling should stop. Only the
+// pending timer owns the poll; the poll holds itself weakly, so it is
+// freed once it stops re-arming.
 void arm_poll(vt::Platform& p, vt::Duration first, int64_t end_ns,
               std::function<bool()> body) {
   auto fn = std::make_shared<std::function<void()>>();
   vt::Platform* pp = &p;
-  *fn = [pp, end_ns, body = std::move(body), fn] {
+  *fn = [pp, end_ns, body = std::move(body),
+         self = std::weak_ptr<std::function<void()>>(fn)] {
     if (pp->now().ns >= end_ns) return;
     if (body()) return;
-    pp->call_after(kPollPeriod, *fn);
+    pp->call_after(kPollPeriod, [fn = self.lock()] { (*fn)(); });
   };
-  p.call_after(first, *fn);
+  p.call_after(first, [fn] { (*fn)(); });
 }
 
 // Installs the scenario's steps into the cloned config: network episodes

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "src/obs/trace.hpp"
 #include "src/sim/move.hpp"
 
 namespace qserv::core {
@@ -29,19 +28,17 @@ void ExecPhase::run(int tid, ClientSlot& client, const net::MoveCmd& cmd,
   // applies them in the same order the live run did.
   const uint64_t order = pipe_.draw_order();
 
-  // Execution time excludes any list-lock waiting incurred inside (that
-  // is attributed to the lock components by the ListLockContext).
+  // Execution time excludes any list-lock waiting incurred inside: the
+  // ListLockContext's scopes nest in this one and charge the lock
+  // components instead.
   LockManager::ListLockContext lists(ctx.lock_manager, st);
-  const vt::Duration lock_before =
-      st.breakdown.lock_leaf + st.breakdown.lock_parent;
-  obs::TraceScope span(st.tracer, st.trace_track, "exec");
-  const vt::TimePoint t0 = ctx.platform.now();
-  sim::execute_move(ctx.world, *player, cmd, t0, lock ? &lists : nullptr,
-                    &ctx.global_events, order, &arena.move_scratch);
-  const vt::Duration elapsed = ctx.platform.now() - t0;
-  const vt::Duration lock_delta =
-      st.breakdown.lock_leaf + st.breakdown.lock_parent - lock_before;
-  st.breakdown.exec += elapsed - lock_delta;
+  vt::TimePoint t0;
+  {
+    PhaseScope exec(ctx.platform, st, Phase::kExec);
+    t0 = exec.start();
+    sim::execute_move(ctx.world, *player, cmd, t0, lock ? &lists : nullptr,
+                      &ctx.global_events, order, &arena.move_scratch);
+  }
 
   if (lock) ctx.lock_manager.release(arena.region);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/trace.hpp"
-
 namespace qserv::core {
 
 FramePipeline::FramePipeline(const PipelineContext& ctx) : ctx_(ctx) {
@@ -20,9 +18,9 @@ void FramePipeline::restore(uint64_t frame, uint64_t next_order) {
 
 void WorldPhase::run(ThreadStats& st) {
   PipelineContext& ctx = pipe_.ctx_;
-  obs::TraceScope span(st.tracer, st.trace_track, "world",
-                       static_cast<int64_t>(pipe_.frames_));
-  const vt::TimePoint t0 = ctx.platform.now();
+  PhaseScope world(ctx.platform, st, Phase::kWorld,
+                   static_cast<int64_t>(pipe_.frames_));
+  const vt::TimePoint t0 = world.start();
   vt::Duration dt = t0 - pipe_.last_world_;
   // Clamp: the first frame (and long idle gaps) must not produce a huge
   // physics step.
@@ -35,7 +33,6 @@ void WorldPhase::run(ThreadStats& st) {
   // lifecycle ops applied between frames.
   ctx.hooks.world_tick(static_cast<int>(&st - ctx.stats.data()), t0, dt);
   ctx.world.world_phase(t0, dt, ctx.global_events);
-  st.breakdown.world += ctx.platform.now() - t0;
 }
 
 }  // namespace qserv::core

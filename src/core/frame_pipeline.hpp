@@ -133,8 +133,8 @@ class ReplyPhase {
   // Single-threaded frame setup at the flip into the reply phase (the
   // world is frozen from here on): seals the frame's global events into
   // the event log (trimming it when due), queues the clients resumed this
-  // frame, and refreshes the world's entity view. The refresh's host time
-  // lands in `st.breakdown.reply`; it charges no virtual time.
+  // frame, and refreshes the world's entity view. The refresh is a reply
+  // phase on `st` (host time on RealPlatform); it charges no virtual time.
   void prepare(ThreadStats& st);
 
   // Answers the clients in `tid`'s reply queue, in slot order, and

@@ -2,19 +2,20 @@
 
 #include <cstdio>
 
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
+#include "src/vthread/platform.hpp"
+
 namespace qserv::core {
 
+vt::Duration Breakdown::total() const {
+  vt::Duration sum{};
+  for (const Component& c : kComponents) sum += this->*c.ms;
+  return sum;
+}
+
 Breakdown& Breakdown::operator+=(const Breakdown& o) {
-  exec += o.exec;
-  lock_leaf += o.lock_leaf;
-  lock_parent += o.lock_parent;
-  receive += o.receive;
-  reply += o.reply;
-  world += o.world;
-  intra_wait += o.intra_wait;
-  inter_wait_world += o.inter_wait_world;
-  inter_wait_frame += o.inter_wait_frame;
-  idle += o.idle;
+  for (const Component& c : kComponents) this->*c.ms += o.*c.ms;
   return *this;
 }
 
@@ -28,13 +29,14 @@ LockStats& LockStats::operator+=(const LockStats& o) {
 }
 
 void ThreadStats::reset() {
-  const auto keep = std::move(frame_trace);
   obs::Tracer* const keep_tracer = tracer;
   const int keep_track = trace_track;
-  *this = ThreadStats{};
-  (void)keep;  // trace from warmup is discarded
-  tracer = keep_tracer;  // observability attachments survive the boundary
+  PhaseScope* const keep_scope = open_scope;
+  *this = ThreadStats{};  // the warmup's frame trace is discarded too
+  // Observability attachments and open scopes survive the boundary.
+  tracer = keep_tracer;
   trace_track = keep_track;
+  open_scope = keep_scope;
 }
 
 void FrameLockStats::reset() { *this = FrameLockStats{}; }
@@ -43,17 +45,33 @@ BreakdownPct to_percent(const Breakdown& b) {
   BreakdownPct out;
   const double total = static_cast<double>(b.total().ns);
   if (total <= 0.0) return out;
-  out.exec = static_cast<double>(b.exec.ns) / total;
-  out.lock_leaf = static_cast<double>(b.lock_leaf.ns) / total;
-  out.lock_parent = static_cast<double>(b.lock_parent.ns) / total;
-  out.receive = static_cast<double>(b.receive.ns) / total;
-  out.reply = static_cast<double>(b.reply.ns) / total;
-  out.world = static_cast<double>(b.world.ns) / total;
-  out.intra_wait = static_cast<double>(b.intra_wait.ns) / total;
-  out.inter_wait_world = static_cast<double>(b.inter_wait_world.ns) / total;
-  out.inter_wait_frame = static_cast<double>(b.inter_wait_frame.ns) / total;
-  out.idle = static_cast<double>(b.idle.ns) / total;
+  for (const Component& c : kComponents)
+    out.*c.pct = static_cast<double>((b.*c.ms).ns) / total;
   return out;
+}
+
+PhaseScope::PhaseScope(vt::Platform& platform, ThreadStats& st, Phase phase,
+                       int64_t frame, obs::HistogramMetric* wait_us)
+    : platform_(platform),
+      st_(st),
+      parent_(st.open_scope),
+      phase_(phase),
+      frame_(frame),
+      wait_us_(wait_us) {
+  st.open_scope = this;
+  t0_ = platform.now();
+}
+
+PhaseScope::~PhaseScope() {
+  const vt::TimePoint t1 = platform_.now();
+  const vt::Duration elapsed = t1 - t0_;
+  const Component& c = kComponents[static_cast<size_t>(phase_)];
+  st_.breakdown.*c.ms += elapsed - children_;
+  st_.open_scope = parent_;
+  if (parent_ != nullptr) parent_->children_ += elapsed;
+  if (wait_us_ != nullptr) wait_us_->observe(elapsed.micros());
+  if (st_.tracer != nullptr && st_.tracer->enabled() && elapsed.ns > 0)
+    st_.tracer->record(st_.trace_track, c.span, t0_.ns, elapsed.ns, frame_);
 }
 
 std::string format_breakdown(const Breakdown& b) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -11,12 +12,18 @@
 #include "src/vthread/time.hpp"
 
 namespace qserv::obs {
+class HistogramMetric;
 class Tracer;
+}
+
+namespace qserv::vt {
+class Platform;
 }
 
 namespace qserv::core {
 
 // The components of total execution time, matching §4's definitions.
+// Named fields, so callers read `b.exec`; generic code walks kComponents.
 struct Breakdown {
   vt::Duration exec{};        // request execution (move processing)
   vt::Duration lock_leaf{};   // waiting for leaf (region) locks
@@ -33,15 +40,57 @@ struct Breakdown {
   vt::Duration inter_wait() const {
     return inter_wait_world + inter_wait_frame;
   }
-  vt::Duration total() const {
-    return exec + lock() + receive + reply + world + intra_wait +
-           inter_wait() + idle;
-  }
+  vt::Duration total() const;
   // Total excluding idle (the paper's "non-idle" denominator for §5.2).
   vt::Duration busy() const { return total() - idle; }
 
   Breakdown& operator+=(const Breakdown& o);
 };
+
+// Percentage view of a breakdown (each component as a fraction of total).
+struct BreakdownPct {
+  double exec = 0, lock_leaf = 0, lock_parent = 0, receive = 0, reply = 0,
+         world = 0, intra_wait = 0, inter_wait_world = 0, inter_wait_frame = 0,
+         idle = 0;
+  double lock() const { return lock_leaf + lock_parent; }
+  double inter_wait() const { return inter_wait_world + inter_wait_frame; }
+};
+
+// One §4 component, indexing kComponents.
+enum class Phase : uint8_t {
+  kExec, kLockLeaf, kLockParent, kReceive, kReply, kWorld, kIntraWait,
+  kInterWaitWorld, kInterWaitFrame, kIdle
+};
+
+// The one table of components: the key in the bench export's
+// breakdown_ms / breakdown_pct objects (in this order), the trace span
+// name, and the matching Breakdown and BreakdownPct fields.
+struct Component {
+  const char* key;
+  const char* span;
+  vt::Duration Breakdown::*ms;
+  double BreakdownPct::*pct;
+};
+inline constexpr Component kComponents[] = {
+    {"exec", "exec", &Breakdown::exec, &BreakdownPct::exec},
+    {"lock_leaf", "lock-leaf", &Breakdown::lock_leaf, &BreakdownPct::lock_leaf},
+    {"lock_parent", "lock-parent", &Breakdown::lock_parent,
+     &BreakdownPct::lock_parent},
+    {"receive", "receive", &Breakdown::receive, &BreakdownPct::receive},
+    {"reply", "reply", &Breakdown::reply, &BreakdownPct::reply},
+    {"world", "world", &Breakdown::world, &BreakdownPct::world},
+    {"intra_wait", "intra-wait", &Breakdown::intra_wait,
+     &BreakdownPct::intra_wait},
+    {"inter_wait_world", "inter-wait-world", &Breakdown::inter_wait_world,
+     &BreakdownPct::inter_wait_world},
+    {"inter_wait_frame", "inter-wait-frame", &Breakdown::inter_wait_frame,
+     &BreakdownPct::inter_wait_frame},
+    {"idle", "idle", &Breakdown::idle, &BreakdownPct::idle},
+};
+static_assert(std::size(kComponents) ==
+              static_cast<size_t>(Phase::kIdle) + 1);
+
+class PhaseScope;
 
 // Per-request and per-frame lock statistics (Figure 7, §5.1).
 struct LockStats {
@@ -83,6 +132,9 @@ struct ThreadStats {
   // so the warmup boundary does not detach tracing.
   obs::Tracer* tracer = nullptr;
   int trace_track = -1;
+  // Innermost PhaseScope open on the owning thread; also preserved across
+  // reset(), so a scope open at the warmup boundary still closes cleanly.
+  PhaseScope* open_scope = nullptr;
 
   void reset();
 };
@@ -98,16 +150,35 @@ struct FrameLockStats {
   void reset();
 };
 
-// Percentage view of a breakdown (each component as a fraction of total).
-struct BreakdownPct {
-  double exec = 0, lock_leaf = 0, lock_parent = 0, receive = 0, reply = 0,
-         world = 0, intra_wait = 0, inter_wait_world = 0, inter_wait_frame = 0,
-         idle = 0;
-  double lock() const { return lock_leaf + lock_parent; }
-  double inter_wait() const { return inter_wait_world + inter_wait_frame; }
-};
-
 BreakdownPct to_percent(const Breakdown& b);
+
+// Times one phase on the calling thread, from construction to
+// destruction, and charges its *exclusive* time to the phase's Breakdown
+// component: a scope opened inside it (a list lock inside exec) is
+// subtracted from it, so every interval is charged to exactly one
+// component. With the thread's tracer enabled it records the span
+// (inclusive, from the same two clock reads) when it lasted longer than
+// zero, and it feeds `wait_us` (a lock-wait histogram) when given.
+class PhaseScope {
+ public:
+  PhaseScope(vt::Platform& platform, ThreadStats& st, Phase phase,
+             int64_t frame = -1, obs::HistogramMetric* wait_us = nullptr);
+  ~PhaseScope();
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  vt::TimePoint start() const { return t0_; }
+
+ private:
+  vt::Platform& platform_;
+  ThreadStats& st_;
+  PhaseScope* const parent_;
+  const Phase phase_;
+  const int64_t frame_;
+  obs::HistogramMetric* const wait_us_;
+  vt::TimePoint t0_;
+  vt::Duration children_{};  // inclusive time of the scopes nested in this
+};
 
 // One row per component, formatted for bench output.
 std::string format_breakdown(const Breakdown& b);

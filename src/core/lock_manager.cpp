@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/obs/metrics.hpp"
-#include "src/obs/trace.hpp"
 #include "src/sim/combat.hpp"
 #include "src/sim/move.hpp"
 #include "src/util/check.hpp"
@@ -117,8 +116,7 @@ void LockManager::acquire(const std::vector<std::vector<int>>& sets,
   // Everything from here — the region-determination/bookkeeping overhead
   // (§4.1: what the 1-thread parallel server pays over the sequential
   // one) plus actual waiting — is the paper's "lock" component.
-  obs::TraceScope span(stats.tracer, stats.trace_track, "lock-leaf");
-  const vt::TimePoint t0 = platform_.now();
+  PhaseScope scope(platform_, stats, Phase::kLockLeaf, -1, leaf_wait_us_);
   platform_.compute(costs_.lock_op * static_cast<int64_t>(requests));
   for (const int node : leaves) {
     const int ord = leaf_ordinal(node);
@@ -129,9 +127,6 @@ void LockManager::acquire(const std::vector<std::vector<int>>& sets,
     frame_lock_ops_[static_cast<size_t>(ord)] += static_cast<uint32_t>(
         std::count(requested.begin(), requested.end(), node));
   }
-  const vt::Duration waited = platform_.now() - t0;
-  stats.breakdown.lock_leaf += waited;
-  if (leaf_wait_us_ != nullptr) leaf_wait_us_->observe(waited.micros());
   out.mgr_ = this;
 }
 
@@ -146,17 +141,13 @@ void LockManager::release(Region& region) {
 void LockManager::ListLockContext::lock_list(int node_index) {
   auto& mgr = *mgr_;
   // Both the lock-op overhead and any waiting count as lock time.
-  const vt::TimePoint t0 = mgr.platform_.now();
+  PhaseScope scope(mgr.platform_, *stats_,
+                   mgr.tree_.is_leaf(node_index) ? Phase::kLockLeaf
+                                                 : Phase::kLockParent,
+                   -1, mgr.list_wait_us_);
   mgr.platform_.compute(mgr.costs_.list_lock_op);
   mgr.list_mu_[static_cast<size_t>(node_index)]->lock();
-  const vt::Duration waited = mgr.platform_.now() - t0;
-  if (mgr.list_wait_us_ != nullptr) mgr.list_wait_us_->observe(waited.micros());
   ++stats_->locks.parent_list_locks;
-  if (mgr.tree_.is_leaf(node_index)) {
-    stats_->breakdown.lock_leaf += waited;
-  } else {
-    stats_->breakdown.lock_parent += waited;
-  }
 }
 
 void LockManager::ListLockContext::unlock_list(int node_index) {
@@ -206,22 +197,6 @@ std::vector<LockManager::LeafContention> LockManager::contention_hotlist(
             });
   if (static_cast<int>(all.size()) > k) all.resize(static_cast<size_t>(k));
   return all;
-}
-
-uint64_t LockManager::leaf_lock_ops(int leaf_ordinal) const {
-  return total_lock_ops_[static_cast<size_t>(leaf_ordinal)];
-}
-
-vt::Duration LockManager::total_region_wait() const {
-  vt::Duration d{};
-  for (const auto& m : region_mu_) d += m->total_wait();
-  return d;
-}
-
-vt::Duration LockManager::total_list_wait() const {
-  vt::Duration d{};
-  for (const auto& m : list_mu_) d += m->total_wait();
-  return d;
 }
 
 }  // namespace qserv::core

@@ -66,14 +66,15 @@ class LockManager {
                     std::vector<std::vector<int>>& sets_out) const;
 
   // Acquires the union of `sets` in canonical order. Charges lock-op
-  // costs, attributes wait time to stats.breakdown.lock_leaf, and records
-  // the per-request lock statistics. `thread_id` must be < 64.
+  // costs, attributes them and the wait to the lock-leaf phase, and
+  // records the per-request lock statistics. `thread_id` must be < 64.
   void acquire(const std::vector<std::vector<int>>& sets, int thread_id,
                ThreadStats& stats, Region& out);
   void release(Region& region);
 
-  // Per-thread facade giving sim/ code list-lock access with wait-time
-  // attribution to that thread's stats.
+  // Per-thread facade giving sim/ code list-lock access. Each lock_list
+  // is a lock-leaf or lock-parent phase (by the node) on that thread's
+  // stats, nested in and subtracted from the enclosing exec phase.
   class ListLockContext final : public sim::NodeListLocks {
    public:
     ListLockContext(LockManager& mgr, ThreadStats& stats)
@@ -109,15 +110,9 @@ class LockManager {
   // Top `k` leaves by total region-mutex wait (ties broken by lock ops),
   // leaves with zero activity omitted.
   std::vector<LeafContention> contention_hotlist(int k) const;
-  // Cumulative lock operations on one leaf (by ordinal).
-  uint64_t leaf_lock_ops(int leaf_ordinal) const;
 
   int leaf_count() const { return tree_.leaf_count(); }
   const spatial::AreanodeTree& tree() const { return tree_; }
-
-  // Aggregate wait observed on region mutexes / list mutexes (for tests).
-  vt::Duration total_region_wait() const;
-  vt::Duration total_list_wait() const;
 
  private:
   int leaf_ordinal(int node_index) const { return tree_.leaf_ordinal(node_index); }

@@ -42,18 +42,6 @@ void ParallelServer::schedule_watchdog_timer() {
   });
 }
 
-vt::Duration ParallelServer::total_inter_wait_world() const {
-  vt::Duration d{};
-  for (const auto& s : stats_) d += s.breakdown.inter_wait_world;
-  return d;
-}
-
-vt::Duration ParallelServer::total_inter_wait_frame() const {
-  vt::Duration d{};
-  for (const auto& s : stats_) d += s.breakdown.inter_wait_frame;
-  return d;
-}
-
 void ParallelServer::worker_loop(int tid) {
   ThreadStats& st = stats_[static_cast<size_t>(tid)];
 
@@ -81,14 +69,12 @@ void ParallelServer::worker_loop(int tid) {
     }
 
     // S: wait for requests on this thread's private port.
-    const vt::TimePoint idle0 = platform_.now();
-    const bool ready = selectors_[static_cast<size_t>(tid)]->wait_until(
-        platform_.now() + kSelectTimeout);
-    const vt::TimePoint idle1 = platform_.now();
-    st.breakdown.idle += idle1 - idle0;
-    if (st.tracer != nullptr && st.tracer->enabled() && idle1.ns > idle0.ns)
-      st.tracer->record(st.trace_track, "idle", idle0.ns,
-                        (idle1 - idle0).ns);
+    bool ready = false;
+    {
+      PhaseScope idle(platform_, st, Phase::kIdle);
+      ready = selectors_[static_cast<size_t>(tid)]->wait_until(
+          platform_.now() + kSelectTimeout);
+    }
     // A select timeout normally just re-checks the stop flag — but when a
     // client has been silent past client_timeout, or a peer worker's
     // heartbeat is stale, fall through and run a maintenance frame so the
@@ -121,9 +107,8 @@ void ParallelServer::worker_loop(int tid) {
       // instead of waiting a whole frame (§5.2 future work). The master's
       // deliberate delay is accounted as idle time.
       if (cfg_.batch_window.ns > 0) {
-        const vt::TimePoint b0 = platform_.now();
+        PhaseScope idle(platform_, st, Phase::kIdle);
         platform_.sleep_for(cfg_.batch_window);
-        st.breakdown.idle += platform_.now() - b0;
       }
 
       lock_manager_->frame_reset();
@@ -150,23 +135,22 @@ void ParallelServer::worker_loop(int tid) {
       // Join the frame being formed; wait for the world update to end.
       ++sync_.participants;
       sync_.participants_mask |= 1ull << tid;
-      const int64_t fid = static_cast<int64_t>(sync_.frame_id);
-      obs::TraceScope span(st.tracer, st.trace_track, "inter-wait-world",
-                           fid);
-      const vt::TimePoint w0 = platform_.now();
-      while (sync_.phase == FramePhase::kWorld) sync_cv_->wait(*sync_mu_);
-      st.breakdown.inter_wait_world += platform_.now() - w0;
+      {
+        PhaseScope wait(platform_, st, Phase::kInterWaitWorld,
+                        static_cast<int64_t>(sync_.frame_id));
+        while (sync_.phase == FramePhase::kWorld) sync_cv_->wait(*sync_mu_);
+      }
       sync_mu_->unlock();
     } else {
       // Too late for this frame: wait for it to end; we are guaranteed
       // to take part in the next one (our queue is non-empty).
       const uint64_t fid = sync_.frame_id;
-      obs::TraceScope span(st.tracer, st.trace_track, "inter-wait-frame",
-                           static_cast<int64_t>(fid));
-      const vt::TimePoint w0 = platform_.now();
-      while (sync_.phase != FramePhase::kIdle && sync_.frame_id == fid)
-        sync_cv_->wait(*sync_mu_);
-      st.breakdown.inter_wait_frame += platform_.now() - w0;
+      {
+        PhaseScope wait(platform_, st, Phase::kInterWaitFrame,
+                        static_cast<int64_t>(fid));
+        while (sync_.phase != FramePhase::kIdle && sync_.frame_id == fid)
+          sync_cv_->wait(*sync_mu_);
+      }
       sync_mu_->unlock();
       continue;
     }
@@ -193,11 +177,9 @@ void ParallelServer::worker_loop(int tid) {
       platform_.compute(cfg_.costs.signal_syscall);
       sync_cv_->broadcast();
     } else {
-      obs::TraceScope span(st.tracer, st.trace_track, "intra-wait",
-                           static_cast<int64_t>(sync_.frame_id));
-      const vt::TimePoint w0 = platform_.now();
+      PhaseScope wait(platform_, st, Phase::kIntraWait,
+                      static_cast<int64_t>(sync_.frame_id));
       while (sync_.phase != FramePhase::kReply) sync_cv_->wait(*sync_mu_);
-      st.breakdown.intra_wait += platform_.now() - w0;
     }
     const uint64_t mask = sync_.participants_mask;
     sync_mu_->unlock();
@@ -213,12 +195,10 @@ void ParallelServer::worker_loop(int tid) {
     ++sync_.done_reply;
     if (is_master) {
       {
-        obs::TraceScope span(st.tracer, st.trace_track, "intra-wait",
-                             static_cast<int64_t>(sync_.frame_id));
-        const vt::TimePoint w0 = platform_.now();
+        PhaseScope wait(platform_, st, Phase::kIntraWait,
+                        static_cast<int64_t>(sync_.frame_id));
         while (sync_.done_reply < sync_.participants)
           sync_cv_->wait(*sync_mu_);
-        st.breakdown.intra_wait += platform_.now() - w0;
       }
       const int frame_moves = sync_.frame_moves;
       const vt::TimePoint frame_start = sync_.frame_start;

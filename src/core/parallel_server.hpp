@@ -24,11 +24,6 @@ class ParallelServer final : public Server {
   void start() override;
   int thread_count() const override { return cfg_.threads; }
 
-  // §5.2 analysis: how often a frame's inter-frame wait was spent on the
-  // world update vs. waiting for the previous frame to finish.
-  vt::Duration total_inter_wait_world() const;
-  vt::Duration total_inter_wait_frame() const;
-
  private:
   enum class FramePhase : uint8_t { kIdle, kWorld, kProcessing, kReply };
 

@@ -9,7 +9,6 @@
 
 #include "src/recovery/journal.hpp"
 #include "src/resilience/governor.hpp"
-#include "src/obs/trace.hpp"
 
 namespace qserv::core {
 
@@ -26,34 +25,32 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
       continue;
     }
     // --- receive + parse ---
-    const vt::TimePoint t0 = ctx.platform.now();
-    ctx.platform.compute(ctx.cfg.costs.recv_parse);
-    ClientSlot* client = ctx.registry.by_port(d.src_port);
-    // Traffic for a slot owned by another thread. Only the owner thread
-    // may touch the netchan — accept() here would race with the owner
-    // draining the live port — so such datagrams are framed manually
-    // (header strip, no channel state) and, with one exception, dropped.
-    const bool cross_thread = client != nullptr && client->owner_thread != tid;
-
+    ClientSlot* client = nullptr;
+    bool cross_thread = false;
     net::NetChannel::Incoming info;
     net::ByteReader body(nullptr, 0);
-    bool framed = false;
-    if (client != nullptr && client->chan != nullptr && !cross_thread) {
-      framed = client->chan->accept(d, info, body);
-    } else {
-      // Unknown peer (or non-owner thread): strip the channel header
-      // manually; only a connect is acceptable.
-      if (d.payload.size() > 8) {
+    net::ClientMsgType type{};
+    bool parsed = false;
+    {
+      PhaseScope receive(ctx.platform, st, Phase::kReceive);
+      ctx.platform.compute(ctx.cfg.costs.recv_parse);
+      client = ctx.registry.by_port(d.src_port);
+      // Traffic for a slot owned by another thread. Only the owner thread
+      // may touch the netchan — accept() here would race with the owner
+      // draining the live port — so such datagrams are framed manually
+      // (header strip, no channel state) and, with one exception, dropped.
+      cross_thread = client != nullptr && client->owner_thread != tid;
+      bool framed = false;
+      if (client != nullptr && client->chan != nullptr && !cross_thread) {
+        framed = client->chan->accept(d, info, body);
+      } else if (d.payload.size() > 8) {
+        // Unknown peer (or non-owner thread): strip the channel header
+        // manually; only a connect is acceptable.
         body = net::ByteReader(d.payload.data() + 8, d.payload.size() - 8);
         framed = true;
       }
+      parsed = framed && net::decode_client_type(body, type);
     }
-    net::ClientMsgType type{};
-    const bool parsed = framed && net::decode_client_type(body, type);
-    const vt::TimePoint t1 = ctx.platform.now();
-    st.breakdown.receive += t1 - t0;
-    if (st.tracer != nullptr && st.tracer->enabled())
-      st.tracer->record(st.trace_track, "receive", t0.ns, (t1 - t0).ns);
 
     if (cross_thread && !(parsed && type == net::ClientMsgType::kConnect &&
                           client->awaiting_resume)) {

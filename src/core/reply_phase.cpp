@@ -11,7 +11,6 @@
 
 #include <algorithm>
 
-#include "src/obs/trace.hpp"
 #include "src/resilience/governor.hpp"
 
 namespace qserv::core {
@@ -27,17 +26,15 @@ void ReplyPhase::prepare(ThreadStats& st) {
     ctx.global_events.trim_through(
         ctx.registry.events_complete_through(pipe_.frames_));
   ctx.registry.flush_deferred_replies();
-  const vt::TimePoint t0 = ctx.platform.now();
+  PhaseScope reply(ctx.platform, st, Phase::kReply);
   ctx.world.refresh_view();
-  st.breakdown.reply += ctx.platform.now() - t0;
 }
 
 void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
   PipelineContext& ctx = pipe_.ctx_;
   const sim::CostModel& costs = ctx.cfg.costs;
   FrameArena& arena = pipe_.arena(tid);
-  obs::TraceScope span(st.tracer, st.trace_track, "reply");
-  const vt::TimePoint t0 = ctx.platform.now();
+  PhaseScope reply(ctx.platform, st, Phase::kReply);
   const bool thin_far = ctx.governor->at_least(resilience::kThinFarEntities);
   const auto frame = static_cast<uint32_t>(pipe_.frames_);
   static_assert(net::NetChannel::kHeaderReserve == sizeof(uint64_t));
@@ -125,7 +122,6 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
   }
   queue.clear();
   update_buffers_below(static_cast<int>(ctx.registry.slots().size()));
-  st.breakdown.reply += ctx.platform.now() - t0;
 }
 
 }  // namespace qserv::core

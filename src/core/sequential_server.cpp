@@ -1,7 +1,6 @@
 #include "src/core/sequential_server.hpp"
 
 #include "src/core/frame_pipeline.hpp"
-#include "src/obs/trace.hpp"
 #include "src/resilience/governor.hpp"
 
 namespace qserv::core {
@@ -26,13 +25,11 @@ void SequentialServer::main_loop() {
   active_workers_.fetch_add(1, std::memory_order_acq_rel);
   while (!stop_requested()) {
     // S: spin in select until a client request arrives.
-    const vt::TimePoint idle0 = platform_.now();
-    const bool ready =
-        selectors_[0]->wait_until(platform_.now() + kSelectTimeout);
-    const vt::TimePoint idle1 = platform_.now();
-    st.breakdown.idle += idle1 - idle0;
-    if (st.tracer != nullptr && st.tracer->enabled() && idle1.ns > idle0.ns)
-      st.tracer->record(st.trace_track, "idle", idle0.ns, (idle1 - idle0).ns);
+    bool ready = false;
+    {
+      PhaseScope idle(platform_, st, Phase::kIdle);
+      ready = selectors_[0]->wait_until(platform_.now() + kSelectTimeout);
+    }
     if (!ready) {
       // No traffic woke us, but silent clients still age: reap them even
       // when no frames are running, or a lone stalled client would hold

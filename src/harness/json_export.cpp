@@ -9,31 +9,14 @@ namespace {
 
 void write_breakdown_pct(obs::JsonWriter& w, const core::BreakdownPct& p) {
   w.begin_object();
-  w.kv("exec", p.exec);
-  w.kv("lock_leaf", p.lock_leaf);
-  w.kv("lock_parent", p.lock_parent);
-  w.kv("receive", p.receive);
-  w.kv("reply", p.reply);
-  w.kv("world", p.world);
-  w.kv("intra_wait", p.intra_wait);
-  w.kv("inter_wait_world", p.inter_wait_world);
-  w.kv("inter_wait_frame", p.inter_wait_frame);
-  w.kv("idle", p.idle);
+  for (const core::Component& c : core::kComponents) w.kv(c.key, p.*c.pct);
   w.end_object();
 }
 
 void write_breakdown_ms(obs::JsonWriter& w, const core::Breakdown& b) {
   w.begin_object();
-  w.kv("exec", b.exec.millis());
-  w.kv("lock_leaf", b.lock_leaf.millis());
-  w.kv("lock_parent", b.lock_parent.millis());
-  w.kv("receive", b.receive.millis());
-  w.kv("reply", b.reply.millis());
-  w.kv("world", b.world.millis());
-  w.kv("intra_wait", b.intra_wait.millis());
-  w.kv("inter_wait_world", b.inter_wait_world.millis());
-  w.kv("inter_wait_frame", b.inter_wait_frame.millis());
-  w.kv("idle", b.idle.millis());
+  for (const core::Component& c : core::kComponents)
+    w.kv(c.key, (b.*c.ms).millis());
   w.end_object();
 }
 

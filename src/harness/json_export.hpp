@@ -19,6 +19,7 @@
 //        snapshot_entities_mean},
 //     "breakdown_pct": {exec, lock_leaf, lock_parent, receive, reply,
 //        world, intra_wait, inter_wait_world, inter_wait_frame, idle},
+//        (core::kComponents' keys, in its order)
 //     "breakdown_ms": {...same keys...},
 //     "locks": {...}, "lock_analysis": {...}, "wait": {...},
 //     "counters": {...}, "host_seconds",

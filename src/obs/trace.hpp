@@ -6,9 +6,9 @@
 // track has exactly one writer, so recording is two loads, a bump of a
 // plain index, and a struct store; there is no locking anywhere on the
 // hot path. The only shared state is the `enabled_` flag (one relaxed
-// atomic load per span — the single branch the hot path pays when tracing
-// is off). When the ring wraps, the oldest spans are overwritten and a
-// per-track dropped counter keeps the loss visible.
+// atomic load per span — all the hot path pays when tracing is off).
+// When the ring wraps, the oldest spans are overwritten and a per-track
+// dropped counter keeps the loss visible.
 //
 // Fleet mode (PR 7): one Tracer spans a whole multi-shard process. Each
 // track carries a Chrome *pid* so every shard engine renders as its own
@@ -30,10 +30,9 @@
 //
 // Time source: vt::Platform::now(), i.e. virtual time under SimPlatform
 // (deterministic, unperturbed by tracing — recording charges no modelled
-// compute) and wall time under RealPlatform.
-//
-// Compile-time kill switch: building with -DQSERV_OBS_NO_TRACING turns
-// TraceScope into an empty struct, removing even the branch.
+// compute) and wall time under RealPlatform. The server's phase spans
+// come from core::PhaseScope (core/frame_stats.hpp), which records each
+// span from the same two clock reads it charges to the §4 breakdown.
 #pragma once
 
 #include <atomic>
@@ -105,7 +104,7 @@ class Tracer {
   // shard labels) that can't be string literals.
   const char* intern(const std::string& s);
 
-  // Runtime switch, checked once per span by TraceScope.
+  // Runtime switch, checked once per span.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
@@ -168,10 +167,10 @@ class Tracer {
   std::deque<std::string> interned_;
 };
 
-#ifndef QSERV_OBS_NO_TRACING
-
 // RAII span: opens at construction, records at destruction. Cost when
-// `tracer` is null or disabled: one branch, nothing recorded.
+// `tracer` is null or disabled: one branch, nothing recorded. Server
+// phases use core::PhaseScope; this bare span is the unit whose cost
+// bench_obs_overhead gates.
 class TraceScope {
  public:
   TraceScope(Tracer* tracer, int track, const char* name, int64_t frame = -1)
@@ -196,14 +195,5 @@ class TraceScope {
   int64_t frame_;
   int64_t start_ns_ = 0;
 };
-
-#else  // QSERV_OBS_NO_TRACING: spans compile away entirely
-
-class TraceScope {
- public:
-  TraceScope(Tracer*, int, const char*, int64_t = -1) {}
-};
-
-#endif
 
 }  // namespace qserv::obs

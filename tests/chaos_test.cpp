@@ -1,14 +1,20 @@
 // Chaos suite: client-lifecycle hardening under scheduled network faults
 // and client churn. Covers the FaultScheduler timeline, server-side
 // liveness reaping (client_timeout), explicit reject messages, partition
-// heal/reconnect, the reassignment-vs-churn race, and a long churn soak
-// with the cross-structure InvariantChecker enabled throughout. Every
+// heal/reconnect, the reassignment-vs-churn race, a long churn soak
+// with the cross-structure InvariantChecker enabled throughout, and a
+// two-scenario run of the chaos campaign engine. Every
 // test runs on the simulated platform with fixed seeds and must pass
 // deterministically.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/net/virtual_udp.hpp"
 #include "src/bots/client_driver.hpp"
+#include "src/chaos/campaign.hpp"
 #include "src/core/parallel_server.hpp"
 #include "src/core/sequential_server.hpp"
 #include "src/harness/shard_experiment.hpp"
@@ -428,6 +434,73 @@ TEST(ShardChaos, FourShardFaultSoakKeepsEveryClient) {
     EXPECT_EQ(ps.invariant_violations, 0u);
     EXPECT_GT(ps.frames, 0u);
   }
+}
+
+// A two-scenario campaign with short windows, so the campaign engine
+// (baseline, step installation, the state-triggered re-crash poll,
+// verdicts, digest comparison) runs under ctest and its sanitizer jobs.
+TEST(ChaosCampaign, TwoScenarioMiniCampaignPasses) {
+  harness::ShardExperimentConfig base;
+  base.fleet.shards = 2;
+  base.fleet.server.threads = 2;
+  base.fleet.server.check_invariants = true;
+  base.fleet.server.recovery.enabled = true;
+  base.fleet.server.recovery.checkpoint_interval = 32;
+  base.fleet.server.recovery.journal_frames = 256;
+  base.fleet.boundary_margin = 1e9f;  // pinned sessions: digests comparable
+  base.players = 16;
+  base.warmup = vt::millis(500);
+  base.measure = vt::seconds(2);
+  base.client_silence_timeout = vt::seconds(2);
+  base.seed = 42;
+  const vt::Duration mid = base.warmup + vt::seconds(1);
+  using Kind = chaos::FaultStep::Kind;
+
+  chaos::Scenario crash;
+  crash.name = "single-crash";
+  crash.steps = {{.kind = Kind::kCrashShard, .at = mid, .shard = 1}};
+  crash.digest_shards = {0};
+  crash.expect_restored = {1};
+  crash.mode_shard = 1;
+  crash.expect_mode = "tail-replay";
+  chaos::Scenario recrash;
+  recrash.name = "crash-after-restore";
+  recrash.steps = {{.kind = Kind::kCrashShard, .at = mid, .shard = 1},
+                   {.kind = Kind::kCrashOnRestore, .at = mid, .shard = 1}};
+  recrash.digest_shards = {0};
+  recrash.expect_restored = {1};
+  for (chaos::Scenario* s : {&crash, &recrash}) {
+    // The restore pause is host-clock: a sanitizer build may overrun the
+    // budget, which the verdict then reports as degraded, not failed.
+    s->allow_slos = {"recovery_pause"};
+  }
+
+  chaos::Campaign campaign(base);
+  campaign.add(crash);
+  campaign.add(recrash);
+  const chaos::CampaignResult res = campaign.run();
+
+  ASSERT_TRUE(res.baseline_ok) << res.baseline_failures.front();
+  ASSERT_EQ(res.outcomes.size(), 2u);
+  for (const chaos::ScenarioOutcome& o : res.outcomes) {
+    EXPECT_TRUE(o.verdict.pass)
+        << o.name << ": " << o.verdict.failures.front();
+    EXPECT_GT(o.digest_frames_checked, 0u) << o.name;
+  }
+  EXPECT_EQ(res.outcomes[0].result.shards[1].restores, 1);
+  EXPECT_EQ(res.outcomes[1].result.shards[1].restores, 2);  // re-crashed
+  EXPECT_TRUE(res.all_passed());
+
+  // The standard suite (run by bench_chaos_campaign): distinct names, and
+  // every scenario injects something.
+  const std::vector<chaos::Scenario> suite = chaos::standard_scenarios(base);
+  std::set<std::string> names;
+  for (const chaos::Scenario& s : suite) {
+    EXPECT_FALSE(s.steps.empty()) << s.name;
+    names.insert(s.name);
+  }
+  EXPECT_EQ(names.size(), suite.size());
+  EXPECT_EQ(suite.size(), 11u);
 }
 
 // The same supervised-recovery story on the REAL platform: two shards on

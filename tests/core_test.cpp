@@ -137,7 +137,7 @@ TEST(LockManager, RegionsExcludeEachOther) {
   f.platform.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_GT(st1.breakdown.lock_leaf.ns, millis(3).ns);  // waited for a
-  EXPECT_EQ(st0.breakdown.lock_leaf.ns, st0.breakdown.lock_leaf.ns);
+  EXPECT_LT(st0.breakdown.lock_leaf.ns, micros(50).ns);  // a never waited
 }
 
 TEST(LockManager, DisjointRegionsRunConcurrently) {

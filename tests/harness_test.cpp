@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/experiment.hpp"
+#include "src/harness/json_export.hpp"
 #include "src/harness/report.hpp"
 #include "src/harness/sweep.hpp"
+#include "src/obs/json.hpp"
+#include "src/obs/json_parse.hpp"
 
 namespace qserv::harness {
 namespace {
@@ -58,17 +61,97 @@ TEST(SaturationHelper, FindsLastImprovingPoint) {
   EXPECT_EQ(saturation_players(pts, players), 64);
 }
 
-TEST(Report, BreakdownRowsAreWellFormed) {
+// A hand-built breakdown whose components all differ: 1000 ms in total.
+ExperimentResult hand_built_result() {
   ExperimentResult r;
-  r.breakdown.exec = vt::millis(40);
-  r.breakdown.reply = vt::millis(50);
-  r.breakdown.idle = vt::millis(10);
-  r.pct = core::to_percent(r.breakdown);
-  const auto header = breakdown_header("cfg");
-  const auto row = breakdown_row("x", r);
-  EXPECT_EQ(header.size(), row.size());
-  EXPECT_EQ(row[0], "x");
-  EXPECT_EQ(row[1], "40.0%");  // exec share
+  core::Breakdown& b = r.breakdown;
+  b.exec = vt::millis(100);
+  b.lock_leaf = vt::millis(50);
+  b.lock_parent = vt::millis(25);
+  b.receive = vt::millis(75);
+  b.reply = vt::millis(200);
+  b.world = vt::millis(150);
+  b.intra_wait = vt::millis(100);
+  b.inter_wait_world = vt::millis(60);
+  b.inter_wait_frame = vt::millis(40);
+  b.idle = vt::millis(200);
+  r.pct = core::to_percent(b);
+  r.response_rate = 1234.0;
+  r.response_ms_mean = 12.5;
+  r.frames = 77;
+  r.client_sessions = 9;
+  r.client_crashes = 2;
+  r.client_quits = 3;
+  r.client_rejoins = 4;
+  r.evictions = 5;
+  r.rejected_connects = 6;
+  r.invariant_violations = 0;
+  return r;
+}
+
+TEST(Report, BreakdownRowsAreWellFormed) {
+  const ExperimentResult r = hand_built_result();
+  EXPECT_EQ(r.breakdown.total().ns, vt::millis(1000).ns);
+  EXPECT_EQ(breakdown_header("cfg"),
+            (std::vector<std::string>{"cfg", "exec", "lock-leaf",
+                                      "lock-parent", "receive", "reply",
+                                      "world", "intra-wait", "inter-wait",
+                                      "idle"}));
+  EXPECT_EQ(breakdown_row("x", r),
+            (std::vector<std::string>{"x", "10.0%", "5.0%", "2.5%", "7.5%",
+                                      "20.0%", "15.0%", "10.0%", "10.0%",
+                                      "20.0%"}));
+}
+
+TEST(Report, LifecycleRowsAndSummary) {
+  const ExperimentResult r = hand_built_result();
+  const auto header = lifecycle_header("run");
+  const auto row = lifecycle_row("churn", r);
+  ASSERT_EQ(header.size(), row.size());
+  EXPECT_EQ(header[1], "sessions");
+  EXPECT_EQ(row, (std::vector<std::string>{"churn", "9", "2", "3", "4", "5",
+                                           "6", "0"}));
+  EXPECT_EQ(rate_row("r", r)[1], "1234");
+
+  testing::internal::CaptureStdout();
+  print_summary("2t/64p", r);
+  const std::string line = testing::internal::GetCapturedStdout();
+  EXPECT_NE(line.find("2t/64p"), std::string::npos) << line;
+  EXPECT_NE(line.find("rate=   1234 replies/s"), std::string::npos) << line;
+  EXPECT_NE(line.find("lock= 7.5% [leaf 5.0% par 2.5%]"), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("wait=20.0%"), std::string::npos) << line;
+  EXPECT_NE(line.find("frames=77"), std::string::npos) << line;
+}
+
+// qserv-trend reads the breakdown objects by key: the export must keep
+// the committed keys, in the committed order, with the breakdown's values.
+TEST(JsonExport, BreakdownKeysKeepTheirOrderAndValues) {
+  const ExperimentResult r = hand_built_result();
+  std::string out;
+  obs::JsonWriter w(out);
+  write_result_json(w, "2t/64p", ExperimentConfig{}, r);
+  obs::JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(obs::json_parse(out, doc, &err)) << err;
+
+  const std::vector<std::string> keys{
+      "exec",  "lock_leaf",  "lock_parent",      "receive",          "reply",
+      "world", "intra_wait", "inter_wait_world", "inter_wait_frame", "idle"};
+  const std::vector<double> ms{100, 50, 25, 75, 200, 150, 100, 60, 40, 200};
+  for (const char* object : {"breakdown_ms", "breakdown_pct"}) {
+    const obs::JsonValue* v = doc.find(object);
+    ASSERT_NE(v, nullptr) << object;
+    ASSERT_EQ(v->members.size(), keys.size()) << object;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(v->members[i].first, keys[i]) << object;
+      const double want =
+          std::string(object) == "breakdown_ms" ? ms[i] : ms[i] / 1000.0;
+      EXPECT_DOUBLE_EQ(v->members[i].second.number_or(-1), want)
+          << object << "." << keys[i];
+    }
+  }
+  EXPECT_EQ(doc.at_path("reply_share")->number_or(-1), 0.2);
 }
 
 TEST(Experiment, AccountingIdentitiesHold) {

@@ -4,14 +4,18 @@
 // one writer per track), and end-to-end harness integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/bots/client_driver.hpp"
+#include "src/core/parallel_server.hpp"
 #include "src/harness/experiment.hpp"
 #include "src/harness/json_export.hpp"
 #include "src/obs/collect.hpp"
@@ -20,7 +24,9 @@
 #include "src/obs/json_parse.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/slo.hpp"
+#include "src/net/virtual_udp.hpp"
 #include "src/obs/trace.hpp"
+#include "src/spatial/map_gen.hpp"
 #include "src/util/histogram.hpp"
 #include "src/vthread/real_platform.hpp"
 #include "src/vthread/sim_platform.hpp"
@@ -218,9 +224,7 @@ TEST(TracerTest, DisabledAndNullTracersRecordNothing) {
 
   tracer.set_enabled(true);
   { obs::TraceScope s(&tracer, t, "on"); }
-#ifndef QSERV_OBS_NO_TRACING
   EXPECT_EQ(tracer.total_recorded(), 1u);
-#endif
 }
 
 TEST(TracerTest, ChromeExportIsValidAndNamesTracks) {
@@ -275,7 +279,6 @@ TEST(TracerTest, ConcurrentSingleWriterTracks) {
   }
   for (auto& th : threads) th.join();
 
-#ifndef QSERV_OBS_NO_TRACING
   EXPECT_EQ(tracer.total_recorded(),
             static_cast<uint64_t>(kThreads) * kSpans);
   for (const int t : tracks) {
@@ -283,7 +286,6 @@ TEST(TracerTest, ConcurrentSingleWriterTracks) {
     EXPECT_EQ(tracer.dropped(t), static_cast<uint64_t>(kSpans) -
                                      cfg.capacity_per_track);
   }
-#endif
 }
 
 // ---- fleet-mode tracer: pids, instants, flows, interning --------------
@@ -388,6 +390,144 @@ TEST(TracerTest, TrackRegistrationIsSafeUnderConcurrentRecording) {
   EXPECT_EQ(tracer.total_recorded(),
             static_cast<uint64_t>(kWriters) * kSpans + 100);
   EXPECT_EQ(tracer.track_name(tracks[0]), "w0");
+}
+
+// ---- phase scopes: the trace and the breakdown agree -----------------
+
+// Per span name, the self time of every phase span on `track`: its
+// duration minus the phase spans nested directly inside it. Spans are
+// recorded when they close, so a parent follows its children.
+std::map<std::string, int64_t> phase_self_times(const obs::Tracer& tracer,
+                                                int track) {
+  std::vector<obs::TraceEvent> spans;
+  for (const obs::TraceEvent& e : tracer.events(track)) {
+    for (const core::Component& c : core::kComponents)
+      if (e.kind == obs::TraceEvent::Kind::kSpan &&
+          std::string_view(e.name) == c.span)
+        spans.push_back(e);
+  }
+  const auto end = [&](size_t i) {
+    return spans[i].start_ns + spans[i].dur_ns;
+  };
+  // Outermost first: by start, then longest, then recorded last.
+  std::vector<size_t> order(spans.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (spans[a].start_ns != spans[b].start_ns)
+      return spans[a].start_ns < spans[b].start_ns;
+    if (end(a) != end(b)) return end(a) > end(b);
+    return a > b;
+  });
+  std::map<std::string, int64_t> self;
+  std::vector<size_t> open;  // the enclosing spans, innermost last
+  for (const size_t i : order) {
+    while (!open.empty() && end(open.back()) <= spans[i].start_ns)
+      open.pop_back();
+    if (!open.empty()) {
+      EXPECT_LE(end(i), end(open.back())) << "spans overlap";
+      self[spans[open.back()].name] -= spans[i].dur_ns;
+    }
+    self[spans[i].name] += spans[i].dur_ns;
+    open.push_back(i);
+  }
+  return self;
+}
+
+void expect_trace_matches_breakdown(const obs::Tracer& tracer, int track,
+                                    const core::Breakdown& b) {
+  EXPECT_EQ(tracer.dropped(track), 0u);
+  const auto self = phase_self_times(tracer, track);
+  for (const core::Component& c : core::kComponents) {
+    const auto it = self.find(c.span);
+    EXPECT_EQ(it == self.end() ? 0 : it->second, (b.*c.ms).ns)
+        << c.span << " on track " << track;
+  }
+}
+
+TEST(PhaseScopeTest, TraceSelfTimesEqualTheBreakdownInVirtualTime) {
+  auto cfg = harness::paper_config(harness::ServerMode::kParallel, 2, 32,
+                                   core::LockPolicy::kOptimized);
+  cfg.seed = 11;
+  cfg.warmup = vt::Duration{};  // every span lies inside the measurement
+  cfg.measure = vt::seconds(2);
+  cfg.bot_aggression = 1.0f;
+  obs::Tracer tracer;
+  cfg.tracer = &tracer;
+  const auto r = harness::run_experiment(cfg);
+
+  EXPECT_GT(r.total_frags, 0u);
+  EXPECT_GT(r.breakdown.lock_parent.ns, 0);  // list locks nested in exec
+  EXPECT_GT(r.breakdown.exec.ns, 0);
+  ASSERT_EQ(tracer.track_count(), 2);
+  ASSERT_EQ(r.per_thread.size(), 2u);
+  for (int t = 0; t < 2; ++t)
+    expect_trace_matches_breakdown(tracer, t,
+                                   r.per_thread[static_cast<size_t>(t)]);
+}
+
+TEST(PhaseScopeTest, TraceSelfTimesEqualTheBreakdownOnRealThreads) {
+  vt::RealPlatform platform;
+  net::VirtualNetwork network(platform, {});
+  const auto map = spatial::make_large_deathmatch(7);
+  core::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.lock_policy = core::LockPolicy::kOptimized;
+  core::ParallelServer server(platform, network, map, scfg);
+  obs::Tracer tracer;
+  server.attach_observability(&tracer, nullptr);
+  bots::ClientDriver::Config dcfg;
+  dcfg.players = 8;
+  dcfg.frame_interval = vt::millis(10);
+  dcfg.aggression = 1.0f;
+  bots::ClientDriver driver(platform, network, map, server, dcfg);
+  server.start();
+  driver.start();
+  platform.call_after(vt::millis(600), [&] {
+    server.request_stop();
+    driver.request_stop();
+  });
+  platform.join_all();
+
+  EXPECT_GT(server.total_requests(), 0u);
+  EXPECT_GT(server.total_breakdown().lock().ns, 0);
+  for (int t = 0; t < 2; ++t)
+    expect_trace_matches_breakdown(
+        tracer, t, server.thread_stats()[static_cast<size_t>(t)].breakdown);
+}
+
+// The warmup boundary can land inside an open exec: the exec still
+// charges its elapsed time minus the list lock nested in it, however much
+// lock time the thread had before the reset.
+TEST(PhaseScopeTest, ResetInsideAnOpenScopeChargesElapsedMinusTheChild) {
+  vt::SimPlatform platform;
+  obs::Tracer tracer(platform);
+  core::ThreadStats st;
+  st.tracer = &tracer;
+  st.trace_track = tracer.make_track("t0");
+  st.breakdown.lock_leaf = vt::millis(40);  // the warmup's lock time
+  platform.spawn("t", vt::Domain::kServer, [&] {
+    core::PhaseScope exec(platform, st, core::Phase::kExec);
+    platform.compute(vt::millis(2));
+    st.reset();
+    {
+      core::PhaseScope lock(platform, st, core::Phase::kLockParent);
+      platform.compute(vt::millis(3));
+    }
+    platform.compute(vt::millis(1));
+  });
+  platform.run();
+
+  EXPECT_EQ(st.breakdown.exec.ns, vt::millis(3).ns);  // 6 elapsed - 3
+  EXPECT_EQ(st.breakdown.lock_parent.ns, vt::millis(3).ns);
+  EXPECT_EQ(st.breakdown.lock_leaf.ns, 0);
+  EXPECT_EQ(st.open_scope, nullptr);
+  EXPECT_EQ(st.tracer, &tracer);
+  const auto spans = tracer.events(st.trace_track);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(std::string(spans[0].name), "lock-parent");
+  EXPECT_EQ(std::string(spans[1].name), "exec");
+  EXPECT_EQ(spans[1].dur_ns, vt::millis(6).ns);
+  expect_trace_matches_breakdown(tracer, st.trace_track, st.breakdown);
 }
 
 // ---- metrics ----------------------------------------------------------
@@ -607,7 +747,6 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
   const auto r = harness::run_experiment(cfg);
   ASSERT_GT(r.frames, 0u);
 
-#ifndef QSERV_OBS_NO_TRACING
   EXPECT_GT(tracer.total_recorded(), 0u);
   const std::string json = tracer.export_chrome_trace();
   EXPECT_TRUE(JsonChecker(json).valid());
@@ -615,7 +754,6 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
     EXPECT_NE(json.find("\"" + std::string(phase) + "\""),
               std::string::npos)
         << "missing phase span: " << phase;
-#endif
 
   // Live instruments plus the end-of-run harvest.
   const auto samples = metrics.snapshot();
