@@ -1,11 +1,12 @@
-// The hook seam between the frame engine and its satellite subsystems
-// (recovery, resilience, observability — and eventually per-shard
-// plugins). The engine never calls a subsystem directly; it dispatches
-// through HookList at fixed points of the frame, and subsystems reach
-// back only through the Engine facade below. Callback *presence* is part
-// of replay determinism: a subsystem that draws serialization indexes or
-// charges modelled compute simply does not register when disabled, which
-// reproduces the old `if (recorder_ != nullptr)` gates exactly.
+// The hook seam between the Server (the frame engine) and its satellite
+// subsystems: recovery, resilience and the shard layer. The server never
+// calls a subsystem directly; it dispatches through HookList at fixed
+// points of the frame, and subsystems call back only through Server's
+// public methods (each adapter holds a core::Server&). Callback *presence*
+// is part of replay determinism: a subsystem that draws serialization
+// indexes or charges modelled compute simply does not register when
+// disabled, which reproduces the old `if (recorder_ != nullptr)` gates
+// exactly.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +15,8 @@
 
 #include "src/vthread/time.hpp"
 
-namespace qserv::vt {
-class Platform;
-}
-namespace qserv::obs {
-class Tracer;
-}
 namespace qserv::net {
 struct MoveCmd;
-}
-namespace qserv::sim {
-class World;
 }
 namespace qserv::recovery {
 enum class DropReason : uint8_t;
@@ -32,44 +24,7 @@ enum class DropReason : uint8_t;
 
 namespace qserv::core {
 
-class ClientRegistry;
-struct ServerConfig;
 struct ThreadStats;
-
-// The narrow engine surface subsystems may touch. Implemented by Server;
-// everything here is either a read or one of the engine-owned mutations a
-// subsystem is allowed to request (client migration off a stalled worker,
-// the governor's expensive-client eviction, a black-box dump).
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  virtual vt::Platform& platform() = 0;
-  virtual const ServerConfig& config() const = 0;
-  virtual const sim::World& world() const = 0;
-  virtual ClientRegistry& registry() = 0;
-  virtual obs::Tracer* tracer() const = 0;
-
-  virtual uint64_t frames() const = 0;
-  // Draws the next serialization index (replayed-mutation order).
-  virtual uint64_t draw_order() = 0;
-  // The next index that would be drawn (checkpoint capture).
-  virtual uint64_t order_count() const = 0;
-  // world_phase() arguments of the open frame (journal sealing).
-  virtual vt::TimePoint last_world_t0() const = 0;
-  virtual vt::Duration last_world_dt() const = 0;
-  virtual int connected_clients() const = 0;
-
-  // Moves every client owned by `stalled_tid` to live workers; returns
-  // clients migrated. Master window only.
-  virtual int migrate_clients_from(int stalled_tid, ThreadStats& st) = 0;
-  // Governor rung 4: evicts the most expensive client. Master window
-  // only.
-  virtual int evict_most_expensive(ThreadStats& st) = 0;
-  // Writes a black-box dump now; "" when recovery is disabled.
-  virtual std::string dump_blackbox(const std::string& label,
-                                    const std::string& why) = 0;
-};
 
 // Frame-scoped callbacks, dispatched at fixed points of every frame. All
 // default to no-ops so a hook overrides only the points it needs; no

@@ -1,6 +1,6 @@
 #include "src/core/parallel_server.hpp"
 
-#include "src/core/frame_pipeline.hpp"
+#include "src/core/lock_manager.hpp"
 #include "src/obs/trace.hpp"
 #include "src/resilience/engine_hook.hpp"
 #include "src/net/fault_scheduler.hpp"
@@ -13,10 +13,8 @@ ParallelServer::ParallelServer(vt::Platform& platform,
     : Server(platform, net, map, cfg),
       sync_mu_(platform.make_mutex("frame-sync")),
       sync_cv_(platform.make_condvar()) {
-  if (cfg_.resilience.watchdog_timeout.ns > 0) {
+  if (cfg_.resilience.watchdog_timeout.ns > 0)
     watchdog_ = resilience_->arm_watchdog(cfg_.threads);
-    pipeline_->context().watchdog = watchdog_;
-  }
 }
 
 void ParallelServer::start() {
@@ -93,7 +91,7 @@ void ParallelServer::worker_loop(int tid) {
       is_master = true;
       sync_.phase = FramePhase::kWorld;
       sync_.master = tid;
-      sync_.frame_id = pipeline_->advance_frame();
+      sync_.frame_id = advance_frame();
       sync_.participants = 1;
       sync_.participants_mask = 1ull << tid;
       sync_.done_processing = 0;
@@ -113,7 +111,7 @@ void ParallelServer::worker_loop(int tid) {
 
       lock_manager_->frame_reset();
       // P: world physics, performed by the master alone.
-      pipeline_->world_phase().run(st);
+      world_step(st);
       ++st.frames_as_master;
 
       // Extension: periodic dynamic re-partitioning of players to
@@ -122,7 +120,7 @@ void ParallelServer::worker_loop(int tid) {
       if (cfg_.assign_policy == AssignPolicy::kRegion &&
           cfg_.reassign_interval.ns > 0 &&
           platform_.now() >= next_reassign_) {
-        pipeline_->maintenance().reassign_clients();
+        reassign_clients();
         next_reassign_ = platform_.now() + cfg_.reassign_interval;
       }
 
@@ -156,15 +154,13 @@ void ParallelServer::worker_loop(int tid) {
     }
 
     // Rx/E: drain this thread's request queue.
-    const int moves = pipeline_->receive().drain(tid, st, /*use_locks=*/true);
+    const int moves = drain_requests(tid, st);
     st.requests_per_frame.add(moves);
     ++st.frames_participated;
 
     // Global synchronization before the reply phase.
     sync_mu_->lock();
-    if (frame_trace_enabled_ &&
-        !governor().at_least(resilience::kShedDebugWork))
-      record_frame_trace(st, sync_.frame_id, moves);
+    record_frame_trace(st, sync_.frame_id, moves);
     sync_.frame_moves += moves;
     ++sync_.done_processing;
     if (sync_.done_processing == sync_.participants) {
@@ -172,7 +168,7 @@ void ParallelServer::worker_loop(int tid) {
       // is frozen from here, so this is the single-threaded point where
       // the frame's events are sealed and the entity view is refreshed
       // for every thread to read.
-      pipeline_->reply().prepare(st);
+      prepare_replies(st);
       sync_.phase = FramePhase::kReply;
       platform_.compute(cfg_.costs.signal_syscall);
       sync_cv_->broadcast();
@@ -188,7 +184,7 @@ void ParallelServer::worker_loop(int tid) {
     // updates it pays for cover its other clients; the master also pays
     // for the clients of threads not participating in this frame.
     const uint64_t own = 1ull << tid;
-    pipeline_->reply().run(tid, st, is_master ? ~mask | own : own);
+    send_replies(tid, st, is_master ? ~mask | own : own);
 
     // Frame end.
     sync_mu_->lock();
@@ -207,15 +203,14 @@ void ParallelServer::worker_loop(int tid) {
       // Master duties (all participants are past their reply phase and
       // non-participants are blocked on kIdle, so this window is
       // single-threaded — safe for entity removal and the audit walk):
-      // the maintenance phase harvests per-frame lock statistics,
+      // harvest the per-frame lock statistics, then the master window
       // completes deferred lifecycle, reaps timed-out clients, runs the
       // subsystem master duties (watchdog adjudication, governor step),
       // seals the frame, audits, and records the frame metrics/trace.
       // Then signal the frame end to wake any threads that missed this
       // frame.
-      pipeline_->maintenance().run_master_window(tid, frame_start,
-                                                 frame_moves, st,
-                                                 /*harvest_locks=*/true);
+      lock_manager_->frame_harvest(frame_lock_stats_);
+      run_master_window(tid, frame_start, frame_moves, st);
 
       sync_mu_->lock();
       sync_.phase = FramePhase::kIdle;

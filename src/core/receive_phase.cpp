@@ -2,26 +2,25 @@
 // inline through the exec phase; connects and disconnects mutate only
 // session state here — their world-entity effects are deferred to the
 // maintenance window.
-#include "src/core/frame_pipeline.hpp"
+#include "src/core/server.hpp"
 
 #include <algorithm>
 #include <atomic>
 
 #include "src/recovery/journal.hpp"
-#include "src/resilience/governor.hpp"
+#include "src/resilience/engine_hook.hpp"
 
 namespace qserv::core {
 
-int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
-  PipelineContext& ctx = pipe_.ctx_;
+int Server::drain_requests(int tid, ThreadStats& st) {
   net::Datagram d;
   int moves = 0;
-  while (ctx.sockets[static_cast<size_t>(tid)]->try_recv(d)) {
+  while (sockets_[static_cast<size_t>(tid)]->try_recv(d)) {
     // Flood/oversize clamp: no legitimate client message approaches this
     // size, so drop before spending any parse work on it.
     if (d.payload.size() > resilience::kMaxPacketBytes) {
       ++st.packets_oversized;
-      ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kOversized);
+      hooks_.drop(tid, d.src_port, recovery::DropReason::kOversized);
       continue;
     }
     // --- receive + parse ---
@@ -32,9 +31,9 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
     net::ClientMsgType type{};
     bool parsed = false;
     {
-      PhaseScope receive(ctx.platform, st, Phase::kReceive);
-      ctx.platform.compute(ctx.cfg.costs.recv_parse);
-      client = ctx.registry.by_port(d.src_port);
+      PhaseScope receive(platform_, st, Phase::kReceive);
+      platform_.compute(cfg_.costs.recv_parse);
+      client = registry_.by_port(d.src_port);
       // Traffic for a slot owned by another thread. Only the owner thread
       // may touch the netchan — accept() here would race with the owner
       // draining the live port — so such datagrams are framed manually
@@ -64,21 +63,21 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
       // may safely proceed to handle_connect, which re-checks under the
       // clients lock.
       std::atomic_ref<int64_t>(client->last_heard_ns)
-          .store(ctx.platform.now().ns, std::memory_order_relaxed);
-      ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kStalePort);
+          .store(platform_.now().ns, std::memory_order_relaxed);
+      hooks_.drop(tid, d.src_port, recovery::DropReason::kStalePort);
       continue;
     }
     if (!parsed) {
-      ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kMalformed);
+      hooks_.drop(tid, d.src_port, recovery::DropReason::kMalformed);
       continue;
     }
     // Any well-formed traffic proves liveness, even stale duplicates.
     if (client != nullptr)
       std::atomic_ref<int64_t>(client->last_heard_ns)
-          .store(ctx.platform.now().ns, std::memory_order_relaxed);
+          .store(platform_.now().ns, std::memory_order_relaxed);
     if (client != nullptr && info.duplicate_or_old &&
         type == net::ClientMsgType::kMove) {
-      ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kDuplicate);
+      hooks_.drop(tid, d.src_port, recovery::DropReason::kDuplicate);
       continue;  // stale or duplicated move
     }
 
@@ -93,38 +92,35 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
           // A remembered evicted port gets one explicit kEvicted answer
           // (it may have been evicted by a previous incarnation of this
           // server and never learned); anyone else is silence.
-          if (ctx.registry.consume_remembered_eviction(d.src_port)) {
-            ctx.platform.compute(ctx.cfg.costs.send_syscall);
-            net::NetChannel reject(*ctx.sockets[static_cast<size_t>(tid)],
+          if (registry_.consume_remembered_eviction(d.src_port)) {
+            platform_.compute(cfg_.costs.send_syscall);
+            net::NetChannel reject(*sockets_[static_cast<size_t>(tid)],
                                    d.src_port);
             reject.send(
                 net::encode(net::RejectMsg{net::RejectReason::kEvicted}));
-            ctx.hooks.drop(tid, d.src_port,
-                           recovery::DropReason::kEvictedPort);
+            hooks_.drop(tid, d.src_port, recovery::DropReason::kEvictedPort);
           } else {
-            ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kUnknown);
+            hooks_.drop(tid, d.src_port, recovery::DropReason::kUnknown);
           }
           break;
         }
         if (client->pending_spawn || client->pending_disconnect) {
           // No entity to move yet (or no longer): the spawn/removal is
           // waiting for the master window.
-          ctx.hooks.drop(tid, d.src_port,
-                         recovery::DropReason::kConnectPending);
+          hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
           break;
         }
         // Backpressure: over-budget movers lose the excess moves here,
         // before any execution cost. Safe under the netchan resend model
         // — full state is retransmitted every snapshot.
-        if (!client->bucket.try_take(ctx.platform.now().ns)) {
+        if (!client->bucket.try_take(platform_.now().ns)) {
           ++st.moves_rate_limited;
-          ctx.hooks.drop(tid, d.src_port,
-                         recovery::DropReason::kRateLimited);
+          hooks_.drop(tid, d.src_port, recovery::DropReason::kRateLimited);
           break;
         }
         net::MoveCmd cmd;
         if (decode(body, cmd)) {
-          if (ctx.governor->at_least(resilience::kCoalesceMoves) &&
+          if (resilience_->governor().at_least(resilience::kCoalesceMoves) &&
               client->pending_reply) {
             // Governor rung 2: a client that already executed a move this
             // frame gets the rest of its backlog folded into the ack —
@@ -134,76 +130,71 @@ int ReceivePhase::drain(int tid, ThreadStats& st, bool use_locks) {
             client->client_baseline_frame =
                 std::max(client->client_baseline_frame, cmd.baseline_frame);
             ++st.moves_coalesced;
-            ctx.hooks.drop(tid, d.src_port,
-                           recovery::DropReason::kCoalesced);
+            hooks_.drop(tid, d.src_port, recovery::DropReason::kCoalesced);
           } else {
-            pipe_.exec_.run(tid, *client, cmd, st, use_locks);
+            execute_move(tid, *client, cmd, st);
             ++moves;
           }
         }
         break;
       }
       case net::ClientMsgType::kDisconnect:
-        if (client != nullptr) handle_disconnect(*client, st);
+        if (client != nullptr) handle_disconnect(*client);
         break;
     }
   }
   return moves;
 }
 
-void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
-                                  const net::ConnectMsg& msg,
-                                  ThreadStats& st) {
-  PipelineContext& ctx = pipe_.ctx_;
-  ClientRegistry& reg = ctx.registry;
+void Server::handle_connect(int tid, const net::Datagram& d,
+                            const net::ConnectMsg& msg, ThreadStats& st) {
   int slot = -1;
   bool busy = false;
   bool ack_now = false;  // slot already owns a live entity: ack directly
   // A resumed client's events start with this open frame's.
-  const uint64_t resume_through = pipe_.frames_ - 1;
+  const uint64_t resume_through = frames_ - 1;
   {
-    vt::LockGuard g(reg.mutex());
-    const int existing = reg.index_of_port_locked(d.src_port);
+    vt::LockGuard g(registry_.mutex());
+    const int existing = registry_.index_of_port_locked(d.src_port);
     if (existing >= 0) {
       slot = existing;
-      ClientSlot& c = reg.slot(slot);
+      ClientSlot& c = registry_.slot(slot);
       if (c.pending_spawn) {
         // Connect retry racing its own deferred spawn; the ack follows
         // the master window.
-        ctx.hooks.drop(tid, d.src_port,
-                       recovery::DropReason::kConnectPending);
+        hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
         return;
       }
       if (c.awaiting_resume) {
         // Warm restart, same port: the peer reset its channel for this
         // connect, so resume with a fresh one (the restored sequencing
         // only serves peers that never noticed the restart).
-        reg.resume_slot_locked(
-            c, *ctx.sockets[static_cast<size_t>(c.owner_thread)],
+        registry_.resume_slot_locked(
+            c, *sockets_[static_cast<size_t>(c.owner_thread)],
             resume_through);
-        ++reg.counters.resumed_clients;
-        ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kResumed);
-        ctx.hooks.client_resumed(d.src_port);
+        ++registry_.counters.resumed_clients;
+        hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
+        hooks_.client_resumed(d.src_port);
       } else {
-        ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kReconnectDup);
+        hooks_.drop(tid, d.src_port, recovery::DropReason::kReconnectDup);
       }
       ack_now = true;
-    } else if (reg.restored()) {
+    } else if (registry_.restored()) {
       // Warm restart, fresh port: a checkpointed client that noticed the
       // outage reconnects from a new socket; re-adopt its slot by name.
-      auto& slots = reg.slots();
+      auto& slots = registry_.slots();
       for (int i = 0; i < static_cast<int>(slots.size()); ++i) {
         ClientSlot& c = slots[static_cast<size_t>(i)];
         if (c.in_use && c.awaiting_resume && c.name == msg.name) {
-          reg.unbind_port_locked(c.remote_port);
+          registry_.unbind_port_locked(c.remote_port);
           c.remote_port = d.src_port;
-          reg.bind_port_locked(d.src_port, i);
-          reg.resume_slot_locked(
-              c, *ctx.sockets[static_cast<size_t>(c.owner_thread)],
+          registry_.bind_port_locked(d.src_port, i);
+          registry_.resume_slot_locked(
+              c, *sockets_[static_cast<size_t>(c.owner_thread)],
               resume_through);
-          ++reg.counters.resumed_clients;
-          ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kResumed);
-          ctx.hooks.client_resumed(d.src_port);
+          ++registry_.counters.resumed_clients;
+          hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
+          hooks_.client_resumed(d.src_port);
           slot = i;
           ack_now = true;
           break;
@@ -211,9 +202,9 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
       }
     }
     if (slot < 0 && !busy) {
-      if ((ctx.cfg.resilience.admission_control &&
-           ctx.governor->admission_overloaded()) ||
-          ctx.governor->draining()) {
+      if ((cfg_.resilience.admission_control &&
+           resilience_->governor().admission_overloaded()) ||
+          resilience_->governor().draining()) {
         // Admission control: the frame loop is already past its budget,
         // so serving the admitted population well beats admitting one
         // more player it cannot simulate. kServerBusy tells the client to
@@ -222,19 +213,19 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
         // unconditionally — "retry later" is literally true, since the
         // next generation will be serving these ports momentarily.
         busy = true;
-        ++reg.counters.rejected_busy;
+        ++registry_.counters.rejected_busy;
       } else {
-        slot = reg.find_free_locked();
-        if (slot < 0) ++reg.counters.rejected_connects;  // rejected below
+        slot = registry_.find_free_locked();
+        if (slot < 0) ++registry_.counters.rejected_connects;  // rejected below
       }
     }
-    if (slot >= 0 && !reg.slot(slot).in_use) {
+    if (slot >= 0 && !registry_.slot(slot).in_use) {
       // Fresh slot: record identity and defer the entity spawn (and the
       // ack) to the master's between-frames window, where creation is
       // single-threaded and takes a serialization index.
-      reg.init_pending_slot_locked(slot, d.src_port, tid, msg.name);
+      registry_.init_pending_slot_locked(slot, d.src_port, tid, msg.name);
       ++st.connects;
-      ctx.hooks.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
+      hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
     }
   }
 
@@ -243,41 +234,38 @@ void ReceivePhase::handle_connect(int tid, const net::Datagram& d,
     // outright (the seed silently dropped the datagram, Quake-style, so
     // a refused client hammered the port forever); kServerBusy invites a
     // backed-off retry once load recedes.
-    ctx.platform.compute(ctx.cfg.costs.send_syscall);
-    net::NetChannel reject(*ctx.sockets[static_cast<size_t>(tid)],
-                           d.src_port);
+    platform_.compute(cfg_.costs.send_syscall);
+    net::NetChannel reject(*sockets_[static_cast<size_t>(tid)], d.src_port);
     reject.send(net::encode(net::RejectMsg{
         busy ? net::RejectReason::kServerBusy
              : net::RejectReason::kServerFull}));
-    ctx.hooks.drop(tid, d.src_port,
-                   busy ? recovery::DropReason::kRejectedBusy
-                        : recovery::DropReason::kRejectedFull);
+    hooks_.drop(tid, d.src_port,
+                busy ? recovery::DropReason::kRejectedBusy
+                     : recovery::DropReason::kRejectedFull);
     return;
   }
   if (!ack_now) return;  // deferred: the master window sends the ack
 
-  ClientSlot& c = reg.slot(slot);
-  const sim::Entity* player = ctx.world.get(c.entity_id);
+  ClientSlot& c = registry_.slot(slot);
+  const sim::Entity* player = world_.get(c.entity_id);
   net::ConnectAck ack;
   ack.player_id = c.entity_id;
-  ack.server_frame = static_cast<uint32_t>(pipe_.frames_);
+  ack.server_frame = static_cast<uint32_t>(frames_);
   ack.assigned_port =
-      static_cast<uint16_t>(ctx.cfg.base_port + c.owner_thread);
+      static_cast<uint16_t>(cfg_.base_port + c.owner_thread);
   if (player != nullptr) ack.spawn_origin = player->origin;
-  ctx.platform.compute(ctx.cfg.costs.send_syscall);
+  platform_.compute(cfg_.costs.send_syscall);
   c.chan->send(net::encode(ack));
 }
 
-void ReceivePhase::handle_disconnect(ClientSlot& client, ThreadStats& st) {
-  (void)st;
-  PipelineContext& ctx = pipe_.ctx_;
-  vt::LockGuard g(ctx.registry.mutex());
+void Server::handle_disconnect(ClientSlot& client) {
+  vt::LockGuard g(registry_.mutex());
   if (!client.in_use) return;
   if (client.pending_spawn) {
     // The connect never reached the master window: no entity, no channel
     // — just free the slot.
-    ctx.registry.unbind_port_locked(client.remote_port);
-    ctx.registry.release_slot_locked(client);
+    registry_.unbind_port_locked(client.remote_port);
+    registry_.release_slot_locked(client);
     return;
   }
   // Entity removal is deferred to the master's between-frames window —
@@ -285,7 +273,7 @@ void ReceivePhase::handle_disconnect(ClientSlot& client, ThreadStats& st) {
   // so destruction never races another worker's gather and replays in
   // serialization order. The disconnect datagram itself woke a frame, so
   // that window runs before this drain's frame ends.
-  ctx.registry.mark_disconnect_locked(client);
+  registry_.mark_disconnect_locked(client);
 }
 
 }  // namespace qserv::core

@@ -7,11 +7,12 @@
 // client slots or the entity storage; the per-thread arena supplies every
 // container, so a steady-state reply allocates only the client's history
 // entry.
-#include "src/core/frame_pipeline.hpp"
+#include "src/core/server.hpp"
 
 #include <algorithm>
 
-#include "src/resilience/governor.hpp"
+#include "src/core/frame_arena.hpp"
+#include "src/resilience/engine_hook.hpp"
 
 namespace qserv::core {
 
@@ -19,24 +20,22 @@ namespace qserv::core {
 // acknowledged frame has fallen further behind gets a full snapshot.
 constexpr size_t kSnapshotHistory = 8;
 
-void ReplyPhase::prepare(ThreadStats& st) {
-  PipelineContext& ctx = pipe_.ctx_;
-  pipe_.frame_events_ = ctx.global_events.seal_frame(pipe_.frames_);
-  if (ctx.global_events.trim_due())
-    ctx.global_events.trim_through(
-        ctx.registry.events_complete_through(pipe_.frames_));
-  ctx.registry.flush_deferred_replies();
-  PhaseScope reply(ctx.platform, st, Phase::kReply);
-  ctx.world.refresh_view();
+void Server::prepare_replies(ThreadStats& st) {
+  frame_events_ = global_events_.seal_frame(frames_);
+  if (global_events_.trim_due())
+    global_events_.trim_through(registry_.events_complete_through(frames_));
+  registry_.flush_deferred_replies();
+  PhaseScope reply(platform_, st, Phase::kReply);
+  world_.refresh_view();
 }
 
-void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
-  PipelineContext& ctx = pipe_.ctx_;
-  const sim::CostModel& costs = ctx.cfg.costs;
-  FrameArena& arena = pipe_.arena(tid);
-  PhaseScope reply(ctx.platform, st, Phase::kReply);
-  const bool thin_far = ctx.governor->at_least(resilience::kThinFarEntities);
-  const auto frame = static_cast<uint32_t>(pipe_.frames_);
+void Server::send_replies(int tid, ThreadStats& st, uint64_t charged_owners) {
+  const sim::CostModel& costs = cfg_.costs;
+  FrameArena& arena = *arenas_[static_cast<size_t>(tid)];
+  PhaseScope reply(platform_, st, Phase::kReply);
+  const bool thin_far =
+      resilience_->governor().at_least(resilience::kThinFarEntities);
+  const auto frame = static_cast<uint32_t>(frames_);
   static_assert(net::NetChannel::kHeaderReserve == sizeof(uint64_t));
 
   // §3.3: every client this thread covers (`charged_owners`) has its
@@ -47,19 +46,19 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
   // charge stream equals the per-client loop's.
   const vt::Duration per_update =
       costs.per_buffer_update +
-      costs.per_event * static_cast<int64_t>(pipe_.frame_events_);
+      costs.per_event * static_cast<int64_t>(frame_events_);
   int replied = 0, updated = 0;
   const auto update_buffers_below = [&](int slot) {
-    const int n = ctx.registry.active_below(charged_owners, slot) - replied -
+    const int n = registry_.active_below(charged_owners, slot) - replied -
                   updated;
-    if (n > 0) ctx.platform.compute(per_update * static_cast<int64_t>(n));
+    if (n > 0) platform_.compute(per_update * static_cast<int64_t>(n));
     updated += std::max(n, 0);
   };
 
-  std::vector<int>& queue = ctx.registry.reply_queue(tid);
+  std::vector<int>& queue = registry_.reply_queue(tid);
   std::sort(queue.begin(), queue.end());  // answer in slot order
   for (const int slot : queue) {
-    ClientSlot& c = ctx.registry.slot(slot);
+    ClientSlot& c = registry_.slot(slot);
     if (c.reply_queue != tid) continue;  // stale or duplicate entry
     c.reply_queue = -1;
     if (c.pending_disconnect) continue;
@@ -68,29 +67,29 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
     // worker is still sending moves to the dead port, so waiting for a
     // request it can deliver would deadlock — it must be *told* the new
     // port to have one.
-    const sim::Entity* player = ctx.world.get(c.entity_id);
+    const sim::Entity* player = world_.get(c.entity_id);
     if (player == nullptr) continue;
     update_buffers_below(slot);
     // Every logged frame's events since the client's last reply (or
     // join), this frame's included.
     std::vector<net::GameEvent>& events = arena.events;
     events.clear();
-    ctx.global_events.events_after(c.events_through, events);
-    c.events_through = pipe_.frames_;
+    global_events_.events_after(c.events_through, events);
+    c.events_through = frames_;
     net::Snapshot& snap = arena.snap;
-    sim::sweep_snapshot(ctx.world, *player, frame, c.last_seq,
+    sim::sweep_snapshot(world_, *player, frame, c.last_seq,
                         c.last_move_time_ns, events, snap, arena.rows,
                         thin_far);
     if (c.notify_port) {
       snap.assigned_port =
-          static_cast<uint16_t>(ctx.cfg.base_port + c.owner_thread);
+          static_cast<uint16_t>(cfg_.base_port + c.owner_thread);
       c.notify_port = false;
     }
 
     // Find the delta baseline (newest snapshot the client reports
     // having reconstructed); full snapshot if no longer in history.
     const ClientSlot::SentSnapshot* baseline = nullptr;
-    if (ctx.cfg.delta_snapshots && c.client_baseline_frame != 0) {
+    if (cfg_.delta_snapshots && c.client_baseline_frame != 0) {
       for (auto it = c.history.rbegin(); it != c.history.rend(); ++it) {
         if (it->server_frame == c.client_baseline_frame) {
           baseline = &*it;
@@ -99,18 +98,18 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
       }
     }
 
-    ctx.platform.compute(costs.reply_base + costs.send_syscall);
+    platform_.compute(costs.reply_base + costs.send_syscall);
     net::ByteWriter& w = arena.wire;
     w.clear();
     w.u64(0);  // headroom for the channel header send_in_place stamps
     if (baseline != nullptr) {
-      sim::write_delta_snapshot(snap, ctx.world.view(), arena.rows,
+      sim::write_delta_snapshot(snap, world_.view(), arena.rows,
                                 baseline->entities, baseline->server_frame,
                                 arena.enc_scratch, w);
     } else {
-      sim::write_full_snapshot(snap, ctx.world.view(), arena.rows, w);
+      sim::write_full_snapshot(snap, world_.view(), arena.rows, w);
     }
-    if (ctx.cfg.delta_snapshots) {
+    if (cfg_.delta_snapshots) {
       c.history.push_back({snap.server_frame, snap.entities});
       while (c.history.size() > kSnapshotHistory) c.history.pop_front();
     }
@@ -121,7 +120,7 @@ void ReplyPhase::run(int tid, ThreadStats& st, uint64_t charged_owners) {
     ++replied;
   }
   queue.clear();
-  update_buffers_below(static_cast<int>(ctx.registry.slots().size()));
+  update_buffers_below(static_cast<int>(registry_.slots().size()));
 }
 
 }  // namespace qserv::core

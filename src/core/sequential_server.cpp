@@ -1,8 +1,5 @@
 #include "src/core/sequential_server.hpp"
 
-#include "src/core/frame_pipeline.hpp"
-#include "src/resilience/governor.hpp"
-
 namespace qserv::core {
 
 SequentialServer::SequentialServer(vt::Platform& platform,
@@ -35,40 +32,37 @@ void SequentialServer::main_loop() {
       // when no frames are running, or a lone stalled client would hold
       // its slot forever.
       if (reap_due()) {
-        pipeline_->maintenance().reap_timed_out_clients(st);
-        pipeline_->maintenance().run_invariant_check();
+        reap_timed_out_clients(st);
+        run_invariant_check();
       }
       hooks_.idle_wait(0);
       continue;
     }
     platform_.compute(cfg_.costs.select_syscall);
 
-    const uint64_t fid = pipeline_->advance_frame();
+    const uint64_t fid = advance_frame();
     ++st.frames_participated;
     const vt::TimePoint frame_start = platform_.now();
 
     // P: world physics.
-    pipeline_->world_phase().run(st);
+    world_step(st);
 
     // Rx/E: receive and process requests until the queue is empty.
-    const int moves = pipeline_->receive().drain(0, st, /*use_locks=*/false);
+    const int moves = drain_requests(0, st);
     st.requests_per_frame.add(moves);
-    if (frame_trace_enabled_ &&
-        !governor().at_least(resilience::kShedDebugWork))
-      record_frame_trace(st, fid, moves);
+    record_frame_trace(st, fid, moves);
 
     // T/Tx: form and send replies to everyone who sent a request, and
-    // buffer global updates for everyone else. prepare() seals the
-    // frame's events and refreshes the entity view.
-    pipeline_->reply().prepare(st);
-    pipeline_->reply().run(0, st, /*charged_owners=*/1);
+    // buffer global updates for everyone else. prepare_replies() seals
+    // the frame's events and refreshes the entity view.
+    prepare_replies(st);
+    send_replies(0, st, /*charged_owners=*/1);
 
-    // Frame end: the maintenance phase completes deferred lifecycle,
-    // reaps timed-out clients, runs the subsystem master duties (governor
+    // Frame end: the master window completes deferred lifecycle, reaps
+    // timed-out clients, runs the subsystem master duties (governor
     // step), seals the frame, audits, and records the frame
     // metrics/trace.
-    pipeline_->maintenance().run_master_window(0, frame_start, moves, st,
-                                               /*harvest_locks=*/false);
+    run_master_window(0, frame_start, moves, st);
   }
   // Must stay the last statement touching `this`: once the count hits
   // zero a shard supervisor may destroy the engine (Shard::quiesced()).

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 
-#include "src/core/frame_pipeline.hpp"
+#include "src/core/frame_arena.hpp"
 #include "src/core/invariant_checker.hpp"
 #include "src/core/lock_manager.hpp"
-#include "src/obs/engine_hook.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/recovery/checkpoint.hpp"
 #include "src/recovery/engine_hook.hpp"
@@ -70,14 +70,10 @@ Server::Server(vt::Platform& platform, net::Transport& net,
     hooks_.add(static_cast<FrameHook*>(recovery_.get()));
     hooks_.add(static_cast<LifecycleObserver*>(recovery_.get()));
   }
-  obs_hook_ = std::make_unique<obs::ServerObs>(*this);
-  hooks_.add(static_cast<FrameHook*>(obs_hook_.get()));
-  // The engine proper, built over everything above. The watchdog slot
-  // stays null until ParallelServer arms one.
-  pipeline_ = std::make_unique<FramePipeline>(PipelineContext{
-      platform_, cfg_, world_, global_events_, *lock_manager_, registry_,
-      sockets_, stats_, frame_lock_stats_, hooks_, &resilience_->governor(),
-      nullptr, invariants_.get(), this});
+  // The per-thread frame scratch, built over everything above.
+  arenas_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i)
+    arenas_.push_back(std::make_unique<FrameArena>());
 }
 
 Server::~Server() = default;
@@ -189,11 +185,20 @@ void Server::attach_observability(obs::Tracer* tracer,
             : -1;
   }
   lock_manager_->set_metrics(metrics);
-  obs_hook_->attach(metrics);
+  frame_duration_ms_ =
+      metrics != nullptr
+          ? &metrics->histogram("server.frame_duration_ms", 1e-3)
+          : nullptr;
+  moves_per_frame_ = metrics != nullptr
+                         ? &metrics->histogram("server.moves_per_frame", 0.5)
+                         : nullptr;
 }
 
 void Server::record_frame_trace(ThreadStats& st, uint64_t frame_id,
                                 int moves) {
+  if (!frame_trace_enabled_ ||
+      resilience_->governor().at_least(resilience::kShedDebugWork))
+    return;
   if (st.frame_trace.size() <
       static_cast<size_t>(std::max(0, cfg_.frame_trace_limit))) {
     st.frame_trace.emplace_back(frame_id, moves);
@@ -303,7 +308,11 @@ recovery::LoadError Server::restore_from(
   // last replayed frame (the checkpoint capture time when no tail ran).
   world_.rebase_times(platform_.now() - vt::TimePoint{resume_t_ns});
 
-  pipeline_->restore(rs.resume_frame, c.next_order);
+  // Resume the frame/order counters and restart the world step's dt
+  // clock at now.
+  frames_ = rs.resume_frame;
+  order_ctr_.store(c.next_order, std::memory_order_relaxed);
+  last_world_ = platform_.now();
 
   // Replies sent during the tail advanced each channel's out-sequence
   // past the checkpointed value; a peer that saw them would discard
@@ -388,7 +397,7 @@ bool Server::adopt_session(const SessionTransfer& t) {
   const int owner = idx % std::max(1, cfg_.threads);
   ClientSlot& cl = registry_.install_slot_locked(
       idx, t.remote_port, t.name, e.id, owner,
-      *sockets_[static_cast<size_t>(owner)], pipeline_->frames());
+      *sockets_[static_cast<size_t>(owner)], frames_);
   cl.last_seq = t.last_seq;
   cl.last_move_time_ns = t.last_move_time_ns;
   cl.chan->restore_state(t.chan_out_seq, t.chan_in_seq, t.chan_in_acked);
@@ -410,28 +419,22 @@ std::string Server::dump_blackbox(const std::string& label,
   return recovery_ == nullptr ? "" : recovery_->dump(label, why);
 }
 
-// --- Engine facade (hook seam) ----------------------------------------------
-
-uint64_t Server::frames() const { return pipeline_->frames(); }
-
-uint64_t Server::draw_order() { return pipeline_->draw_order(); }
-
-uint64_t Server::order_count() const { return pipeline_->order_count(); }
-
-vt::TimePoint Server::last_world_t0() const {
-  return pipeline_->last_world_t0();
-}
-
-vt::Duration Server::last_world_dt() const {
-  return pipeline_->last_world_dt();
-}
-
-int Server::migrate_clients_from(int stalled_tid, ThreadStats& st) {
-  return pipeline_->maintenance().reassign_clients_from(stalled_tid, st);
-}
-
-int Server::evict_most_expensive(ThreadStats& st) {
-  return pipeline_->maintenance().evict_most_expensive(st);
+void Server::world_step(ThreadStats& st) {
+  PhaseScope world(platform_, st, Phase::kWorld,
+                   static_cast<int64_t>(frames_));
+  const vt::TimePoint t0 = world.start();
+  vt::Duration dt = t0 - last_world_;
+  // Clamp: the first frame (and long idle gaps) must not produce a huge
+  // physics step.
+  dt.ns = std::clamp<int64_t>(dt.ns, 0, vt::millis(100).ns);
+  last_world_ = t0;
+  last_world_t0_ = t0;
+  last_world_dt_ = dt;
+  // The tick is a journaled, serialization-indexed mutation (the recovery
+  // hook draws the index), so replay interleaves it correctly with
+  // lifecycle ops applied between frames.
+  hooks_.world_tick(static_cast<int>(&st - stats_.data()), t0, dt);
+  world_.world_phase(t0, dt, global_events_);
 }
 
 }  // namespace qserv::core

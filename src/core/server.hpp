@@ -1,14 +1,15 @@
-// Shared shell of the sequential and parallel game servers. The frame
-// work itself lives in the layered engine (frame_pipeline.hpp: explicit
-// Receive/World/Exec/Reply/Maintenance phase objects over the session
-// layer in client_registry.hpp); the satellite subsystems — recovery,
-// resilience, observability — attach through the hook seam in
-// frame_hooks.hpp. Server implements the Engine facade those hooks see,
-// wires everything together at construction, and keeps the public
-// statistics/lifecycle API the harness, tests and benches consume. The two
+// The game server engine: one class over one shared game state, as in
+// the paper's frame loop (select -> world P -> receive/execute Rx/E ->
+// reply T/Tx). Server owns the state and runs the frame as its own
+// methods, one TU per phase: the world step in server.cpp, Rx in
+// receive_phase.cpp, E in exec_phase.cpp, T/Tx in reply_phase.cpp and the
+// master's between-frames window in maintenance_phase.cpp. The session
+// layer is ClientRegistry (client_registry.hpp); the satellite subsystems
+// (recovery, resilience, the shard layer) attach through the hook seam in
+// frame_hooks.hpp and call back into this class's public methods. The two
 // concrete servers (sequential_server.hpp, parallel_server.hpp) differ
-// only in their main loops — exactly the relationship between the original
-// QuakeWorld server and the paper's pthreads port.
+// only in their main loops — exactly the relationship between the
+// original QuakeWorld server and the paper's pthreads port.
 #pragma once
 
 #include <atomic>
@@ -26,8 +27,8 @@
 #include "src/sim/world.hpp"
 
 namespace qserv::obs {
+class HistogramMetric;
 class MetricsRegistry;
-class ServerObs;
 class Tracer;
 }
 
@@ -47,15 +48,15 @@ class WorkerWatchdog;
 
 namespace qserv::core {
 
-class FramePipeline;
+struct FrameArena;
 class InvariantChecker;
 class LockManager;
 
-class Server : public Engine {
+class Server {
  public:
   Server(vt::Platform& platform, net::Transport& net,
          const spatial::GameMap& map, ServerConfig cfg);
-  ~Server() override;
+  virtual ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -92,7 +93,7 @@ class Server : public Engine {
   const FrameLockStats& frame_lock_stats() const { return frame_lock_stats_; }
   Breakdown total_breakdown() const;
   LockStats total_lock_stats() const;
-  uint64_t frames() const override;
+  uint64_t frames() const { return frames_; }
   uint64_t total_replies() const;
   uint64_t total_requests() const;
   // Zeroes all measurement state (warmup boundary), including the per-run
@@ -133,7 +134,7 @@ class Server : public Engine {
   void attach_observability(obs::Tracer* tracer,
                             obs::MetricsRegistry* metrics, int trace_pid,
                             const std::string& track_prefix);
-  obs::Tracer* tracer() const override { return tracer_; }
+  obs::Tracer* tracer() const { return tracer_; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   // Dynamic-assignment client migrations performed so far.
@@ -246,7 +247,7 @@ class Server : public Engine {
   // Writes a black-box dump (latest checkpoint, journal tail, trace,
   // meta) now; returns the dump directory or "" (disabled / I/O failure).
   std::string dump_blackbox(const std::string& label,
-                            const std::string& why) override;
+                            const std::string& why);
 
   // --- cross-shard session handoff (master window / pre-start only) ---
   // A player session packaged for adoption by a neighboring shard engine:
@@ -297,26 +298,42 @@ class Server : public Engine {
   uint64_t handoffs_out() const { return registry_.counters.handoffs_out; }
   uint64_t handoffs_in() const { return registry_.counters.handoffs_in; }
 
-  const sim::World& world() const override { return world_; }
+  vt::Platform& platform() { return platform_; }
+  const sim::World& world() const { return world_; }
   sim::World& world() { return world_; }
-  const ServerConfig& config() const override { return cfg_; }
+  const ServerConfig& config() const { return cfg_; }
   LockManager& lock_manager() { return *lock_manager_; }
   const LockManager& lock_manager() const { return *lock_manager_; }
   // The session layer (slot lifecycle, port map, per-run counters).
-  ClientRegistry& registry() override { return registry_; }
+  ClientRegistry& registry() { return registry_; }
   const ClientRegistry& registry() const { return registry_; }
-  int connected_clients() const override { return registry_.connected(); }
+  int connected_clients() const { return registry_.connected(); }
   // The global state buffer and its sealed-event log.
   const GlobalStateBuffer& global_events() const { return global_events_; }
 
-  // --- Engine facade (hook seam; see frame_hooks.hpp) ---
-  vt::Platform& platform() override { return platform_; }
-  uint64_t draw_order() override;
-  uint64_t order_count() const override;
-  vt::TimePoint last_world_t0() const override;
-  vt::Duration last_world_dt() const override;
-  int migrate_clients_from(int stalled_tid, ThreadStats& st) override;
-  int evict_most_expensive(ThreadStats& st) override;
+  // --- frame progression (the hooks' view of the open frame) ---
+  // Serialization-index counter: every world mutation takes one; replay
+  // applies records in this order. Moves draw theirs after acquiring
+  // their region locks, so conflicting moves' indexes order exactly as
+  // their executions did.
+  uint64_t draw_order() {
+    return order_ctr_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // The next index that would be drawn (checkpoint capture).
+  uint64_t order_count() const {
+    return order_ctr_.load(std::memory_order_relaxed);
+  }
+  // (t0, dt) of the open frame's world step (journal sealing).
+  vt::TimePoint last_world_t0() const { return last_world_t0_; }
+  vt::Duration last_world_dt() const { return last_world_dt_; }
+
+  // --- master-window verbs (called by the resilience hook) ---
+  // Migrates every client owned by `stalled_tid` to live workers; returns
+  // clients migrated.
+  int migrate_clients_from(int stalled_tid);
+  // Governor rung 4: evicts the most expensive client since the last
+  // scan; resets every scan counter. Returns 0 or 1.
+  int evict_most_expensive(ThreadStats& st);
 
  protected:
   // How long an idle worker blocks in select() before re-checking the
@@ -333,8 +350,55 @@ class Server : public Engine {
   // reap_due()).
   bool watchdog_due(int self_tid) const;
 
-  // Appends to `st.frame_trace` under the configured cap (§5.2 trace).
+  // Appends to `st.frame_trace` under the configured cap (§5.2 trace);
+  // a no-op unless tracing is on and the governor sheds no debug work.
   void record_frame_trace(ThreadStats& st, uint64_t frame_id, int moves);
+
+  // --- the frame, one method per phase (both drivers call these) ---
+  // Opens the next frame; returns its id. Caller serializes (the
+  // sequential loop, or the parallel master under the frame-sync mutex).
+  uint64_t advance_frame() { return ++frames_; }
+
+  // P (server.cpp): the master's world-physics step. Fixes (t0, dt) for
+  // the frame, notifies hooks (the journal's world-tick record), runs the
+  // physics.
+  void world_step(ThreadStats& st);
+
+  // Rx (receive_phase.cpp): drains one thread's socket, framing datagrams
+  // through the owning netchan, and dispatches connects / moves /
+  // disconnects. Moves execute inline through execute_move (E,
+  // exec_phase.cpp). Returns moves executed.
+  int drain_requests(int tid, ThreadStats& st);
+
+  // T/Tx (reply_phase.cpp). Single-threaded frame setup at the flip into
+  // the reply phase (the world is frozen from here on): seals the frame's
+  // global events into the event log (trimming it when due), queues the
+  // clients resumed this frame, and refreshes the world's entity view.
+  // The refresh is a reply phase on `st` (host time on RealPlatform); it
+  // charges no virtual time.
+  void prepare_replies(ThreadStats& st);
+  // Answers the clients in `tid`'s reply queue, in slot order, and
+  // charges the §3.3 buffer update of every other active client owned by
+  // a thread in the bitmask `charged_owners` — the thread's own, plus, on
+  // the parallel master, those of threads outside the frame.
+  void send_replies(int tid, ThreadStats& st, uint64_t charged_owners);
+
+  // Maintenance (maintenance_phase.cpp): the master's single-threaded
+  // between-frames window, plus the entry points the idle paths use. All
+  // client-lifecycle mutation outside the receive phase lives here.
+  // The full frame-end window: complete deferred lifecycle, reap
+  // timeouts, dispatch the master-window / frame-sealed hooks, audit
+  // invariants (unless shed), observe the frame metrics, dispatch the
+  // frame-end hooks, and emit the frame span.
+  void run_master_window(int tid, vt::TimePoint frame_start, int frame_moves,
+                         ThreadStats& st);
+  // Reaps every client silent past cfg.client_timeout. Returns evictions.
+  int reap_timed_out_clients(ThreadStats& st);
+  // Region re-partitioning of all clients (assign_policy == kRegion).
+  int reassign_clients();
+  // Runs the cross-structure audit when configured; a violating run
+  // triggers a black-box dump.
+  void run_invariant_check();
 
   vt::Platform& platform_;
   net::Transport& net_;
@@ -355,11 +419,15 @@ class Server : public Engine {
   bool frame_trace_enabled_ = false;
   obs::Tracer* tracer_ = nullptr;            // non-owning, may be null
   obs::MetricsRegistry* metrics_ = nullptr;  // non-owning, may be null
+  // Whole-frame histograms in metrics_ (null when detached).
+  obs::HistogramMetric* frame_duration_ms_ = nullptr;
+  obs::HistogramMetric* moves_per_frame_ = nullptr;
   std::atomic<uint64_t> stalls_injected_{0};
   vt::TimePoint next_reassign_{};
 
   // Raw view of the watchdog owned by resilience_; set by ParallelServer
-  // when it arms one (hot-path heartbeat/check without an extra hop).
+  // when it arms one (hot-path heartbeat/check and the stall oracle for
+  // migration targeting without an extra hop).
   resilience::WorkerWatchdog* watchdog_ = nullptr;
 
   // --- the hook seam ---
@@ -368,12 +436,42 @@ class Server : public Engine {
   // callback *presence* is part of replay determinism.
   std::unique_ptr<resilience::ServerResilience> resilience_;
   std::unique_ptr<recovery::ServerRecovery> recovery_;
-  std::unique_ptr<obs::ServerObs> obs_hook_;
   std::unique_ptr<InvariantChecker> invariants_;  // null unless enabled
   HookList hooks_;
 
-  // The layered frame engine; built last, over everything above.
-  std::unique_ptr<FramePipeline> pipeline_;
+  // --- frame progression ---
+  uint64_t frames_ = 0;
+  // The open frame's event count (written single-threaded at the reply
+  // flip, read-only during the phase).
+  size_t frame_events_ = 0;
+  // Master-window scratch for the pending-lifecycle slot list.
+  std::vector<int> pending_lifecycle_;
+  std::atomic<uint64_t> order_ctr_{0};
+  vt::TimePoint last_world_{};  // previous world-step time (for dt)
+  vt::TimePoint last_world_t0_{};
+  vt::Duration last_world_dt_{};
+  // Per-thread hot-path scratch (frame_arena.hpp), built last in the
+  // constructor. unique_ptr: FrameArena holds a Region, which is
+  // intentionally pinned (non-copyable, non-movable) because release()
+  // must find it.
+  std::vector<std::unique_ptr<FrameArena>> arenas_;
+
+ private:
+  void handle_connect(int tid, const net::Datagram& d,
+                      const net::ConnectMsg& msg, ThreadStats& st);
+  void handle_disconnect(ClientSlot& client);
+  // E: one move command against the world, under the region locks its
+  // bounding boxes require (lock-free when the lock policy is kNone, as
+  // on the sequential server).
+  void execute_move(int tid, ClientSlot& client, const net::MoveCmd& cmd,
+                    ThreadStats& st);
+  // Spawns entities for pending connects (sending the deferred ack) and
+  // removes entities of pending disconnects.
+  void complete_pending_lifecycle();
+  void evict_client_locked(ClientSlot& c, net::RejectReason reason,
+                           ThreadStats& st);
+  // Thread that should own a player at `origin` under region assignment.
+  int owner_for_region(const Vec3& origin) const;
 };
 
 }  // namespace qserv::core

@@ -135,7 +135,11 @@ void FleetObs::attach_engine(int shard, core::ParallelServer& server) {
   std::string prefix = "shard-" + std::to_string(shard) + "/";
   // Rebuilt generations get their own worker rows: the dead generation's
   // spans stay in the export, labeled apart from the successor's.
-  if (gen > 0) prefix += "g" + std::to_string(gen) + "/";
+  if (gen > 0) {
+    prefix += 'g';
+    prefix += std::to_string(gen);
+    prefix += '/';
+  }
   prefix += "t";
   server.attach_observability(tracer_, shard_regs_[shard].get(),
                               shard_pid(shard), prefix);

@@ -195,14 +195,19 @@ class Parser {
         case 'u': {
           uint32_t cp = 0;
           if (!hex4(cp)) return false;
-          // Surrogate pair: combine when a low surrogate follows.
+          // Surrogate pair: combine when a low surrogate follows. Any
+          // other escape after a high surrogate is left for the next
+          // iteration, which decodes it as its own code point.
           if (cp >= 0xD800 && cp <= 0xDBFF &&
               text_.substr(pos_, 2) == "\\u") {
+            const size_t next = pos_;
             pos_ += 2;
             uint32_t lo = 0;
             if (!hex4(lo)) return false;
             if (lo >= 0xDC00 && lo <= 0xDFFF)
               cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            else
+              pos_ = next;
           }
           append_utf8(out, cp);
           break;

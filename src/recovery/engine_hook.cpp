@@ -3,8 +3,7 @@
 #include <atomic>
 #include <utility>
 
-#include "src/core/client_registry.hpp"
-#include "src/core/config.hpp"
+#include "src/core/server.hpp"
 #include "src/obs/trace.hpp"
 #include "src/recovery/digest.hpp"
 #include "src/spatial/map.hpp"
@@ -12,21 +11,21 @@
 
 namespace qserv::recovery {
 
-ServerRecovery::ServerRecovery(core::Engine& engine,
+ServerRecovery::ServerRecovery(core::Server& server,
                                const spatial::GameMap& map)
-    : engine_(engine),
+    : server_(server),
       map_text_(map.serialize()),
-      recorder_(engine.config().recovery,
-                static_cast<uint32_t>(engine.config().threads),
-                engine.config().seed),
-      blackbox_(engine.config().recovery.dump_dir) {}
+      recorder_(server.config().recovery,
+                static_cast<uint32_t>(server.config().threads),
+                server.config().seed),
+      blackbox_(server.config().recovery.dump_dir) {}
 
 void ServerRecovery::on_world_tick(int tid, vt::TimePoint t0,
                                    vt::Duration dt) {
   JournalRecord rec;
   rec.kind = RecordKind::kWorldPhase;
   rec.thread = static_cast<uint8_t>(tid);
-  rec.order = engine_.draw_order();
+  rec.order = server_.draw_order();
   rec.t_ns = t0.ns;
   rec.dt_ns = dt.ns;
   recorder_.record(rec.thread, rec);
@@ -53,24 +52,24 @@ void ServerRecovery::on_drop(int tid, uint16_t port, DropReason why) {
   rec.drop = why;
   rec.thread = static_cast<uint8_t>(tid);
   rec.port = port;
-  rec.t_ns = engine_.platform().now().ns;
+  rec.t_ns = server_.platform().now().ns;
   recorder_.record(static_cast<uint32_t>(tid), rec);
 }
 
 void ServerRecovery::on_frame_sealed() {
-  const Config& rc = engine_.config().recovery;
+  const Config& rc = server_.config().recovery;
   std::vector<EntityDigest> per_entity;
-  const uint64_t digest = world_digest(engine_.world(), &per_entity);
-  recorder_.seal_frame(engine_.frames(), engine_.last_world_t0(),
-                       engine_.last_world_dt(), digest,
+  const uint64_t digest = world_digest(server_.world(), &per_entity);
+  recorder_.seal_frame(server_.frames(), server_.last_world_t0(),
+                       server_.last_world_dt(), digest,
                        std::move(per_entity));
   if (rc.checkpoint_interval > 0 &&
-      engine_.frames() % rc.checkpoint_interval == 0)
+      server_.frames() % rc.checkpoint_interval == 0)
     checkpoints_.store(make_checkpoint(digest));
 }
 
 std::vector<uint8_t> ServerRecovery::capture_now_encoded() {
-  const uint64_t digest = world_digest(engine_.world(), nullptr);
+  const uint64_t digest = world_digest(server_.world(), nullptr);
   return encode_checkpoint(make_checkpoint(digest));
 }
 
@@ -83,7 +82,7 @@ void ServerRecovery::on_client_spawned(int owner, uint16_t port,
   rec.thread = static_cast<uint8_t>(owner);
   rec.port = port;
   rec.entity = entity;
-  rec.order = engine_.draw_order();
+  rec.order = server_.draw_order();
   rec.t_ns = t_ns;
   rec.name = name;
   recorder_.record(static_cast<uint32_t>(owner), rec);
@@ -96,7 +95,7 @@ void ServerRecovery::on_client_disconnected(int owner, uint16_t port,
   rec.thread = static_cast<uint8_t>(owner);
   rec.port = port;
   rec.entity = entity;
-  rec.order = engine_.draw_order();
+  rec.order = server_.draw_order();
   rec.t_ns = t_ns;
   recorder_.record(static_cast<uint32_t>(owner), rec);
 }
@@ -108,8 +107,8 @@ void ServerRecovery::on_client_evicted(int owner, uint16_t port,
   rec.thread = static_cast<uint8_t>(owner);
   rec.port = port;
   rec.entity = entity;
-  rec.order = engine_.draw_order();
-  rec.t_ns = engine_.platform().now().ns;
+  rec.order = server_.draw_order();
+  rec.t_ns = server_.platform().now().ns;
   recorder_.record(static_cast<uint32_t>(owner), rec);
 }
 
@@ -119,8 +118,8 @@ void ServerRecovery::record_handoff_out(uint16_t port, uint32_t entity,
   rec.kind = RecordKind::kHandoffOut;
   rec.port = port;
   rec.entity = entity;
-  rec.order = engine_.draw_order();
-  rec.t_ns = engine_.platform().now().ns;
+  rec.order = server_.draw_order();
+  rec.t_ns = server_.platform().now().ns;
   rec.name = name;
   recorder_.record(0, rec);
 }
@@ -132,26 +131,26 @@ void ServerRecovery::record_handoff_in(uint16_t port, uint32_t entity,
   rec.kind = RecordKind::kHandoffIn;
   rec.port = port;
   rec.entity = entity;
-  rec.order = engine_.draw_order();
-  rec.t_ns = engine_.platform().now().ns;
+  rec.order = server_.draw_order();
+  rec.t_ns = server_.platform().now().ns;
   rec.name = name;
   rec.hand = hs;
   recorder_.record(0, rec);
 }
 
 CheckpointData ServerRecovery::make_checkpoint(uint64_t digest) {
-  const core::ServerConfig& cfg = engine_.config();
+  const core::ServerConfig& cfg = server_.config();
   CheckpointData c;
-  c.frame = engine_.frames();
-  c.captured_at_ns = engine_.platform().now().ns;
+  c.frame = server_.frames();
+  c.captured_at_ns = server_.platform().now().ns;
   c.seed = cfg.seed;
   c.base_port = cfg.base_port;
   c.threads = static_cast<uint32_t>(cfg.threads);
   c.max_clients = static_cast<uint32_t>(cfg.max_clients);
   c.areanode_depth = cfg.areanode_depth;
-  c.next_order = engine_.order_count();
+  c.next_order = server_.order_count();
   c.digest = digest;
-  const sim::World& w = engine_.world();
+  const sim::World& w = server_.world();
   c.rng_state = w.rng().state();
   c.map_text = map_text_;
   c.entity_storage = static_cast<uint32_t>(w.entity_storage_size());
@@ -162,7 +161,7 @@ CheckpointData ServerRecovery::make_checkpoint(uint64_t digest) {
     if (!tree.node(i).objects.empty())
       c.node_objects.emplace_back(i, tree.node(i).objects);
   }
-  core::ClientRegistry& reg = engine_.registry();
+  core::ClientRegistry& reg = server_.registry();
   vt::LockGuard g(reg.mutex());
   const auto& slots = reg.slots();
   for (size_t i = 0; i < slots.size(); ++i) {
@@ -192,15 +191,15 @@ CheckpointData ServerRecovery::make_checkpoint(uint64_t digest) {
 
 std::string ServerRecovery::dump(const std::string& label,
                                  const std::string& why) {
-  const core::ServerConfig& cfg = engine_.config();
+  const core::ServerConfig& cfg = server_.config();
   std::string meta;
   meta += "label: " + label + "\n";
   meta += "why: " + why + "\n";
-  meta += "frame: " + std::to_string(engine_.frames()) + "\n";
-  meta += "now_ns: " + std::to_string(engine_.platform().now().ns) + "\n";
+  meta += "frame: " + std::to_string(server_.frames()) + "\n";
+  meta += "now_ns: " + std::to_string(server_.platform().now().ns) + "\n";
   meta += "seed: " + std::to_string(cfg.seed) + "\n";
   meta += "threads: " + std::to_string(cfg.threads) + "\n";
-  meta += "clients: " + std::to_string(engine_.connected_clients()) + "\n";
+  meta += "clients: " + std::to_string(server_.connected_clients()) + "\n";
   std::vector<uint8_t> ckpt;
   if (checkpoints_.has()) ckpt = checkpoints_.latest();
   std::vector<uint8_t> jrnl = recorder_.encode();
@@ -208,9 +207,9 @@ std::string ServerRecovery::dump(const std::string& label,
   // the simulated platform is single-threaded under the hood, and a
   // 1-thread real server has no concurrent writers in its own window.
   std::string trace;
-  obs::Tracer* tracer = engine_.tracer();
+  obs::Tracer* tracer = server_.tracer();
   if (tracer != nullptr &&
-      (engine_.platform().is_simulated() || cfg.threads == 1))
+      (server_.platform().is_simulated() || cfg.threads == 1))
     trace = tracer->export_chrome_trace();
   return blackbox_.dump(label, meta, ckpt, jrnl, trace);
 }

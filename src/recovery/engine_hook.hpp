@@ -14,6 +14,9 @@
 #include "src/recovery/checkpoint.hpp"
 #include "src/recovery/journal.hpp"
 
+namespace qserv::core {
+class Server;
+}
 namespace qserv::spatial {
 class GameMap;
 }
@@ -23,7 +26,7 @@ namespace qserv::recovery {
 class ServerRecovery final : public core::FrameHook,
                              public core::LifecycleObserver {
  public:
-  ServerRecovery(core::Engine& engine, const spatial::GameMap& map);
+  ServerRecovery(core::Server& server, const spatial::GameMap& map);
 
   ServerRecovery(const ServerRecovery&) = delete;
   ServerRecovery& operator=(const ServerRecovery&) = delete;
@@ -70,7 +73,7 @@ class ServerRecovery final : public core::FrameHook,
  private:
   CheckpointData make_checkpoint(uint64_t digest);
 
-  core::Engine& engine_;
+  core::Server& server_;
   std::string map_text_;  // GameMap::serialize(), embedded in checkpoints
   FlightRecorder recorder_;
   CheckpointManager checkpoints_;

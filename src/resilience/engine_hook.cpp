@@ -2,36 +2,34 @@
 
 #include <string>
 
-#include "src/core/config.hpp"
-#include "src/core/frame_stats.hpp"
+#include "src/core/server.hpp"
 #include "src/obs/trace.hpp"
-#include "src/vthread/platform.hpp"
 
 namespace qserv::resilience {
 
-ServerResilience::ServerResilience(core::Engine& engine)
-    : engine_(engine), governor_(engine.config().resilience) {}
+ServerResilience::ServerResilience(core::Server& server)
+    : server_(server), governor_(server.config().resilience) {}
 
 WorkerWatchdog* ServerResilience::arm_watchdog(int threads) {
-  watchdog_ = std::make_unique<WorkerWatchdog>(engine_.config().resilience,
+  watchdog_ = std::make_unique<WorkerWatchdog>(server_.config().resilience,
                                                threads);
   return watchdog_.get();
 }
 
 void ServerResilience::on_master_window(int tid, vt::TimePoint frame_start,
                                         core::ThreadStats& st) {
-  vt::Platform& platform = engine_.platform();
+  vt::Platform& platform = server_.platform();
   // Watchdog adjudication: stale heartbeats become stalls, and a stalled
   // worker's clients migrate to live threads right here — master election
   // next frame simply proceeds without it.
   if (watchdog_ != nullptr) {
     const auto verdict = watchdog_->master_check(platform.now(), tid);
     for (const int stalled : verdict.newly_stalled) {
-      const int migrated = engine_.migrate_clients_from(stalled, st);
+      const int migrated = server_.migrate_clients_from(stalled);
       if (st.tracer != nullptr && st.tracer->enabled())
         st.tracer->record(st.trace_track, "worker-stalled",
                           platform.now().ns, 0, stalled * 1000 + migrated);
-      engine_.dump_blackbox("stall", "worker " + std::to_string(stalled) +
+      server_.dump_blackbox("stall", "worker " + std::to_string(stalled) +
                                          " adjudicated stalled; migrated " +
                                          std::to_string(migrated) +
                                          " clients");
@@ -50,7 +48,7 @@ void ServerResilience::on_master_window(int tid, vt::TimePoint frame_start,
     st.tracer->record(st.trace_track, "degrade-step", platform.now().ns, 0,
                       level);
   if (level >= kEvictExpensive && platform.now() >= next_expensive_evict_) {
-    engine_.evict_most_expensive(st);
+    server_.evict_most_expensive(st);
     next_expensive_evict_ = platform.now() + kEvictInterval;
   }
 }

@@ -1,8 +1,8 @@
 // The resilience subsystem's attachment to the frame engine: owns the
 // FrameGovernor (always) and the WorkerWatchdog (parallel servers that ask
 // for one), and serves their master-window duties — stall adjudication
-// with client migration, then the degradation-ladder step — through the
-// engine facade instead of reaching into Server internals.
+// with client migration, then the degradation-ladder step — through
+// Server's public master-window verbs.
 #pragma once
 
 #include <memory>
@@ -11,11 +11,15 @@
 #include "src/resilience/governor.hpp"
 #include "src/resilience/watchdog.hpp"
 
+namespace qserv::core {
+class Server;
+}
+
 namespace qserv::resilience {
 
 class ServerResilience final : public core::FrameHook {
  public:
-  explicit ServerResilience(core::Engine& engine);
+  explicit ServerResilience(core::Server& server);
 
   ServerResilience(const ServerResilience&) = delete;
   ServerResilience& operator=(const ServerResilience&) = delete;
@@ -35,7 +39,7 @@ class ServerResilience final : public core::FrameHook {
                         core::ThreadStats& st) override;
 
  private:
-  core::Engine& engine_;
+  core::Server& server_;
   FrameGovernor governor_;
   std::unique_ptr<WorkerWatchdog> watchdog_;
   vt::TimePoint next_expensive_evict_{};

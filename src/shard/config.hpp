@@ -1,7 +1,7 @@
 // Multi-shard engine configuration. One process hosts N independent
-// ClientRegistry+FramePipeline engines ("shards"), each owning an X-axis
-// slab of the map, each with its own port block, RNG stream, checkpoint /
-// journal namespace and failure domain. The knobs here size the fleet and
+// Server engines ("shards"), each owning an X-axis slab of the map, each
+// with its own port block, RNG stream, checkpoint / journal namespace and
+// failure domain. The knobs here size the fleet and
 // tune the supervisor's escalation policy; everything engine-level nests
 // in `server`, which the manager clones per shard with the derived
 // fields (base_port, seed, dump_dir) overridden.

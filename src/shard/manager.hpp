@@ -1,6 +1,6 @@
-// Multi-shard engine: N independent ClientRegistry+FramePipeline engines
-// in one process, each owning an X-slab of the map (ShardRouter), wired
-// together by handoff mailboxes and watched by a ShardSupervisor. Each
+// Multi-shard engine: N independent Server engines in one process, each
+// owning an X-slab of the map (ShardRouter), wired together by handoff
+// mailboxes and watched by a ShardSupervisor. Each
 // shard gets its own port block, derived RNG seed, and recovery namespace
 // — a crash in one shard's failure domain never touches another's state.
 #pragma once

@@ -132,7 +132,10 @@ std::string GameMap::serialize() const {
   for (const auto& w : waypoints) {
     out += "wp";
     emit_vec(out, w.pos);
-    for (const int n : w.neighbors) out += " " + std::to_string(n);
+    for (const int n : w.neighbors) {
+      out += ' ';
+      out += std::to_string(n);
+    }
     out += "\n";
   }
   for (const auto& c : pvs.clusters) {

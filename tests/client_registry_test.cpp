@@ -6,11 +6,17 @@
 // ones. Plus a Server-level regression test that reset_stats() actually
 // reaches those counters — pre-refactor, reassignments survived the
 // warmup boundary and leaked warmup work into the measurement window.
+// Last, the InvariantChecker's detections over a registry and a world
+// built the same way, one seeded corruption per case.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/client_registry.hpp"
+#include "src/core/invariant_checker.hpp"
 #include "src/core/sequential_server.hpp"
 #include "src/net/virtual_udp.hpp"
+#include "src/sim/world.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/vthread/sim_platform.hpp"
 
@@ -268,6 +274,102 @@ TEST(ServerResetStats, ZeroesPerRunSessionCounters) {
   EXPECT_EQ(server.rejected_busy(), 0u);
   EXPECT_EQ(server.governor_evictions(), 0u);
   EXPECT_EQ(server.resumed_clients(), 6u);
+}
+
+// A consistent registry + world with two clients connected the way the
+// master window spawns them (pending slot, player entity, channel), and
+// a checker over both. Each case below corrupts one structure.
+struct AuditFixture {
+  AuditFixture() {
+    connect(7001);
+    connect(7002);
+  }
+
+  void connect(uint16_t port) {
+    const int slot = reg.find_free_locked();
+    reg.init_pending_slot_locked(slot, port, 0, std::to_string(port));
+    ClientSlot& c = reg.slot(slot);
+    reg.spawn_slot_locked(c, world.spawn_player(c.name).id, 0, *sock, 1);
+  }
+
+  // True when some recorded message contains `text`.
+  bool reported(const std::string& text) const {
+    for (const std::string& m : checker.messages())
+      if (m.find(text) != std::string::npos) return true;
+    return false;
+  }
+
+  Fixture f;
+  net::VirtualNetwork net{f.platform, {}};
+  std::unique_ptr<net::Socket> sock = net.open(5000);
+  spatial::GameMap map = spatial::make_large_deathmatch(7);
+  sim::World world{map, sim::World::Config{}};
+  ClientRegistry& reg = f.registry();
+  vt::LockGuard lock{reg.mutex()};
+  InvariantChecker checker{reg, world};
+};
+
+TEST(InvariantChecker, ConsistentStateHasNoViolations) {
+  AuditFixture a;
+  EXPECT_EQ(a.checker.run(), 0);
+  EXPECT_EQ(a.checker.total_violations(), 0u);
+  EXPECT_TRUE(a.checker.messages().empty());
+}
+
+TEST(InvariantChecker, DetectsOrphanPlayerEntity) {
+  AuditFixture a;
+  const uint32_t ghost = a.world.spawn_player("ghost").id;
+  // The orphan itself, and the player count no longer matching.
+  EXPECT_EQ(a.checker.run(), 2);
+  EXPECT_TRUE(a.reported("player entity " + std::to_string(ghost) +
+                         " (ghost) has no client slot"));
+  EXPECT_TRUE(a.reported("3 player entities for 2 connected clients"));
+}
+
+TEST(InvariantChecker, DetectsSlotReferencingDeadEntity) {
+  AuditFixture a;
+  const uint32_t id = a.reg.slot(0).entity_id;
+  a.world.remove_entity(id);
+  EXPECT_EQ(a.checker.run(), 2);
+  EXPECT_TRUE(
+      a.reported("slot 0 references dead entity " + std::to_string(id)));
+  EXPECT_TRUE(a.reported("1 player entities for 2 connected clients"));
+}
+
+TEST(InvariantChecker, DetectsPortMapEntryForFreedSlot) {
+  AuditFixture a;
+  ClientSlot& c = a.reg.slot(1);
+  a.world.remove_entity(c.entity_id);
+  a.reg.release_slot_locked(c);  // without unbinding port 7002
+  EXPECT_EQ(a.checker.run(), 2);
+  EXPECT_TRUE(a.reported("port 7002 maps to freed slot 1"));
+  EXPECT_TRUE(a.reported("port map has 2 entries for 1 in-use slots"));
+}
+
+TEST(InvariantChecker, DetectsEntityLinkedOutsideItsAreanode) {
+  AuditFixture a;
+  sim::Entity* e = a.world.get(a.reg.slot(0).entity_id);
+  ASSERT_NE(e, nullptr);
+  const int linked = e->areanode;
+  ASSERT_GE(linked, 0);
+  e->areanode = linked == 0 ? 1 : 0;  // the node lists stay as they were
+  EXPECT_EQ(a.checker.run(), 1);
+  EXPECT_TRUE(a.reported("entity " + std::to_string(e->id) +
+                         " listed in node " + std::to_string(linked) +
+                         " but claims node " + std::to_string(e->areanode)));
+}
+
+TEST(InvariantChecker, MessagesStopAtTheCapWhileTheCountGoesOn) {
+  AuditFixture a;
+  for (int i = 0; i < 70; ++i) a.world.spawn_player("ghost");
+  // 70 orphans plus the player-count mismatch, per run.
+  EXPECT_EQ(a.checker.run(), 71);
+  EXPECT_EQ(a.checker.messages().size(), 64u);
+  EXPECT_EQ(a.checker.total_violations(), 71u);
+  EXPECT_EQ(a.checker.run(), 71);
+  EXPECT_EQ(a.checker.messages().size(), 64u);
+  EXPECT_EQ(a.checker.total_violations(), 142u);
+  EXPECT_EQ(a.checker.runs(), 2u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "src/bots/client_driver.hpp"
 #include "src/core/parallel_server.hpp"
+#include "src/core/sequential_server.hpp"
 #include "src/harness/experiment.hpp"
 #include "src/harness/json_export.hpp"
 #include "src/obs/collect.hpp"
@@ -703,6 +705,15 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(obs::json_parse("01x", v, &err));
   // Depth bomb: must fail cleanly, not overflow the stack.
   EXPECT_FALSE(obs::json_parse(std::string(5000, '['), v, &err));
+  // \u escapes: a surrogate pair decodes to one code point, a high
+  // surrogate followed by any other escape keeps that escape's character,
+  // and a cut-off escape is an error.
+  ASSERT_TRUE(obs::json_parse(R"("\uD83D\uDE00")", v, &err)) << err;
+  EXPECT_EQ(v.string_or(""), "\xf0\x9f\x98\x80");
+  ASSERT_TRUE(obs::json_parse(R"("\uD800\u0041B")", v, &err)) << err;
+  EXPECT_EQ(v.string_or(""), "\xed\xa0\x80" "AB");
+  EXPECT_FALSE(obs::json_parse(R"("\uD8")", v, &err));
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 }
 
 TEST(JsonParseTest, RoundTripsWriterOutput) {
@@ -777,6 +788,59 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
   EXPECT_GE(r.metrics_series.size(), 4u);
   EXPECT_GT(r.metrics_series.back().t_seconds,
             r.metrics_series.front().t_seconds);
+}
+
+// The server's whole-frame histograms: every frame observes one duration
+// and its move count in the master window, on both drivers. Metrics are
+// attached before start() and never reset, so the histograms cover the
+// whole run.
+void expect_frame_histograms_cover_run(core::ServerConfig scfg,
+                                       bool parallel) {
+  vt::SimPlatform platform;
+  net::VirtualNetwork network(platform, {});
+  const auto map = spatial::make_large_deathmatch(7);
+  std::unique_ptr<core::Server> server;
+  if (parallel)
+    server =
+        std::make_unique<core::ParallelServer>(platform, network, map, scfg);
+  else
+    server =
+        std::make_unique<core::SequentialServer>(platform, network, map, scfg);
+  obs::MetricsRegistry metrics;
+  server->attach_observability(nullptr, &metrics);
+  bots::ClientDriver::Config dcfg;
+  dcfg.players = 8;
+  bots::ClientDriver driver(platform, network, map, *server, dcfg);
+  server->start();
+  driver.start();
+  platform.call_after(vt::seconds(2), [&] {
+    server->request_stop();
+    driver.request_stop();
+  });
+  platform.run();
+
+  const uint64_t frames = server->frames();
+  ASSERT_GT(server->total_requests(), 0u);
+  const Histogram duration =
+      metrics.histogram("server.frame_duration_ms").snapshot();
+  const Histogram moves =
+      metrics.histogram("server.moves_per_frame").snapshot();
+  EXPECT_EQ(duration.count(), frames);
+  EXPECT_EQ(moves.count(), frames);
+  // count x mean: the moves of all frames are every request executed.
+  EXPECT_EQ(moves.stats().sum(),
+            static_cast<double>(server->total_requests()));
+}
+
+TEST(ObsIntegrationTest, FrameHistogramsCoverEveryFrameSequential) {
+  expect_frame_histograms_cover_run(core::ServerConfig{}, /*parallel=*/false);
+}
+
+TEST(ObsIntegrationTest, FrameHistogramsCoverEveryFrameParallel) {
+  core::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.lock_policy = core::LockPolicy::kConservative;
+  expect_frame_histograms_cover_run(scfg, /*parallel=*/true);
 }
 
 TEST(ObsIntegrationTest, TracingDoesNotPerturbVirtualTime) {
