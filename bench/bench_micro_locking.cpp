@@ -81,7 +81,9 @@ void BM_ContendedRegions(benchmark::State& state) {
     std::vector<ThreadStats> st(static_cast<size_t>(threads));
     state.ResumeTiming();
     for (int t = 0; t < threads; ++t) {
-      p.spawn("t" + std::to_string(t), vt::Domain::kServer, [&, t] {
+      std::string name = "t";
+      name += std::to_string(t);
+      p.spawn(name, vt::Domain::kServer, [&, t] {
         Rng rng(static_cast<uint64_t>(t) + 1);
         for (int i = 0; i < 500; ++i) {
           std::vector<int> leaves;

@@ -1,5 +1,5 @@
-// The hook seam between the Server (the frame engine) and its satellite
-// subsystems: recovery, resilience and the shard layer. The server never
+// The hook seam between the Server (the frame engine) and its optional
+// satellites: recovery, the shard layer and test probes. The server never
 // calls a subsystem directly; it dispatches through HookList at fixed
 // points of the frame, and subsystems call back only through Server's
 // public methods (each adapter holds a core::Server&). Callback *presence*
@@ -46,9 +46,10 @@ class FrameHook {
   // Receive phase: a datagram was seen but did not mutate the world.
   virtual void on_drop(int /*tid*/, uint16_t /*port*/,
                        recovery::DropReason /*why*/) {}
-  // Master window, after lifecycle completion and timeout reaping, before
-  // the frame is sealed. The place for subsystem "master duties"
-  // (watchdog adjudication, governor stepping).
+  // Master window, after lifecycle completion, timeout reaping and the
+  // server's own resilience duties (watchdog verdict, governor step),
+  // before the frame is sealed. The place for subsystem "master duties"
+  // (the shard layer's handoff mailbox).
   virtual void on_master_window(int /*tid*/, vt::TimePoint /*frame_start*/,
                                 ThreadStats& /*st*/) {}
   // Master window, after every mutation of the frame (including any
@@ -62,8 +63,6 @@ class FrameHook {
   // select must not read as a wedged one); implementations must be cheap
   // and must not draw orders or charge compute — no frame is open.
   virtual void on_idle_wait(int /*tid*/) {}
-  // Warmup boundary (Server::reset_stats).
-  virtual void on_reset_stats() {}
 };
 
 // Client-session lifecycle callbacks. All are invoked with the registry
@@ -90,8 +89,6 @@ class LifecycleObserver {
   // Ownership moved between worker threads (region or stall migration).
   virtual void on_client_migrated(int /*from*/, int /*to*/,
                                   uint16_t /*port*/) {}
-  // A checkpointed slot was re-adopted by a live connect.
-  virtual void on_client_resumed(uint16_t /*port*/) {}
 };
 
 // Registered hook set, dispatched in registration order. Registration
@@ -126,9 +123,6 @@ class HookList {
   void idle_wait(int tid) const {
     for (FrameHook* h : frame_) h->on_idle_wait(tid);
   }
-  void reset_stats() const {
-    for (FrameHook* h : frame_) h->on_reset_stats();
-  }
 
   void client_spawned(int owner, uint16_t port, uint32_t entity,
                       const std::string& name, int64_t t_ns) const {
@@ -147,9 +141,6 @@ class HookList {
   void client_migrated(int from, int to, uint16_t port) const {
     for (LifecycleObserver* o : lifecycle_)
       o->on_client_migrated(from, to, port);
-  }
-  void client_resumed(uint16_t port) const {
-    for (LifecycleObserver* o : lifecycle_) o->on_client_resumed(port);
   }
 
  private:

@@ -1,8 +1,8 @@
 // The master's single-threaded between-frames window: deferred client
-// lifecycle, timeout reaping, stall migration, governor eviction, the
-// cross-structure audit, the whole-frame metrics, and the hook dispatch
-// points that let recovery, resilience and the shard layer ride the frame
-// without touching Server internals.
+// lifecycle, timeout reaping, the watchdog verdict with stall migration,
+// the governor step with its eviction rung, the cross-structure audit,
+// the whole-frame metrics, and the hook dispatch points that let recovery
+// and the shard layer ride the frame without touching Server internals.
 #include "src/core/server.hpp"
 
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include "src/core/lock_manager.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/resilience/engine_hook.hpp"
+#include "src/resilience/watchdog.hpp"
 
 namespace qserv::core {
 
@@ -25,11 +25,9 @@ void Server::run_master_window(int tid, vt::TimePoint frame_start,
   // half-created client.
   complete_pending_lifecycle();
   reap_timed_out_clients(st);
-  // Subsystem master duties (resilience: watchdog adjudication with stall
-  // migration, then the governor step — possibly serving its eviction
-  // rung through evict_most_expensive).
+  run_resilience_duties(tid, frame_start, st);
   hooks_.master_window(tid, frame_start, st);
-  const int level = resilience_->governor().level();
+  const int level = governor_.level();
   // Seal after every mutation of the frame (including hook-driven
   // evictions) so the recovery hook's digest and journal cover the final
   // state; the audit runs after the seal so a violation dump carries this
@@ -48,6 +46,42 @@ void Server::run_master_window(int tid, vt::TimePoint frame_start,
     st.tracer->record(st.trace_track, "frame", frame_start.ns,
                       platform_.now().ns - frame_start.ns,
                       static_cast<int64_t>(frames_));
+}
+
+void Server::run_resilience_duties(int tid, vt::TimePoint frame_start,
+                                   ThreadStats& st) {
+  // Watchdog adjudication: stale heartbeats become stalls, and a stalled
+  // worker's clients migrate to live threads right here — master election
+  // next frame simply proceeds without it.
+  if (watchdog_ != nullptr) {
+    const auto verdict = watchdog_->master_check(platform_.now(), tid);
+    for (const int stalled : verdict.newly_stalled) {
+      const int migrated = migrate_clients_from(stalled);
+      if (st.tracer != nullptr && st.tracer->enabled())
+        st.tracer->record(st.trace_track, "worker-stalled",
+                          platform_.now().ns, 0, stalled * 1000 + migrated);
+      dump_blackbox("stall", "worker " + std::to_string(stalled) +
+                                 " adjudicated stalled; migrated " +
+                                 std::to_string(migrated) + " clients");
+    }
+    for (const int back : verdict.recovered) {
+      if (st.tracer != nullptr && st.tracer->enabled())
+        st.tracer->record(st.trace_track, "worker-recovered",
+                          platform_.now().ns, 0, back);
+    }
+  }
+  // Governor: feed the finished frame, possibly stepping the ladder (and
+  // serving its eviction rung, at most once per kEvictInterval).
+  const int before = governor_.level();
+  const int level = governor_.on_frame(platform_.now() - frame_start);
+  if (level != before && st.tracer != nullptr && st.tracer->enabled())
+    st.tracer->record(st.trace_track, "degrade-step", platform_.now().ns, 0,
+                      level);
+  if (level >= resilience::kEvictExpensive &&
+      platform_.now() >= next_expensive_evict_) {
+    evict_most_expensive(st);
+    next_expensive_evict_ = platform_.now() + resilience::kEvictInterval;
+  }
 }
 
 void Server::complete_pending_lifecycle() {

@@ -1,9 +1,9 @@
 #include "src/core/parallel_server.hpp"
 
 #include "src/core/lock_manager.hpp"
-#include "src/obs/trace.hpp"
-#include "src/resilience/engine_hook.hpp"
 #include "src/net/fault_scheduler.hpp"
+#include "src/obs/trace.hpp"
+#include "src/resilience/watchdog.hpp"
 
 namespace qserv::core {
 
@@ -14,7 +14,8 @@ ParallelServer::ParallelServer(vt::Platform& platform,
       sync_mu_(platform.make_mutex("frame-sync")),
       sync_cv_(platform.make_condvar()) {
   if (cfg_.resilience.watchdog_timeout.ns > 0)
-    watchdog_ = resilience_->arm_watchdog(cfg_.threads);
+    watchdog_ = std::make_unique<resilience::WorkerWatchdog>(
+        cfg_.resilience, cfg_.threads);
 }
 
 void ParallelServer::start() {

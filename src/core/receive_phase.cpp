@@ -8,7 +8,6 @@
 #include <atomic>
 
 #include "src/recovery/journal.hpp"
-#include "src/resilience/engine_hook.hpp"
 
 namespace qserv::core {
 
@@ -120,7 +119,7 @@ int Server::drain_requests(int tid, ThreadStats& st) {
         }
         net::MoveCmd cmd;
         if (decode(body, cmd)) {
-          if (resilience_->governor().at_least(resilience::kCoalesceMoves) &&
+          if (governor_.at_least(resilience::kCoalesceMoves) &&
               client->pending_reply) {
             // Governor rung 2: a client that already executed a move this
             // frame gets the rest of its backlog folded into the ack —
@@ -174,7 +173,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
             resume_through);
         ++registry_.counters.resumed_clients;
         hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
-        hooks_.client_resumed(d.src_port);
       } else {
         hooks_.drop(tid, d.src_port, recovery::DropReason::kReconnectDup);
       }
@@ -194,7 +192,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
               resume_through);
           ++registry_.counters.resumed_clients;
           hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
-          hooks_.client_resumed(d.src_port);
           slot = i;
           ack_now = true;
           break;
@@ -203,8 +200,8 @@ void Server::handle_connect(int tid, const net::Datagram& d,
     }
     if (slot < 0 && !busy) {
       if ((cfg_.resilience.admission_control &&
-           resilience_->governor().admission_overloaded()) ||
-          resilience_->governor().draining()) {
+           governor_.admission_overloaded()) ||
+          governor_.draining()) {
         // Admission control: the frame loop is already past its budget,
         // so serving the admitted population well beats admitting one
         // more player it cannot simulate. kServerBusy tells the client to

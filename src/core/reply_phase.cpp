@@ -12,7 +12,6 @@
 #include <algorithm>
 
 #include "src/core/frame_arena.hpp"
-#include "src/resilience/engine_hook.hpp"
 
 namespace qserv::core {
 
@@ -33,8 +32,7 @@ void Server::send_replies(int tid, ThreadStats& st, uint64_t charged_owners) {
   const sim::CostModel& costs = cfg_.costs;
   FrameArena& arena = *arenas_[static_cast<size_t>(tid)];
   PhaseScope reply(platform_, st, Phase::kReply);
-  const bool thin_far =
-      resilience_->governor().at_least(resilience::kThinFarEntities);
+  const bool thin_far = governor_.at_least(resilience::kThinFarEntities);
   const auto frame = static_cast<uint32_t>(frames_);
   static_assert(net::NetChannel::kHeaderReserve == sizeof(uint64_t));
 

@@ -11,7 +11,7 @@
 #include "src/recovery/checkpoint.hpp"
 #include "src/recovery/engine_hook.hpp"
 #include "src/recovery/replay.hpp"
-#include "src/resilience/engine_hook.hpp"
+#include "src/resilience/watchdog.hpp"
 #include "src/util/check.hpp"
 
 namespace qserv::core {
@@ -41,14 +41,11 @@ Server::Server(vt::Platform& platform, net::Transport& net,
       world_(map, sim::World::Config{cfg.areanode_depth, cfg.seed}, &platform,
              cfg.costs),
       global_events_(platform),
-      registry_(platform, cfg_) {
+      registry_(platform, cfg_),
+      governor_(cfg_.resilience) {
   QSERV_CHECK(cfg.threads >= 1 && cfg.threads <= 64);
   lock_manager_ =
       std::make_unique<LockManager>(platform, world_.tree(), cfg.costs);
-  // Resilience always attaches: even with the ladder off its governor
-  // maintains the rolling p95 that connect-time admission control reads.
-  resilience_ = std::make_unique<resilience::ServerResilience>(*this);
-  hooks_.add(static_cast<FrameHook*>(resilience_.get()));
   // Entity storage must never reallocate or change size once clients
   // join: concurrent readers hold references and call get() during
   // request processing, so connect-time spawns may only pop free slots.
@@ -141,7 +138,6 @@ void Server::reset_stats() {
   // measurement window reports warmup work (resumed_clients survives —
   // restore happens before the window and is inspected after it).
   registry_.reset_run_counters();
-  hooks_.reset_stats();
 }
 
 uint64_t Server::frame_trace_dropped() const {
@@ -196,8 +192,7 @@ void Server::attach_observability(obs::Tracer* tracer,
 
 void Server::record_frame_trace(ThreadStats& st, uint64_t frame_id,
                                 int moves) {
-  if (!frame_trace_enabled_ ||
-      resilience_->governor().at_least(resilience::kShedDebugWork))
+  if (!frame_trace_enabled_ || governor_.at_least(resilience::kShedDebugWork))
     return;
   if (st.frame_trace.size() <
       static_cast<size_t>(std::max(0, cfg_.frame_trace_limit))) {
@@ -206,16 +201,6 @@ void Server::record_frame_trace(ThreadStats& st, uint64_t frame_id,
     ++st.frame_trace_dropped;
   }
 }
-
-const resilience::FrameGovernor& Server::governor() const {
-  return resilience_->governor();
-}
-
-void Server::enter_drain() { resilience_->governor().set_draining(true); }
-
-void Server::leave_drain() { resilience_->governor().set_draining(false); }
-
-bool Server::draining() const { return resilience_->governor().draining(); }
 
 std::vector<uint8_t> Server::encode_checkpoint_now() {
   QSERV_CHECK_MSG(recovery_ != nullptr,

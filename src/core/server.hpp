@@ -4,12 +4,14 @@
 // methods, one TU per phase: the world step in server.cpp, Rx in
 // receive_phase.cpp, E in exec_phase.cpp, T/Tx in reply_phase.cpp and the
 // master's between-frames window in maintenance_phase.cpp. The session
-// layer is ClientRegistry (client_registry.hpp); the satellite subsystems
-// (recovery, resilience, the shard layer) attach through the hook seam in
-// frame_hooks.hpp and call back into this class's public methods. The two
-// concrete servers (sequential_server.hpp, parallel_server.hpp) differ
-// only in their main loops — exactly the relationship between the
-// original QuakeWorld server and the paper's pthreads port.
+// layer is ClientRegistry (client_registry.hpp). The frame governor and
+// the worker watchdog are members, stepped by the master window itself;
+// the optional subsystems (recovery, the shard layer, test probes) attach
+// through the hook seam in frame_hooks.hpp and call back into this
+// class's public methods. The two concrete servers (sequential_server.hpp,
+// parallel_server.hpp) differ only in their main loops — exactly the
+// relationship between the original QuakeWorld server and the paper's
+// pthreads port.
 #pragma once
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include "src/core/global_state.hpp"
 #include "src/net/transport.hpp"
 #include "src/recovery/journal.hpp"
+#include "src/resilience/governor.hpp"
 #include "src/sim/world.hpp"
 
 namespace qserv::obs {
@@ -41,8 +44,6 @@ enum class LoadError : uint8_t;
 }
 
 namespace qserv::resilience {
-class FrameGovernor;
-class ServerResilience;
 class WorkerWatchdog;
 }
 
@@ -104,7 +105,6 @@ class Server {
   // analysis. Bounded to cfg.frame_trace_limit entries per thread; the
   // overflow shows up in frame_trace_dropped().
   void enable_frame_trace() { frame_trace_enabled_ = true; }
-  bool frame_trace_enabled() const { return frame_trace_enabled_; }
   // Entries discarded across threads once the per-thread cap was hit.
   uint64_t frame_trace_dropped() const;
 
@@ -151,19 +151,19 @@ class Server {
   // Frame-budget governor; always constructed (it also feeds the rolling
   // p95 that admission control reads) but only steps the ladder when
   // cfg.resilience.governor is on.
-  const resilience::FrameGovernor& governor() const;
+  const resilience::FrameGovernor& governor() const { return governor_; }
   // Graceful drain (hot restart): stop admitting new clients — every
   // connect gets kServerBusy ("retry later"), which is exactly right,
   // because in a moment a new generation will be serving on these ports.
   // Existing sessions keep playing until the handoff checkpoint.
-  void enter_drain();
+  void enter_drain() { governor_.set_draining(true); }
   // Reopens admission after an aborted restart (the next generation never
   // came up, so this one keeps serving).
-  void leave_drain();
-  bool draining() const;
+  void leave_drain() { governor_.set_draining(false); }
+  bool draining() const { return governor_.draining(); }
   // Worker watchdog; null on the sequential server, inert (enabled() ==
   // false) when cfg.resilience.watchdog_timeout is zero.
-  const resilience::WorkerWatchdog* watchdog() const { return watchdog_; }
+  const resilience::WorkerWatchdog* watchdog() const { return watchdog_.get(); }
   // Connects refused with kServerBusy (admission control).
   uint64_t rejected_busy() const { return registry_.counters.rejected_busy; }
   // Clients migrated off stalled workers by the watchdog.
@@ -327,14 +327,6 @@ class Server {
   vt::TimePoint last_world_t0() const { return last_world_t0_; }
   vt::Duration last_world_dt() const { return last_world_dt_; }
 
-  // --- master-window verbs (called by the resilience hook) ---
-  // Migrates every client owned by `stalled_tid` to live workers; returns
-  // clients migrated.
-  int migrate_clients_from(int stalled_tid);
-  // Governor rung 4: evicts the most expensive client since the last
-  // scan; resets every scan counter. Returns 0 or 1.
-  int evict_most_expensive(ThreadStats& st);
-
  protected:
   // How long an idle worker blocks in select() before re-checking the
   // stop flag.
@@ -387,7 +379,8 @@ class Server {
   // between-frames window, plus the entry points the idle paths use. All
   // client-lifecycle mutation outside the receive phase lives here.
   // The full frame-end window: complete deferred lifecycle, reap
-  // timeouts, dispatch the master-window / frame-sealed hooks, audit
+  // timeouts, run the resilience duties (watchdog verdict, governor
+  // step), dispatch the master-window / frame-sealed hooks, audit
   // invariants (unless shed), observe the frame metrics, dispatch the
   // frame-end hooks, and emit the frame span.
   void run_master_window(int tid, vt::TimePoint frame_start, int frame_moves,
@@ -425,16 +418,19 @@ class Server {
   std::atomic<uint64_t> stalls_injected_{0};
   vt::TimePoint next_reassign_{};
 
-  // Raw view of the watchdog owned by resilience_; set by ParallelServer
-  // when it arms one (hot-path heartbeat/check and the stall oracle for
-  // migration targeting without an extra hop).
-  resilience::WorkerWatchdog* watchdog_ = nullptr;
+  // --- resilience (src/resilience/) ---
+  // Always present: even with the ladder off the governor maintains the
+  // rolling p95 that connect-time admission control reads.
+  resilience::FrameGovernor governor_;
+  // Created by ParallelServer when cfg.resilience.watchdog_timeout > 0;
+  // null otherwise.
+  std::unique_ptr<resilience::WorkerWatchdog> watchdog_;
+  // Earliest time the governor's eviction rung may evict again.
+  vt::TimePoint next_expensive_evict_{};
 
   // --- the hook seam ---
-  // Resilience always attaches (the governor feeds admission control even
-  // with the ladder off); recovery only when cfg.recovery.enabled —
-  // callback *presence* is part of replay determinism.
-  std::unique_ptr<resilience::ServerResilience> resilience_;
+  // Recovery attaches only when cfg.recovery.enabled — callback
+  // *presence* is part of replay determinism.
   std::unique_ptr<recovery::ServerRecovery> recovery_;
   std::unique_ptr<InvariantChecker> invariants_;  // null unless enabled
   HookList hooks_;
@@ -472,6 +468,17 @@ class Server {
                            ThreadStats& st);
   // Thread that should own a player at `origin` under region assignment.
   int owner_for_region(const Vec3& origin) const;
+  // The master window's resilience duties: the watchdog verdict (stall
+  // migration, black-box dump), then the governor step and its paced
+  // eviction rung.
+  void run_resilience_duties(int tid, vt::TimePoint frame_start,
+                             ThreadStats& st);
+  // Migrates every client owned by `stalled_tid` to live workers; returns
+  // clients migrated.
+  int migrate_clients_from(int stalled_tid);
+  // Governor rung 4: evicts the most expensive client since the last
+  // scan; resets every scan counter. Returns 0 or 1.
+  int evict_most_expensive(ThreadStats& st);
 };
 
 }  // namespace qserv::core

@@ -101,7 +101,6 @@ class FaultScheduler {
                                uint16_t engine_port = 0) const;
 
   const Counters& counters() const { return counters_; }
-  size_t episode_count() const { return episodes_.size(); }
   // Episodes active at `now` (diagnostics / tests).
   int active_at(vt::TimePoint now) const;
 

@@ -53,15 +53,6 @@ std::vector<uint8_t> encode_disconnect() {
   return w.take();
 }
 
-const char* reject_reason_name(RejectReason r) {
-  switch (r) {
-    case RejectReason::kServerFull: return "server-full";
-    case RejectReason::kEvicted: return "evicted";
-    case RejectReason::kServerBusy: return "server-busy";
-  }
-  return "?";
-}
-
 std::vector<uint8_t> encode(const RejectMsg& m) {
   ByteWriter w;
   w.u8(static_cast<uint8_t>(ServerMsgType::kReject));

@@ -33,8 +33,6 @@ enum class RejectReason : uint8_t {
   kServerBusy = 3,  // admission control / load shedding; back off, retry
 };
 
-const char* reject_reason_name(RejectReason r);
-
 // Field-change bits in a delta-encoded entity update.
 inline constexpr uint8_t kDeltaOrigin = 1;
 inline constexpr uint8_t kDeltaYaw = 2;

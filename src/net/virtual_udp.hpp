@@ -81,7 +81,6 @@ class VirtualNetwork final : public Transport {
   // over simulated time. Schedule episodes before the run starts or from
   // platform callbacks; see fault_scheduler.hpp for the taxonomy.
   FaultScheduler& faults();
-  bool has_faults() const { return faults_ != nullptr; }
   // Read-only view for reporting/metrics; null until faults() is called.
   const FaultScheduler* faults_or_null() const override {
     return faults_.get();

@@ -101,8 +101,6 @@ FleetObs::FleetObs(Tracer* tracer, Config cfg)
       &fleet_reg_.histogram("fleet.handoff.latency_ms", 1e-3);
 }
 
-FleetObs::~FleetObs() = default;
-
 void FleetObs::attach(shard::ShardManager& mgr) {
   QSERV_CHECK_MSG(mgr_ == nullptr, "FleetObs attaches to one fleet");
   mgr_ = &mgr;
@@ -205,8 +203,8 @@ void FleetObs::on_handoff_returned(int at_shard, int to_shard,
 
 void FleetObs::on_handoff_overflow(int target, uint64_t flow) {
   overflow_sheds_->inc();
-  // The flow will never be adopted: drop its begin stamp so it does not
-  // read as forever in-flight.
+  // The flow will never be adopted: drop its begin stamp so the map does
+  // not keep it for the rest of the run.
   std::lock_guard<std::mutex> lock(flows_mu_);
   flow_begin_ns_.erase(flow);
   (void)target;
@@ -322,15 +320,6 @@ std::vector<MetricSample> FleetObs::fleet_snapshot() const {
               return a.name < b.name;
             });
   return out;
-}
-
-std::string FleetObs::fleet_json() const {
-  return samples_to_json(fleet_snapshot());
-}
-
-size_t FleetObs::flows_in_flight() const {
-  std::lock_guard<std::mutex> lock(flows_mu_);
-  return flow_begin_ns_.size();
 }
 
 int64_t FleetObs::now_ns() const {

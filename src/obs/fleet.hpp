@@ -1,6 +1,8 @@
 // Fleet observability plane: one object that watches an entire
-// multi-shard fleet through the shard::FleetObserver seam and turns it
-// into three coherent artifacts —
+// multi-shard fleet — the shard layer calls it directly at its
+// interesting moments (engine generations coming up, supervisor state
+// transitions, cross-shard session handoffs) — and turns it into three
+// coherent artifacts —
 //
 //  * one merged Chrome trace: every shard engine renders as its own
 //    Chrome process (pid = shard_pid_base + shard), worker spans under
@@ -40,7 +42,10 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
-#include "src/shard/observer.hpp"
+
+namespace qserv::core {
+class ParallelServer;
+}
 
 namespace qserv::shard {
 class ShardManager;
@@ -57,7 +62,7 @@ std::vector<MetricSample> federate(
     const std::vector<std::pair<std::string, const MetricsRegistry*>>&
         parts);
 
-class FleetObs final : public shard::FleetObserver {
+class FleetObs {
  public:
   struct Config {
     std::vector<SloSpec> slos = SloMonitor::default_fleet_slos();
@@ -72,7 +77,6 @@ class FleetObs final : public shard::FleetObserver {
   // run, only the timeline artifacts are skipped.
   explicit FleetObs(Tracer* tracer);
   FleetObs(Tracer* tracer, Config cfg);
-  ~FleetObs() override;
 
   FleetObs(const FleetObs&) = delete;
   FleetObs& operator=(const FleetObs&) = delete;
@@ -83,18 +87,53 @@ class FleetObs final : public shard::FleetObserver {
   // this object must outlive the manager's run.
   void attach(shard::ShardManager& mgr);
 
-  // --- shard::FleetObserver (see observer.hpp for calling contexts) ---
-  void on_engine_built(int shard, core::ParallelServer& server) override;
-  void on_escalation(int shard, const char* why) override;
+  // --- shard-layer events (ShardManager::observer()) ---
+  // Each note names the calling context; the track-writer discipline
+  // above hangs off it.
+
+  // Supervisor timer context, engine not yet started (initial
+  // generations are attached by attach() instead): a rebuilt engine
+  // generation exists. Re-attaches per-engine instrumentation, or the
+  // restored shard goes dark (no spans, no frame histograms) for the
+  // rest of the run.
+  void on_engine_built(int shard, core::ParallelServer& server);
+  // Supervisor timer context: kHealthy -> kQuarantined; `why` is a
+  // static string: "crash-flag", "invariant-violation" or
+  // "stale-heartbeat".
+  void on_escalation(int shard, const char* why);
+  // Supervisor timer context: quarantine exit through rebuild+restore
+  // (ok == false means the restore failed and the supervisor is about to
+  // shed instead). `mode` names the fallback-chain step that produced the
+  // new generation: "tail-replay", "checkpoint-only" or "fresh-rebuild".
   void on_restore(int shard, bool ok, bool used_tail, uint64_t tail_frames,
-                  double pause_ms, const char* mode) override;
-  void on_shed(int shard, uint64_t sessions, const char* why) override;
-  void on_handoff_out(int src, int dst, uint64_t flow) override;
-  void on_shed_handoff(int src, int dst, uint64_t flow) override;
-  void on_handoff_in(int dst, uint64_t flow) override;
+                  double pause_ms, const char* mode);
+  // Supervisor timer context: quarantine exit through shedding,
+  // `sessions` relocated, shard down. `why` is a static string: "budget"
+  // (max_restores exhausted), "crash-loop" (circuit breaker tripped),
+  // "quarantine-cap" (too many simultaneous quarantines; lowest-priority
+  // shard degraded away) or "restore-failed".
+  void on_shed(int shard, uint64_t sessions, const char* why);
+  // `src`'s master window: session `flow` extracted from `src`, queued
+  // toward `dst`.
+  void on_handoff_out(int src, int dst, uint64_t flow);
+  // Supervisor timer context: the same, originated by the shed path
+  // (`src`'s engine is quiesced and being dismantled).
+  void on_shed_handoff(int src, int dst, uint64_t flow);
+  // `dst`'s master window: session `flow` adopted by `dst` (which may
+  // differ from the intended target when the mailbox forwarded past a
+  // down shard).
+  void on_handoff_in(int dst, uint64_t flow);
+  // Session `flow`, stranded at `at_shard`, returned toward `to_shard`.
+  // `supervisor_ctx` names the caller: true = the supervisor's
+  // adopt-timeout reclaim (timer context, writes at_shard's supervisor
+  // track), false = at_shard's own master window exhausting the adopt
+  // retry budget (writes its handoff track).
   void on_handoff_returned(int at_shard, int to_shard, uint64_t flow,
-                           bool supervisor_ctx) override;
-  void on_handoff_overflow(int target, uint64_t flow) override;
+                           bool supervisor_ctx);
+  // Any master window or the supervisor: a post against `target`'s full
+  // mailbox dropped session `flow` (an overflow shed). Metrics only, no
+  // trace track is written.
+  void on_handoff_overflow(int target, uint64_t flow);
 
   // One observation window: refreshes the fleet gauges that derive from
   // heartbeat atomics (connected / lost clients), then runs the SLO
@@ -110,7 +149,6 @@ class FleetObs final : public shard::FleetObserver {
 
   // Federated sample list: "shard<i>.*" + "fleet.*" (see federate()).
   std::vector<MetricSample> fleet_snapshot() const;
-  std::string fleet_json() const;  // qserv-metrics-v1
 
   MetricsRegistry& shard_metrics(int i) { return *shard_regs_[i]; }
   MetricsRegistry& fleet_metrics() { return fleet_reg_; }
@@ -118,8 +156,6 @@ class FleetObs final : public shard::FleetObserver {
   const SloMonitor& slo() const { return slo_; }
   Tracer* tracer() const { return tracer_; }
   int shard_pid(int shard) const { return cfg_.shard_pid_base + shard; }
-  // Handoffs begun whose adoption has not been observed yet.
-  size_t flows_in_flight() const;
 
  private:
   void attach_engine(int shard, core::ParallelServer& server);
@@ -166,7 +202,7 @@ class FleetObs final : public shard::FleetObserver {
 
   // flow id -> extraction time; inserted by any master window (or the
   // supervisor's shed), erased at adoption, hence the mutex.
-  mutable std::mutex flows_mu_;
+  std::mutex flows_mu_;
   std::unordered_map<uint64_t, int64_t> flow_begin_ns_;
 };
 

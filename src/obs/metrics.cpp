@@ -1,7 +1,5 @@
 #include "src/obs/metrics.hpp"
 
-#include <cstdio>
-
 #include "src/obs/json.hpp"
 #include "src/util/check.hpp"
 
@@ -125,14 +123,6 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
   w.end_array();
   w.end_object();
   return out;
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 size_t MetricsRegistry::size() const {

@@ -107,7 +107,6 @@ class MetricsRegistry {
 
   // {"schema":"qserv-metrics-v1","metrics":[...]}.
   std::string to_json() const;
-  bool write_json(const std::string& path) const;
 
   size_t size() const;
 

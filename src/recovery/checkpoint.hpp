@@ -125,7 +125,6 @@ class CheckpointManager {
 
   uint64_t count() const { return count_; }
   size_t last_bytes() const { return has() ? latest().size() : 0; }
-  int64_t last_pause_ns() const { return last_pause_ns_; }
   int64_t max_pause_ns() const { return max_pause_ns_; }
 
  private:

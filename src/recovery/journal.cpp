@@ -151,26 +151,6 @@ sim::Entity& adopt_player(sim::World& w, const std::string& name,
   return e;
 }
 
-const char* drop_reason_name(DropReason r) {
-  switch (r) {
-    case DropReason::kNone: return "none";
-    case DropReason::kOversized: return "oversized";
-    case DropReason::kMalformed: return "malformed";
-    case DropReason::kStalePort: return "stale-port";
-    case DropReason::kDuplicate: return "duplicate";
-    case DropReason::kRateLimited: return "rate-limited";
-    case DropReason::kCoalesced: return "coalesced";
-    case DropReason::kRejectedFull: return "rejected-full";
-    case DropReason::kRejectedBusy: return "rejected-busy";
-    case DropReason::kConnectPending: return "connect-pending";
-    case DropReason::kReconnectDup: return "reconnect-dup";
-    case DropReason::kResumed: return "resumed";
-    case DropReason::kEvictedPort: return "evicted-port";
-    case DropReason::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 FlightRecorder::FlightRecorder(const Config& cfg, uint32_t threads,
                                uint64_t seed)
     : cfg_(cfg), seed_(seed), staging_(threads == 0 ? 1 : threads) {}

@@ -102,7 +102,6 @@ enum class DropReason : uint8_t {
 };
 
 const char* record_kind_name(RecordKind k);
-const char* drop_reason_name(DropReason r);
 
 struct JournalRecord {
   RecordKind kind = RecordKind::kDropped;

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/fleet.hpp"
 #include "src/shard/manager.hpp"
 #include "src/sim/entity.hpp"
 #include "src/sim/world.hpp"
@@ -50,7 +51,7 @@ void ShardEngineHook::adopt_inbound() {
   for (core::Server::SessionTransfer& t : incoming) {
     if (server_.adopt_session(t)) {
       if (t.flow_id != 0) {
-        if (FleetObserver* o = mgr_.observer(); o != nullptr)
+        if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
           o->on_handoff_in(index_, t.flow_id);
       }
       // Arm the redirect with the POST-adopt clock: adopt_session stamps
@@ -74,7 +75,7 @@ void ShardEngineHook::adopt_inbound() {
       t.adopt_retries = 0;
       t.source_shard = index_;
       mgr_.count_handoff_return();
-      if (FleetObserver* o = mgr_.observer(); o != nullptr)
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
         o->on_handoff_returned(index_, back, t.flow_id,
                                /*supervisor_ctx=*/false);
       mgr_.post_handoff(back, std::move(t));
@@ -109,7 +110,7 @@ void ShardEngineHook::migrate_outbound() {
     core::Server::SessionTransfer t;
     if (server_.extract_session(port, t)) {
       t.source_shard = index_;  // return address for containment paths
-      if (FleetObserver* o = mgr_.observer(); o != nullptr) {
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr) {
         t.flow_id = mgr_.next_flow_id();
         o->on_handoff_out(index_, target, t.flow_id);
       }

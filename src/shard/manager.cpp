@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "src/obs/fleet.hpp"
 #include "src/spatial/map.hpp"
 #include "src/util/check.hpp"
 #include "src/util/rng.hpp"

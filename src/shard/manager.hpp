@@ -12,10 +12,13 @@
 
 #include "src/shard/config.hpp"
 #include "src/shard/mailbox.hpp"
-#include "src/shard/observer.hpp"
 #include "src/shard/router.hpp"
 #include "src/shard/shard.hpp"
 #include "src/shard/supervisor.hpp"
+
+namespace qserv::obs {
+class FleetObs;
+}
 
 namespace qserv::shard {
 
@@ -63,8 +66,8 @@ class ShardManager {
   // --- fleet observation (obs::FleetObs) ---
   // Install before start(); `o` must outlive the fleet. Null = unobserved
   // (every emission site is one pointer check).
-  void set_observer(FleetObserver* o) { observer_ = o; }
-  FleetObserver* observer() const { return observer_; }
+  void set_observer(obs::FleetObs* o) { observer_ = o; }
+  obs::FleetObs* observer() const { return observer_; }
   // Next causal-trace flow id (1-based; 0 means untraced). Called from
   // any master window, so the counter is atomic.
   uint64_t next_flow_id() {
@@ -103,7 +106,7 @@ class ShardManager {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<HandoffMailbox>> mailboxes_;
   std::unique_ptr<ShardSupervisor> supervisor_;
-  FleetObserver* observer_ = nullptr;
+  obs::FleetObs* observer_ = nullptr;
   std::atomic<uint64_t> flow_ids_{0};
   std::atomic<uint64_t> overflow_sheds_{0};
   std::atomic<uint64_t> handoffs_returned_{0};

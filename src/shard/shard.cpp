@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/obs/fleet.hpp"
 #include "src/recovery/journal.hpp"
 #include "src/shard/manager.hpp"
 #include "src/util/check.hpp"
@@ -155,7 +156,7 @@ Shard::RestoreOutcome Shard::rebuild_and_restore() {
   // Either way this generation is about to go live: give the fleet
   // observer its pre-start window to re-attach tracer/metrics hooks, or
   // the restored shard would go dark for the rest of the run.
-  if (FleetObserver* o = mgr_.observer(); o != nullptr)
+  if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
     o->on_engine_built(index_, *server_);
   server_->start();
   out.pause_ms = ms_since(t0);

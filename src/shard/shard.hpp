@@ -53,7 +53,6 @@ class Shard {
   int index() const { return index_; }
   core::ParallelServer* server() { return server_.get(); }
   const core::ParallelServer* server() const { return server_.get(); }
-  const core::ServerConfig& engine_config() const { return cfg_; }
 
   // A shed shard stays down: no engine, sessions relocated.
   bool down() const { return down_.load(std::memory_order_acquire); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/obs/fleet.hpp"
 #include "src/shard/manager.hpp"
 #include "src/util/check.hpp"
 
@@ -144,7 +145,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         s.request_stop();
         r.state = ShardState::kQuarantined;
         ++r.escalations;
-        if (FleetObserver* o = mgr_.observer(); o != nullptr)
+        if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
           o->on_escalation(i, why);
       }
       break;
@@ -199,7 +200,7 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
       r.last_mode = out.mode;
       r.last_stats = out.stats;
       r.last_error = out.error;
-      if (FleetObserver* o = mgr_.observer(); o != nullptr)
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
         o->on_restore(i, out.ok, out.used_tail, out.stats.tail_frames,
                       out.pause_ms, restore_mode_name(out.mode));
       if (!out.ok) {
@@ -244,13 +245,13 @@ void ShardSupervisor::do_shed(int i, ShedReason why) {
     // Shed transfers have no home to bounce back to: the source shard is
     // permanently down, so adopt-timeout reclaim must pick a live shard.
     tr.source_shard = -1;
-    if (FleetObserver* o = mgr_.observer(); o != nullptr) {
+    if (obs::FleetObs* o = mgr_.observer(); o != nullptr) {
       tr.flow_id = mgr_.next_flow_id();
       o->on_shed_handoff(i, target, tr.flow_id);
     }
     if (mgr_.post_handoff(target, std::move(tr))) ++r.shed_sessions;
   }
-  if (FleetObserver* o = mgr_.observer(); o != nullptr)
+  if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
     o->on_shed(i, r.shed_sessions, shed_reason_name(why));
 }
 
@@ -282,7 +283,7 @@ void ShardSupervisor::reclaim_stale_handoffs(int64_t now_ns) {
       }
       if (target < 0) continue;  // whole fleet down; session is lost
       mgr_.count_handoff_return();
-      if (FleetObserver* o = mgr_.observer(); o != nullptr)
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
         o->on_handoff_returned(i, target, t.flow_id, /*supervisor_ctx=*/true);
       mgr_.post_handoff(target, std::move(t));
     }

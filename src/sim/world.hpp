@@ -210,9 +210,6 @@ class World {
     platform_ = p;
     return old;
   }
-  vt::TimePoint now_or_zero() const {
-    return platform_ != nullptr ? platform_->now() : vt::TimePoint{};
-  }
 
  private:
   spatial::GameMap map_;

@@ -71,17 +71,6 @@ PvsData compute_pvs(const std::vector<Aabb>& clusters,
   return out;
 }
 
-const char* item_type_name(ItemType t) {
-  switch (t) {
-    case ItemType::kHealth: return "health";
-    case ItemType::kArmor: return "armor";
-    case ItemType::kWeapon: return "weapon";
-    case ItemType::kAmmo: return "ammo";
-    case ItemType::kMegaHealth: return "megahealth";
-  }
-  return "?";
-}
-
 namespace {
 
 // %.9g: 9 significant digits round-trip any binary32 exactly, so a

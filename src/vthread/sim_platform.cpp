@@ -134,10 +134,6 @@ void SimPlatform::dump_deadlock() const {
   }
 }
 
-std::string SimPlatform::current_name() const {
-  return current_ >= 0 ? fibers_[static_cast<size_t>(current_)]->name : "";
-}
-
 // --------------------------------------------------------------------------
 // Platform interface
 // --------------------------------------------------------------------------

@@ -125,10 +125,6 @@ class SimPlatform final : public Platform {
   uint64_t events_processed() const { return events_processed_; }
   void set_event_limit(uint64_t limit) { event_limit_ = limit; }
   const MachineConfig& machine() const { return machine_; }
-  int live_fibers() const { return live_fibers_; }
-
-  // Name of the currently running fiber ("" outside any fiber).
-  std::string current_name() const;
 
  private:
   friend class SimMutex;

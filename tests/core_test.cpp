@@ -175,7 +175,9 @@ TEST(LockManager, RandomOverlappingRegionsNeverDeadlock) {
   Rng seeds(42);
   for (int t = 0; t < 8; ++t) {
     const uint64_t seed = seeds.next_u64();
-    f.platform.spawn("t" + std::to_string(t), Domain::kServer, [&f, &st, t, seed] {
+    std::string name = "t";
+    name += std::to_string(t);
+    f.platform.spawn(name, Domain::kServer, [&f, &st, t, seed] {
       Rng rng(seed);
       for (int i = 0; i < 200; ++i) {
         // Random subset of the 16 leaves (node indices 15..30).

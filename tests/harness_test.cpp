@@ -130,7 +130,8 @@ TEST(JsonExport, BreakdownKeysKeepTheirOrderAndValues) {
   const ExperimentResult r = hand_built_result();
   std::string out;
   obs::JsonWriter w(out);
-  write_result_json(w, "2t/64p", ExperimentConfig{}, r);
+  const ExperimentConfig cfg;
+  write_result_json(w, "2t/64p", cfg, r);
   obs::JsonValue doc;
   std::string err;
   ASSERT_TRUE(obs::json_parse(out, doc, &err)) << err;

@@ -36,6 +36,14 @@
 namespace qserv {
 namespace {
 
+// "<prefix><n>". Built by appending: GCC 12 at -O3 flags
+// `"lit" + std::to_string(n)` with -Wrestrict.
+std::string numbered(const char* prefix, int n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 // ---- minimal JSON syntax checker (validation only, no DOM) ------------
 
 class JsonChecker {
@@ -268,7 +276,7 @@ TEST(TracerTest, ConcurrentSingleWriterTracks) {
   constexpr int kSpans = 10000;
   std::vector<int> tracks;
   for (int i = 0; i < kThreads; ++i)
-    tracks.push_back(tracer.make_track("w" + std::to_string(i)));
+    tracks.push_back(tracer.make_track(numbered("w", i)));
 
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
@@ -351,7 +359,7 @@ TEST(TracerTest, InternedNamesAreStableAndDeduplicated) {
   const char* c = tracer.intern("slo:lost_clients");
   EXPECT_NE(a, c);
   // Interning more names must not invalidate earlier pointers.
-  for (int i = 0; i < 1000; ++i) tracer.intern("name-" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) tracer.intern(numbered("name-", i));
   EXPECT_EQ(std::string(a), "slo:frame_p99");
 }
 
@@ -369,7 +377,7 @@ TEST(TracerTest, TrackRegistrationIsSafeUnderConcurrentRecording) {
   constexpr int kSpans = 20000;
   std::vector<int> tracks;
   for (int i = 0; i < kWriters; ++i)
-    tracks.push_back(tracer.make_track("w" + std::to_string(i)));
+    tracks.push_back(tracer.make_track(numbered("w", i)));
 
   std::vector<std::thread> threads;
   for (int i = 0; i < kWriters; ++i) {
@@ -382,7 +390,7 @@ TEST(TracerTest, TrackRegistrationIsSafeUnderConcurrentRecording) {
   // rebuilt shard generation would.
   threads.emplace_back([&] {
     for (int g = 0; g < 100; ++g) {
-      const int t = tracer.make_track("g" + std::to_string(g), /*pid=*/g);
+      const int t = tracer.make_track(numbered("g", g), /*pid=*/g);
       tracer.record_instant(t, "restore");
     }
   });

@@ -43,7 +43,9 @@ struct TestWorld {
         world(map, sim::World::Config{4, seed}, platform) {
     Rng rng(seed * 977 + 11);
     for (int i = 0; i < 24; ++i) {
-      sim::Entity& p = world.spawn_player("p" + std::to_string(i));
+      std::string name = "p";
+      name += std::to_string(i);
+      sim::Entity& p = world.spawn_player(name);
       player_ids.push_back(p.id);
       scatter(p, rng);
     }

@@ -309,6 +309,33 @@ TEST(Resilience, GovernorDegradesInsteadOfCollapsing) {
   EXPECT_GT(r.response_rate, 0.0);
 }
 
+// The ladder's last rung under the same 320-player, 4-thread overload
+// with no level cap: p95 stays past the 33 ms budget long enough for the
+// governor to reach kEvictExpensive, which then evicts the most expensive
+// client — at most one per kEvictInterval, so over the measurement window
+// the evictions are bounded by its length in intervals (+1 for an
+// eviction due right at the warmup boundary). The registry/world/areanode
+// audit stays clean through every eviction.
+TEST(Resilience, EvictionRungShedsAtMostOneClientPerInterval) {
+  auto cfg = harness::paper_config(harness::ServerMode::kParallel, 4, 320,
+                                   core::LockPolicy::kConservative);
+  cfg.warmup = vt::seconds(2);
+  cfg.measure = vt::seconds(4);
+  cfg.server.resilience.governor = true;
+  cfg.server.resilience.tick_budget = vt::millis(33);
+  cfg.server.resilience.window = 16;
+  cfg.server.resilience.dwell = 8;
+  cfg.server.check_invariants = true;
+  const auto r = harness::run_experiment(cfg);
+
+  ASSERT_EQ(r.max_degrade_level, resilience::kEvictExpensive);
+  EXPECT_GT(r.governor_evictions, 0u);
+  const auto intervals =
+      static_cast<uint64_t>(cfg.measure.ns / resilience::kEvictInterval.ns);
+  EXPECT_LE(r.governor_evictions, intervals + 1);
+  EXPECT_EQ(r.invariant_violations, 0u);
+}
+
 // --- full-system: watchdog + stall recovery (simulated platform) ---
 
 // A worker wedged for a full second (injected via the fault timeline's

@@ -114,6 +114,13 @@ harness::ShardExperimentConfig base_cfg(int shards, int players) {
   return cfg;
 }
 
+// A fleet-level counter of a FleetObs plane (0 when never registered).
+double fleet_counter(obs::FleetObs& fleet, const std::string& name) {
+  for (const auto& s : fleet.fleet_metrics().snapshot())
+    if (s.name == name) return s.value;
+  return 0.0;
+}
+
 TEST(ShardFleet, HandoffsFlowAndNoClientIsLost) {
   auto cfg = base_cfg(2, 24);
   // Tight margin: roaming bots cross the slab boundary and migrate.
@@ -252,7 +259,8 @@ TEST(ShardFleet, CircuitBreakerShedsACrashLoopingShard) {
 // quarantine is immediate by design, so the long unattended-mailbox
 // window only opens on a RE-crash: the second rebuild waits out the full
 // restore_backoff, and everything shard 0 mails across the boundary in
-// that gap must bounce back.
+// that gap must bounce back. A tracer-less fleet plane rides along and
+// must count every return the manager counts.
 TEST(ShardFleet, AdoptTimeoutReturnsStrandedHandoffsToSource) {
   auto cfg = base_cfg(2, 24);
   cfg.fleet.boundary_margin = 8.0f;  // roaming: handoffs flow both ways
@@ -282,11 +290,15 @@ TEST(ShardFleet, AdoptTimeoutReturnsStrandedHandoffsToSource) {
     };
     pp->call_after(cfg.warmup + vt::millis(500), tick);
   };
+  obs::FleetObs fleet(nullptr);
+  cfg.fleet_obs = &fleet;
   const auto r = harness::run_shard_experiment(cfg);
 
   // Sessions that roamed toward the dead shard bounced back to shard 0
   // (which kept serving them) instead of stranding in the mailbox.
   EXPECT_GE(r.handoffs_returned, 1u);
+  EXPECT_EQ(fleet_counter(fleet, "fleet.handoff.returns"),
+            static_cast<double>(r.handoffs_returned));
   EXPECT_GE(r.shards[1].backoff_waits, 1u);
   EXPECT_EQ(r.connected, cfg.players);
   EXPECT_EQ(r.shards[1].restores, 2);
@@ -297,6 +309,8 @@ TEST(ShardFleet, AdoptTimeoutReturnsStrandedHandoffsToSource) {
 // A bounded mailbox must refuse — and count — posts beyond its capacity
 // instead of queueing without limit toward a destination that is not
 // draining; the dropped clients recover through the silence backstop.
+// A tracer-less fleet plane counts the sheds at a full mailbox (not the
+// whole-fleet-down drops, hence at most the manager's total).
 TEST(ShardFleet, MailboxOverflowShedsAreBoundedAndCounted) {
   auto cfg = base_cfg(2, 24);
   cfg.fleet.boundary_margin = 8.0f;
@@ -310,9 +324,15 @@ TEST(ShardFleet, MailboxOverflowShedsAreBoundedAndCounted) {
     p.call_after(cfg.warmup + vt::millis(500),
                  [&mgr] { mgr.crash_shard(1); });
   };
+  obs::FleetObs fleet(nullptr);
+  cfg.fleet_obs = &fleet;
   const auto r = harness::run_shard_experiment(cfg);
 
   EXPECT_GE(r.overflow_sheds, 1u);
+  const double fleet_sheds =
+      fleet_counter(fleet, "fleet.handoff.overflow_sheds");
+  EXPECT_GT(fleet_sheds, 0.0);
+  EXPECT_LE(fleet_sheds, static_cast<double>(r.overflow_sheds));
   EXPECT_GE(r.silence_reconnects, 1u);  // dropped sessions rejoined
   EXPECT_EQ(r.connected, cfg.players);  // nobody stays lost
   EXPECT_EQ(r.shards[1].restores, 1);

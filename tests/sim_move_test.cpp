@@ -137,8 +137,11 @@ TEST_P(MoveFuzzTest, NeverPenetratesOrEscapes) {
   const auto map = spatial::make_large_deathmatch(7);
   World w(map, {4, GetParam()});
   std::vector<uint32_t> ids;
-  for (int i = 0; i < 8; ++i)
-    ids.push_back(w.spawn_player("p" + std::to_string(i)).id);
+  for (int i = 0; i < 8; ++i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    ids.push_back(w.spawn_player(name).id);
+  }
   Rng rng(GetParam() * 977 + 13);
   vt::TimePoint now{};
   for (int step = 0; step < 400; ++step) {

@@ -98,8 +98,11 @@ TEST(World, RelinkTracksMovement) {
 TEST(World, LinkageInvariantHoldsAfterChurn) {
   World w = make_world(5);
   std::vector<uint32_t> players;
-  for (int i = 0; i < 20; ++i)
-    players.push_back(w.spawn_player("p" + std::to_string(i)).id);
+  for (int i = 0; i < 20; ++i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    players.push_back(w.spawn_player(name).id);
+  }
   Rng rng(9);
   for (int step = 0; step < 500; ++step) {
     Entity* p = w.get(players[rng.below(players.size())]);

@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <vector>
 
 #include "src/util/aabb.hpp"
 #include "src/vthread/time.hpp"
 #include "src/util/histogram.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/slot_map.hpp"
 #include "src/util/table.hpp"
 #include "src/util/vec.hpp"
 
@@ -133,41 +131,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(r.chance(0.0f));
     EXPECT_TRUE(r.chance(1.0f));
   }
-}
-
-TEST(SlotMap, InsertGetErase) {
-  SlotMap<int> m;
-  const Handle a = m.insert(10);
-  const Handle b = m.insert(20);
-  EXPECT_EQ(m[a], 10);
-  EXPECT_EQ(m[b], 20);
-  EXPECT_EQ(m.size(), 2u);
-  m.erase(a);
-  EXPECT_FALSE(m.contains(a));
-  EXPECT_TRUE(m.contains(b));
-  EXPECT_EQ(m.try_get(a), nullptr);
-}
-
-TEST(SlotMap, GenerationsDetectStaleHandles) {
-  SlotMap<int> m;
-  const Handle a = m.insert(1);
-  m.erase(a);
-  const Handle b = m.insert(2);  // reuses the slot
-  EXPECT_EQ(b.index, a.index);
-  EXPECT_NE(b.generation, a.generation);
-  EXPECT_FALSE(m.contains(a));
-  EXPECT_EQ(m[b], 2);
-}
-
-TEST(SlotMap, ForEachIsIndexOrdered) {
-  SlotMap<int> m;
-  m.insert(1);
-  const Handle b = m.insert(2);
-  m.insert(3);
-  m.erase(b);
-  std::vector<int> seen;
-  m.for_each([&](Handle, int v) { seen.push_back(v); });
-  EXPECT_EQ(seen, (std::vector<int>{1, 3}));
 }
 
 TEST(StatAccumulator, MeanAndStddev) {

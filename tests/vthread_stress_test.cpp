@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/util/rng.hpp"
@@ -11,6 +12,14 @@
 
 namespace qserv::vt {
 namespace {
+
+// "<prefix><n>". Built by appending: GCC 12 at -O3 flags
+// `"lit" + std::to_string(n)` with -Wrestrict.
+std::string numbered(const char* prefix, int n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
 
 struct MachineShape {
   int cores;
@@ -35,7 +44,7 @@ TEST_P(MachineSweep, MixedWorkloadIsDeterministic) {
     int turnstile = 0;
     uint64_t fingerprint = 0;  // unsigned: it wraps by design
     for (int i = 0; i < 10; ++i) {
-      p.spawn("w" + std::to_string(i), Domain::kServer, [&, i] {
+      p.spawn(numbered("w", i), Domain::kServer, [&, i] {
         Rng rng(static_cast<uint64_t>(i) + 1);
         for (int k = 0; k < 50; ++k) {
           p.compute(micros(rng.range(10, 200)));
@@ -71,7 +80,7 @@ TEST_P(MachineSweep, CpuThroughputIsBounded) {
   const int fibers = shape.cores * shape.ht + 3;  // oversubscribe
   const Duration work = millis(20);
   for (int i = 0; i < fibers; ++i) {
-    p.spawn("w" + std::to_string(i), Domain::kServer,
+    p.spawn(numbered("w", i), Domain::kServer,
             [&] { p.compute(work); });
   }
   p.run();
@@ -100,10 +109,10 @@ TEST(SimPlatformStress, ManyFibersManyLocks) {
   constexpr int kLocks = 8;
   std::vector<std::unique_ptr<Mutex>> mus;
   for (int i = 0; i < kLocks; ++i)
-    mus.push_back(p.make_mutex("m" + std::to_string(i)));
+    mus.push_back(p.make_mutex(numbered("m", i)));
   std::vector<int> counters(kLocks, 0);
   for (int f = 0; f < kFibers; ++f) {
-    p.spawn("f" + std::to_string(f), Domain::kServer, [&, f] {
+    p.spawn(numbered("f", f), Domain::kServer, [&, f] {
       Rng rng(static_cast<uint64_t>(f) * 7 + 1);
       for (int k = 0; k < 40; ++k) {
         // Lock a run of mutexes in ascending order (deadlock-free).
@@ -131,7 +140,7 @@ TEST(SimPlatformStress, SleepOrderingIsExact) {
   std::vector<int64_t> delays;
   for (int i = 0; i < 50; ++i) delays.push_back(rng.range(1, 100000));
   for (int i = 0; i < 50; ++i) {
-    p.spawn("s" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("s", i), Domain::kServer, [&, i] {
       p.sleep_until(TimePoint{delays[static_cast<size_t>(i)]});
       order.push_back(i);
     });
@@ -155,7 +164,7 @@ TEST(SimPlatformStress, ComputeSlicesInterleaveFairlyOnOneCpu) {
   // interleave them rather than starving one.
   std::vector<int> sequence;
   for (int f = 0; f < 2; ++f) {
-    p.spawn("f" + std::to_string(f), Domain::kServer, [&, f] {
+    p.spawn(numbered("f", f), Domain::kServer, [&, f] {
       for (int k = 0; k < 10; ++k) {
         p.compute(micros(10));
         sequence.push_back(f);
@@ -179,7 +188,7 @@ TEST(SimPlatformStress, HyperThreadThroughputMatchesModelExactly) {
   SimPlatform p(mc);
   Duration done[2] = {};
   for (int f = 0; f < 2; ++f) {
-    p.spawn("f" + std::to_string(f), Domain::kServer, [&, f] {
+    p.spawn(numbered("f", f), Domain::kServer, [&, f] {
       while (p.now() < TimePoint{} + seconds(1)) {
         p.compute(micros(100));
         done[f] += micros(100);
@@ -215,7 +224,7 @@ TEST(SimPlatformStress, CondVarHerdWakesExactlyOnce) {
   int woken = 0;
   int token = 0;
   for (int i = 0; i < 20; ++i) {
-    p.spawn("w" + std::to_string(i), Domain::kServer, [&] {
+    p.spawn(numbered("w", i), Domain::kServer, [&] {
       mu->lock();
       while (token == 0) cv->wait(*mu);
       --token;

@@ -11,6 +11,14 @@
 namespace qserv::vt {
 namespace {
 
+// "<prefix><n>". Built by appending: GCC 12 at -O3 flags
+// `"lit" + std::to_string(n)` with -Wrestrict.
+std::string numbered(const char* prefix, int n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 SimPlatform::MachineConfig cores(int n, int ht = 1, double tp = 1.25) {
   SimPlatform::MachineConfig mc;
   mc.cores = n;
@@ -46,7 +54,7 @@ TEST(SimPlatform, IndependentCoresComputeInParallel) {
   SimPlatform p(cores(4));
   std::vector<TimePoint> done(4);
   for (int i = 0; i < 4; ++i) {
-    p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("t", i), Domain::kServer, [&, i] {
       p.compute(millis(10));
       done[static_cast<size_t>(i)] = p.now();
     });
@@ -59,9 +67,9 @@ TEST(SimPlatform, OversubscribedCpuQueuesFifo) {
   SimPlatform p(cores(1));
   std::vector<std::pair<std::string, TimePoint>> finish;
   for (int i = 0; i < 3; ++i) {
-    p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("t", i), Domain::kServer, [&, i] {
       p.compute(millis(10));
-      finish.emplace_back("t" + std::to_string(i), p.now());
+      finish.emplace_back(numbered("t", i), p.now());
     });
   }
   p.run();
@@ -80,7 +88,7 @@ TEST(SimPlatform, HyperThreadingSharesACore) {
   SimPlatform p(cores(1, 2, 1.25));
   std::vector<TimePoint> done(2);
   for (int i = 0; i < 2; ++i) {
-    p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("t", i), Domain::kServer, [&, i] {
       p.compute(millis(1));
       done[static_cast<size_t>(i)] = p.now();
     });
@@ -114,7 +122,7 @@ TEST(SimPlatform, PrefersIdleCoresOverHyperThreadSiblings) {
   SimPlatform p(cores(2, 2, 1.25));
   std::vector<TimePoint> done(2);
   for (int i = 0; i < 2; ++i) {
-    p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("t", i), Domain::kServer, [&, i] {
       p.compute(millis(4));
       done[static_cast<size_t>(i)] = p.now();
     });
@@ -147,7 +155,7 @@ TEST(SimPlatform, MutexProvidesMutualExclusionAndFifoOrder) {
   std::vector<int> order;
   int in_critical = 0;
   for (int i = 0; i < 4; ++i) {
-    p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("t", i), Domain::kServer, [&, i] {
       // Stagger arrivals so the FIFO order is well defined.
       p.sleep_for(micros(i * 10));
       mu->lock();
@@ -210,7 +218,7 @@ TEST(SimPlatform, CondVarSignalWakesInFifoOrder) {
   std::vector<int> woke;
   int ready = 0;
   for (int i = 0; i < 3; ++i) {
-    p.spawn("w" + std::to_string(i), Domain::kServer, [&, i] {
+    p.spawn(numbered("w", i), Domain::kServer, [&, i] {
       p.sleep_for(micros(i));
       mu->lock();
       ++ready;
@@ -239,7 +247,7 @@ TEST(SimPlatform, CondVarBroadcastWakesAll) {
   auto cv = p.make_condvar();
   int woke = 0;
   for (int i = 0; i < 5; ++i) {
-    p.spawn("w" + std::to_string(i), Domain::kServer, [&] {
+    p.spawn(numbered("w", i), Domain::kServer, [&] {
       mu->lock();
       cv->wait(*mu);
       ++woke;
@@ -354,7 +362,7 @@ TEST(SimPlatform, DeterministicAcrossRuns) {
     auto mu = p.make_mutex("m");
     std::vector<int64_t> trace;
     for (int i = 0; i < 6; ++i) {
-      p.spawn("t" + std::to_string(i), Domain::kServer, [&, i] {
+      p.spawn(numbered("t", i), Domain::kServer, [&, i] {
         for (int k = 0; k < 20; ++k) {
           p.compute(micros(100 + 37 * ((i + k) % 5)));
           mu->lock();
