@@ -2,10 +2,11 @@
 // fast is the way back?
 //
 // Part 1 — recording cost at the 160-player capacity anchor (4 threads,
-// conservative locking). Recovery off vs on: "on" journals every inbound
-// datagram, records per-frame world digests, and checkpoints the full
-// server image every 512 frames inside the master's between-frames
-// window. We report the throughput delta, the encoded checkpoint size,
+// conservative locking). Recovery off vs on: "on" journals every world
+// mutation (world steps, executed moves, lifecycle operations) with its
+// serialization index, records per-frame world digests, and checkpoints
+// the full server image every 512 frames inside the master's
+// between-frames window. We report the throughput delta, the encoded checkpoint size,
 // and the worst host-clock serialize pause — the acceptance bound is
 // 12.5 ms, half a 25 ms master frame, so a checkpoint can never cost a
 // frame even if it lands at the worst point of the budget. The ON run

@@ -42,7 +42,7 @@ void Server::execute_move(int tid, ClientSlot& client,
 
   if (lock) lock_manager_->release(arena.region);
 
-  hooks_.move_executed(tid, client.remote_port, player->id, order, t0, cmd);
+  journal_move(tid, client.remote_port, player->id, order, t0, cmd);
 
   client.pending_reply = true;
   registry_.queue_reply(client);

@@ -1,12 +1,11 @@
-// The hook seam between the Server (the frame engine) and its optional
-// satellites: recovery, the shard layer and test probes. The server never
-// calls a subsystem directly; it dispatches through HookList at fixed
-// points of the frame, and subsystems call back only through Server's
-// public methods (each adapter holds a core::Server&). Callback *presence*
-// is part of replay determinism: a subsystem that draws serialization
-// indexes or charges modelled compute simply does not register when
-// disabled, which reproduces the old `if (recorder_ != nullptr)` gates
-// exactly.
+// The hook seam between the Server (the frame engine) and its external
+// satellites: the shard layer and test probes (the event-log oracle rides
+// LifecycleObserver). The server's own subsystems — governor, watchdog,
+// flight recorder — are members it calls directly; everything else
+// attaches here, is dispatched at fixed points of the frame, and calls
+// back only through Server's public methods. The seam itself draws no
+// serialization index: a hook that mutates the engine (the shard hook's
+// extract_session / adopt_session) is journaled by those methods.
 #pragma once
 
 #include <cstdint>
@@ -15,37 +14,17 @@
 
 #include "src/vthread/time.hpp"
 
-namespace qserv::net {
-struct MoveCmd;
-}
-namespace qserv::recovery {
-enum class DropReason : uint8_t;
-}
-
 namespace qserv::core {
 
 struct ThreadStats;
 
 // Frame-scoped callbacks, dispatched at fixed points of every frame. All
 // default to no-ops so a hook overrides only the points it needs; no
-// callback may sleep, block, or charge compute the live run did not
-// (overriders own their determinism budget — see the journal hooks).
+// callback may sleep, block, or charge compute the live run did not.
 class FrameHook {
  public:
   virtual ~FrameHook() = default;
 
-  // Master only, inside the world phase, after (t0, dt) are fixed and
-  // before world_phase() runs.
-  virtual void on_world_tick(int /*tid*/, vt::TimePoint /*t0*/,
-                             vt::Duration /*dt*/) {}
-  // Exec phase, after the move executed and its region locks released.
-  virtual void on_move_executed(int /*tid*/, uint16_t /*port*/,
-                                uint32_t /*entity*/, uint64_t /*order*/,
-                                vt::TimePoint /*t0*/,
-                                const net::MoveCmd& /*cmd*/) {}
-  // Receive phase: a datagram was seen but did not mutate the world.
-  virtual void on_drop(int /*tid*/, uint16_t /*port*/,
-                       recovery::DropReason /*why*/) {}
   // Master window, after lifecycle completion, timeout reaping and the
   // server's own resilience duties (watchdog verdict, governor step),
   // before the frame is sealed. The place for subsystem "master duties"
@@ -53,7 +32,9 @@ class FrameHook {
   virtual void on_master_window(int /*tid*/, vt::TimePoint /*frame_start*/,
                                 ThreadStats& /*st*/) {}
   // Master window, after every mutation of the frame (including any
-  // master-window evictions): the frame's final state is observable.
+  // master-window evictions) and after the server sealed the frame into
+  // its flight recorder (and took the checkpoint, when due): the frame's
+  // final state is observable.
   virtual void on_frame_sealed() {}
   // Master window, last callback of the frame (metrics point).
   virtual void on_frame_end(vt::TimePoint /*frame_start*/, int /*moves*/,
@@ -99,17 +80,6 @@ class HookList {
   void add(FrameHook* h) { frame_.push_back(h); }
   void add(LifecycleObserver* o) { lifecycle_.push_back(o); }
 
-  void world_tick(int tid, vt::TimePoint t0, vt::Duration dt) const {
-    for (FrameHook* h : frame_) h->on_world_tick(tid, t0, dt);
-  }
-  void move_executed(int tid, uint16_t port, uint32_t entity, uint64_t order,
-                     vt::TimePoint t0, const net::MoveCmd& cmd) const {
-    for (FrameHook* h : frame_)
-      h->on_move_executed(tid, port, entity, order, t0, cmd);
-  }
-  void drop(int tid, uint16_t port, recovery::DropReason why) const {
-    for (FrameHook* h : frame_) h->on_drop(tid, port, why);
-  }
   void master_window(int tid, vt::TimePoint frame_start,
                      ThreadStats& st) const {
     for (FrameHook* h : frame_) h->on_master_window(tid, frame_start, st);

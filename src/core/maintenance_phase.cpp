@@ -1,8 +1,9 @@
 // The master's single-threaded between-frames window: deferred client
 // lifecycle, timeout reaping, the watchdog verdict with stall migration,
-// the governor step with its eviction rung, the cross-structure audit,
-// the whole-frame metrics, and the hook dispatch points that let recovery
-// and the shard layer ride the frame without touching Server internals.
+// the governor step with its eviction rung, the journal seal and periodic
+// checkpoint, the cross-structure audit, the whole-frame metrics, and the
+// hook dispatch points that let the shard layer and test probes ride the
+// frame without touching Server internals.
 #include "src/core/server.hpp"
 
 #include <algorithm>
@@ -29,9 +30,10 @@ void Server::run_master_window(int tid, vt::TimePoint frame_start,
   hooks_.master_window(tid, frame_start, st);
   const int level = governor_.level();
   // Seal after every mutation of the frame (including hook-driven
-  // evictions) so the recovery hook's digest and journal cover the final
-  // state; the audit runs after the seal so a violation dump carries this
-  // frame.
+  // evictions) so the digest and journal cover the final state, and
+  // before the frame-sealed hooks so they observe a sealed frame; the
+  // audit runs after the seal so a violation dump carries this frame.
+  seal_journal_frame();
   hooks_.frame_sealed();
   if (level < resilience::kShedDebugWork) run_invariant_check();
   if (frame_duration_ms_ != nullptr) {
@@ -93,6 +95,8 @@ void Server::complete_pending_lifecycle() {
     ClientSlot& c = registry_.slot(i);
     if (!c.in_use) continue;
     if (c.pending_disconnect) {
+      journal_lifecycle(recovery::RecordKind::kDisconnect, c.owner_thread,
+                        c.remote_port, c.entity_id, now_ns);
       hooks_.client_disconnected(c.owner_thread, c.remote_port, c.entity_id,
                                  now_ns);
       if (world_.get(c.entity_id) != nullptr)
@@ -111,6 +115,8 @@ void Server::complete_pending_lifecycle() {
     registry_.spawn_slot_locked(c, player.id, owner,
                                 *sockets_[static_cast<size_t>(owner)],
                                 frames_);
+    journal_lifecycle(recovery::RecordKind::kConnectSpawn, owner,
+                      c.remote_port, player.id, now_ns, c.name);
     hooks_.client_spawned(owner, c.remote_port, player.id, c.name, now_ns);
     net::ConnectAck ack;
     ack.player_id = player.id;
@@ -133,8 +139,11 @@ void Server::evict_client_locked(ClientSlot& c, net::RejectReason reason,
     platform_.compute(cfg_.costs.send_syscall);
     c.chan->send(net::encode(net::RejectMsg{reason}));
   }
-  if (!c.pending_spawn)
+  if (!c.pending_spawn) {
+    journal_lifecycle(recovery::RecordKind::kEvict, c.owner_thread,
+                      c.remote_port, c.entity_id, platform_.now().ns);
     hooks_.client_evicted(c.owner_thread, c.remote_port, c.entity_id);
+  }
   LockManager::ListLockContext lists(*lock_manager_, st);
   if (!c.pending_spawn && world_.get(c.entity_id) != nullptr)
     world_.remove_entity(c.entity_id, cfg_.threads > 1 ? &lists : nullptr);

@@ -22,7 +22,6 @@ class ParallelServer final : public Server {
                  const spatial::GameMap& map, ServerConfig cfg);
 
   void start() override;
-  int thread_count() const override { return cfg_.threads; }
 
  private:
   enum class FramePhase : uint8_t { kIdle, kWorld, kProcessing, kReply };

@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "src/recovery/journal.hpp"
-
 namespace qserv::core {
 
 int Server::drain_requests(int tid, ThreadStats& st) {
@@ -19,7 +17,6 @@ int Server::drain_requests(int tid, ThreadStats& st) {
     // size, so drop before spending any parse work on it.
     if (d.payload.size() > resilience::kMaxPacketBytes) {
       ++st.packets_oversized;
-      hooks_.drop(tid, d.src_port, recovery::DropReason::kOversized);
       continue;
     }
     // --- receive + parse ---
@@ -63,20 +60,15 @@ int Server::drain_requests(int tid, ThreadStats& st) {
       // clients lock.
       std::atomic_ref<int64_t>(client->last_heard_ns)
           .store(platform_.now().ns, std::memory_order_relaxed);
-      hooks_.drop(tid, d.src_port, recovery::DropReason::kStalePort);
       continue;
     }
-    if (!parsed) {
-      hooks_.drop(tid, d.src_port, recovery::DropReason::kMalformed);
-      continue;
-    }
+    if (!parsed) continue;
     // Any well-formed traffic proves liveness, even stale duplicates.
     if (client != nullptr)
       std::atomic_ref<int64_t>(client->last_heard_ns)
           .store(platform_.now().ns, std::memory_order_relaxed);
     if (client != nullptr && info.duplicate_or_old &&
         type == net::ClientMsgType::kMove) {
-      hooks_.drop(tid, d.src_port, recovery::DropReason::kDuplicate);
       continue;  // stale or duplicated move
     }
 
@@ -97,16 +89,12 @@ int Server::drain_requests(int tid, ThreadStats& st) {
                                    d.src_port);
             reject.send(
                 net::encode(net::RejectMsg{net::RejectReason::kEvicted}));
-            hooks_.drop(tid, d.src_port, recovery::DropReason::kEvictedPort);
-          } else {
-            hooks_.drop(tid, d.src_port, recovery::DropReason::kUnknown);
           }
           break;
         }
         if (client->pending_spawn || client->pending_disconnect) {
           // No entity to move yet (or no longer): the spawn/removal is
           // waiting for the master window.
-          hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
           break;
         }
         // Backpressure: over-budget movers lose the excess moves here,
@@ -114,7 +102,6 @@ int Server::drain_requests(int tid, ThreadStats& st) {
         // — full state is retransmitted every snapshot.
         if (!client->bucket.try_take(platform_.now().ns)) {
           ++st.moves_rate_limited;
-          hooks_.drop(tid, d.src_port, recovery::DropReason::kRateLimited);
           break;
         }
         net::MoveCmd cmd;
@@ -129,7 +116,6 @@ int Server::drain_requests(int tid, ThreadStats& st) {
             client->client_baseline_frame =
                 std::max(client->client_baseline_frame, cmd.baseline_frame);
             ++st.moves_coalesced;
-            hooks_.drop(tid, d.src_port, recovery::DropReason::kCoalesced);
           } else {
             execute_move(tid, *client, cmd, st);
             ++moves;
@@ -161,7 +147,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
       if (c.pending_spawn) {
         // Connect retry racing its own deferred spawn; the ack follows
         // the master window.
-        hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
         return;
       }
       if (c.awaiting_resume) {
@@ -172,9 +157,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
             c, *sockets_[static_cast<size_t>(c.owner_thread)],
             resume_through);
         ++registry_.counters.resumed_clients;
-        hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
-      } else {
-        hooks_.drop(tid, d.src_port, recovery::DropReason::kReconnectDup);
       }
       ack_now = true;
     } else if (registry_.restored()) {
@@ -191,7 +173,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
               c, *sockets_[static_cast<size_t>(c.owner_thread)],
               resume_through);
           ++registry_.counters.resumed_clients;
-          hooks_.drop(tid, d.src_port, recovery::DropReason::kResumed);
           slot = i;
           ack_now = true;
           break;
@@ -222,7 +203,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
       // single-threaded and takes a serialization index.
       registry_.init_pending_slot_locked(slot, d.src_port, tid, msg.name);
       ++st.connects;
-      hooks_.drop(tid, d.src_port, recovery::DropReason::kConnectPending);
     }
   }
 
@@ -236,9 +216,6 @@ void Server::handle_connect(int tid, const net::Datagram& d,
     reject.send(net::encode(net::RejectMsg{
         busy ? net::RejectReason::kServerBusy
              : net::RejectReason::kServerFull}));
-    hooks_.drop(tid, d.src_port,
-                busy ? recovery::DropReason::kRejectedBusy
-                     : recovery::DropReason::kRejectedFull);
     return;
   }
   if (!ack_now) return;  // deferred: the master window sends the ack

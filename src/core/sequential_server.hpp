@@ -13,7 +13,6 @@ class SequentialServer final : public Server {
                    const spatial::GameMap& map, ServerConfig cfg);
 
   void start() override;
-  int thread_count() const override { return 1; }
 
  private:
   void main_loop();

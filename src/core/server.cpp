@@ -8,8 +8,8 @@
 #include "src/core/lock_manager.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/recovery/blackbox.hpp"
 #include "src/recovery/checkpoint.hpp"
-#include "src/recovery/engine_hook.hpp"
 #include "src/recovery/replay.hpp"
 #include "src/resilience/watchdog.hpp"
 #include "src/util/check.hpp"
@@ -60,12 +60,14 @@ Server::Server(vt::Platform& platform, net::Transport& net,
     selectors_.push_back(net.make_selector());
     selectors_.back()->add(*sockets_.back());
   }
-  // Recovery attaches only when enabled: its callbacks draw serialization
-  // indexes, so its *registration* is part of replay determinism.
+  // Recovery exists only when enabled: its journal points draw
+  // serialization indexes, so its presence is part of replay determinism.
   if (cfg.recovery.enabled) {
-    recovery_ = std::make_unique<recovery::ServerRecovery>(*this, map);
-    hooks_.add(static_cast<FrameHook*>(recovery_.get()));
-    hooks_.add(static_cast<LifecycleObserver*>(recovery_.get()));
+    recorder_ = std::make_unique<recovery::FlightRecorder>(
+        cfg.recovery, static_cast<uint32_t>(cfg.threads), cfg.seed);
+    checkpoints_ = std::make_unique<recovery::CheckpointManager>();
+    blackbox_ = std::make_unique<recovery::BlackBox>(cfg.recovery.dump_dir);
+    map_text_ = map.serialize();
   }
   // The per-thread frame scratch, built over everything above.
   arenas_.reserve(static_cast<size_t>(n));
@@ -202,14 +204,6 @@ void Server::record_frame_trace(ThreadStats& st, uint64_t frame_id,
   }
 }
 
-std::vector<uint8_t> Server::encode_checkpoint_now() {
-  QSERV_CHECK_MSG(recovery_ != nullptr,
-                  "encode_checkpoint_now needs cfg.recovery.enabled");
-  QSERV_CHECK_MSG(active_workers() == 0,
-                  "encode_checkpoint_now needs quiesced workers");
-  return recovery_->capture_now_encoded();
-}
-
 bool Server::watchdog_due(int self_tid) const {
   return watchdog_ != nullptr &&
          watchdog_->check_due(platform_.now(), self_tid);
@@ -217,18 +211,6 @@ bool Server::watchdog_due(int self_tid) const {
 
 uint64_t Server::invariant_violations() const {
   return invariants_ == nullptr ? 0 : invariants_->total_violations();
-}
-
-const recovery::FlightRecorder* Server::recorder() const {
-  return recovery_ == nullptr ? nullptr : recovery_->recorder();
-}
-
-const recovery::CheckpointManager* Server::checkpoints() const {
-  return recovery_ == nullptr ? nullptr : recovery_->checkpoints();
-}
-
-const recovery::BlackBox* Server::blackbox() const {
-  return recovery_ == nullptr ? nullptr : recovery_->blackbox();
 }
 
 recovery::LoadError Server::restore_from(
@@ -360,8 +342,8 @@ bool Server::extract_session(uint16_t port, SessionTransfer& out) {
     out.chan_in_acked = cl.chan->peer_acked();
   }
   out.state = recovery::capture_handoff_state(*e);
-  if (recovery_ != nullptr)
-    recovery_->record_handoff_out(port, cl.entity_id, cl.name);
+  journal_lifecycle(recovery::RecordKind::kHandoffOut, 0, port, cl.entity_id,
+                    platform_.now().ns, cl.name);
   // Master window: workers idle at the barrier, no list locks needed
   // (same argument as checkpoint capture).
   world_.remove_entity(cl.entity_id);
@@ -393,15 +375,10 @@ bool Server::adopt_session(const SessionTransfer& t) {
   cl.notify_port = true;
   cl.pending_reply = true;
   registry_.queue_reply(cl);
-  if (recovery_ != nullptr)
-    recovery_->record_handoff_in(t.remote_port, e.id, t.name, t.state);
+  journal_lifecycle(recovery::RecordKind::kHandoffIn, 0, t.remote_port, e.id,
+                    platform_.now().ns, t.name, &t.state);
   ++registry_.counters.handoffs_in;
   return true;
-}
-
-std::string Server::dump_blackbox(const std::string& label,
-                                  const std::string& why) {
-  return recovery_ == nullptr ? "" : recovery_->dump(label, why);
 }
 
 void Server::world_step(ThreadStats& st) {
@@ -413,12 +390,10 @@ void Server::world_step(ThreadStats& st) {
   // physics step.
   dt.ns = std::clamp<int64_t>(dt.ns, 0, vt::millis(100).ns);
   last_world_ = t0;
-  last_world_t0_ = t0;
   last_world_dt_ = dt;
-  // The tick is a journaled, serialization-indexed mutation (the recovery
-  // hook draws the index), so replay interleaves it correctly with
-  // lifecycle ops applied between frames.
-  hooks_.world_tick(static_cast<int>(&st - stats_.data()), t0, dt);
+  // The tick is a journaled, serialization-indexed mutation, so replay
+  // interleaves it correctly with lifecycle ops applied between frames.
+  journal_world_step(static_cast<int>(&st - stats_.data()), t0, dt);
   world_.world_phase(t0, dt, global_events_);
 }
 

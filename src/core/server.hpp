@@ -6,9 +6,11 @@
 // master's between-frames window in maintenance_phase.cpp. The session
 // layer is ClientRegistry (client_registry.hpp). The frame governor and
 // the worker watchdog are members, stepped by the master window itself;
-// the optional subsystems (recovery, the shard layer, test probes) attach
-// through the hook seam in frame_hooks.hpp and call back into this
-// class's public methods. The two concrete servers (sequential_server.hpp,
+// so are the crash-recovery flight recorder, checkpoint ring and black
+// box, written from recovery_duties.cpp at the frame's mutation points.
+// The remaining satellites (the shard layer, test probes) attach through
+// the hook seam in frame_hooks.hpp and call back into this class's public
+// methods. The two concrete servers (sequential_server.hpp,
 // parallel_server.hpp) differ only in their main loops — exactly the
 // relationship between the original QuakeWorld server and the paper's
 // pthreads port.
@@ -37,10 +39,6 @@ class Tracer;
 
 namespace qserv::recovery {
 class BlackBox;
-class CheckpointManager;
-class FlightRecorder;
-class ServerRecovery;
-enum class LoadError : uint8_t;
 }
 
 namespace qserv::resilience {
@@ -69,9 +67,6 @@ class Server {
   void request_stop();
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
 
-  // Number of worker threads (1 for the sequential server).
-  virtual int thread_count() const = 0;
-
   // Worker fibers currently inside their loops. Reaches 0 only after a
   // requested stop has fully drained; a shard supervisor polls this for
   // quiescence before tearing a failed engine down.
@@ -98,7 +93,7 @@ class Server {
   uint64_t total_replies() const;
   uint64_t total_requests() const;
   // Zeroes all measurement state (warmup boundary), including the per-run
-  // session counters and each registered hook's run state.
+  // session counters.
   void reset_stats();
 
   // Records (frame, moves) per thread for §5.2's dynamic-imbalance
@@ -183,17 +178,15 @@ class Server {
   uint64_t total_packets_oversized() const;
   uint64_t total_moves_coalesced() const;
 
-  // Null unless cfg.check_invariants (see core/invariant_checker.hpp).
-  const InvariantChecker* invariant_checker() const {
-    return invariants_.get();
-  }
   // Total cross-structure violations detected (0 when checking is off).
   uint64_t invariant_violations() const;
 
   // --- crash recovery (src/recovery/; null unless cfg.recovery.enabled) ---
-  const recovery::FlightRecorder* recorder() const;
-  const recovery::CheckpointManager* checkpoints() const;
-  const recovery::BlackBox* blackbox() const;
+  const recovery::FlightRecorder* recorder() const { return recorder_.get(); }
+  const recovery::CheckpointManager* checkpoints() const {
+    return checkpoints_.get();
+  }
+  const recovery::BlackBox* blackbox() const { return blackbox_.get(); }
   // What a tail-replaying restore actually did (supervisor / bench
   // reporting).
   struct RestoreStats {
@@ -294,9 +287,6 @@ class Server {
   // False when the registry is full or the port is already bound (no
   // world state is touched in that case — callers may retry elsewhere).
   bool adopt_session(const SessionTransfer& t);
-  // Sessions handed to / adopted from neighboring shards this run.
-  uint64_t handoffs_out() const { return registry_.counters.handoffs_out; }
-  uint64_t handoffs_in() const { return registry_.counters.handoffs_in; }
 
   vt::Platform& platform() { return platform_; }
   const sim::World& world() const { return world_; }
@@ -311,21 +301,12 @@ class Server {
   // The global state buffer and its sealed-event log.
   const GlobalStateBuffer& global_events() const { return global_events_; }
 
-  // --- frame progression (the hooks' view of the open frame) ---
-  // Serialization-index counter: every world mutation takes one; replay
-  // applies records in this order. Moves draw theirs after acquiring
-  // their region locks, so conflicting moves' indexes order exactly as
-  // their executions did.
-  uint64_t draw_order() {
-    return order_ctr_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The next index that would be drawn (checkpoint capture).
+  // The next serialization index that would be drawn: every executed
+  // move takes one, and with recovery on so does every other journaled
+  // mutation (world step, spawn, disconnect, eviction, handoff).
   uint64_t order_count() const {
     return order_ctr_.load(std::memory_order_relaxed);
   }
-  // (t0, dt) of the open frame's world step (journal sealing).
-  vt::TimePoint last_world_t0() const { return last_world_t0_; }
-  vt::Duration last_world_dt() const { return last_world_dt_; }
 
  protected:
   // How long an idle worker blocks in select() before re-checking the
@@ -352,8 +333,7 @@ class Server {
   uint64_t advance_frame() { return ++frames_; }
 
   // P (server.cpp): the master's world-physics step. Fixes (t0, dt) for
-  // the frame, notifies hooks (the journal's world-tick record), runs the
-  // physics.
+  // the frame, journals the world-tick record, runs the physics.
   void world_step(ThreadStats& st);
 
   // Rx (receive_phase.cpp): drains one thread's socket, framing datagrams
@@ -380,9 +360,10 @@ class Server {
   // client-lifecycle mutation outside the receive phase lives here.
   // The full frame-end window: complete deferred lifecycle, reap
   // timeouts, run the resilience duties (watchdog verdict, governor
-  // step), dispatch the master-window / frame-sealed hooks, audit
-  // invariants (unless shed), observe the frame metrics, dispatch the
-  // frame-end hooks, and emit the frame span.
+  // step), dispatch the master-window hooks, seal the journal frame (and
+  // checkpoint when due) before the frame-sealed hooks, audit invariants
+  // (unless shed), observe the frame metrics, dispatch the frame-end
+  // hooks, and emit the frame span.
   void run_master_window(int tid, vt::TimePoint frame_start, int frame_moves,
                          ThreadStats& st);
   // Reaps every client silent past cfg.client_timeout. Returns evictions.
@@ -428,11 +409,17 @@ class Server {
   // Earliest time the governor's eviction rung may evict again.
   vt::TimePoint next_expensive_evict_{};
 
-  // --- the hook seam ---
-  // Recovery attaches only when cfg.recovery.enabled — callback
-  // *presence* is part of replay determinism.
-  std::unique_ptr<recovery::ServerRecovery> recovery_;
+  // --- crash recovery (src/recovery/) ---
+  // All null unless cfg.recovery.enabled. Every journaled mutation but a
+  // move draws its serialization index only when the recorder exists, so
+  // a non-recovery run's index stream counts exactly its moves.
+  std::unique_ptr<recovery::FlightRecorder> recorder_;
+  std::unique_ptr<recovery::CheckpointManager> checkpoints_;
+  std::unique_ptr<recovery::BlackBox> blackbox_;
+  std::string map_text_;  // GameMap::serialize(), embedded in checkpoints
+
   std::unique_ptr<InvariantChecker> invariants_;  // null unless enabled
+  // The seam for the shard layer and test probes.
   HookList hooks_;
 
   // --- frame progression ---
@@ -444,8 +431,7 @@ class Server {
   std::vector<int> pending_lifecycle_;
   std::atomic<uint64_t> order_ctr_{0};
   vt::TimePoint last_world_{};  // previous world-step time (for dt)
-  vt::TimePoint last_world_t0_{};
-  vt::Duration last_world_dt_{};
+  vt::Duration last_world_dt_{};  // the open frame's dt (journal sealing)
   // Per-thread hot-path scratch (frame_arena.hpp), built last in the
   // constructor. unique_ptr: FrameArena holds a Region, which is
   // intentionally pinned (non-copyable, non-movable) because release()
@@ -479,6 +465,31 @@ class Server {
   // Governor rung 4: evicts the most expensive client since the last
   // scan; resets every scan counter. Returns 0 or 1.
   int evict_most_expensive(ThreadStats& st);
+
+  // --- the flight recorder (recovery_duties.cpp) ---
+  // Serialization-index counter: moves draw theirs after acquiring their
+  // region locks, so conflicting moves' indexes order exactly as their
+  // executions did; replay applies records in this order.
+  uint64_t draw_order() {
+    return order_ctr_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Each journal_* call is a no-op with recovery off; otherwise it draws
+  // the record's serialization index (a move brings its own) and stages
+  // the record on `thread`'s vector.
+  void journal_world_step(int tid, vt::TimePoint t0, vt::Duration dt);
+  void journal_move(int tid, uint16_t port, uint32_t entity, uint64_t order,
+                    vt::TimePoint t0, const net::MoveCmd& cmd);
+  // kConnectSpawn / kDisconnect / kEvict / kHandoffOut / kHandoffIn;
+  // `name` rides spawns and handoffs, `hand` only kHandoffIn.
+  void journal_lifecycle(recovery::RecordKind kind, int thread,
+                         uint16_t port, uint32_t entity, int64_t t_ns,
+                         const std::string& name = {},
+                         const recovery::HandoffState* hand = nullptr);
+  // Master window, after every mutation of the frame: digest the world,
+  // seal the journal frame, and take the periodic checkpoint when due.
+  void seal_journal_frame();
+  // The engine's current state as a checkpoint (registry mutex taken).
+  recovery::CheckpointData make_checkpoint(uint64_t digest);
 };
 
 }  // namespace qserv::core

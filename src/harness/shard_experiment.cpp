@@ -16,7 +16,10 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
   vt::SimPlatform platform(cfg.machine);
   net::VirtualNetwork::Config net_cfg;
   net_cfg.seed = derive_seed(cfg.seed, streams::kNetwork);
-  net_cfg.deterministic_flows = cfg.deterministic_flows;
+  // Per-(src,dst)-flow RNG in the virtual network: one shard's traffic
+  // cannot perturb another shard's loss/jitter draws, which is what makes
+  // an unaffected shard's digest stream comparable across runs.
+  net_cfg.deterministic_flows = true;
   net::VirtualNetwork network(platform, net_cfg);
   if (cfg.configure_network) cfg.configure_network(network);
 

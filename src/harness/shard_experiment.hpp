@@ -37,10 +37,6 @@ struct ShardExperimentConfig {
   uint64_t seed = 1;
   vt::Duration client_silence_timeout{};
   bots::ClientDriver::ChurnConfig churn;
-  // Per-(src,dst)-flow RNG in the virtual network: one shard's traffic
-  // cannot perturb another shard's loss/jitter draws, which is what makes
-  // an unaffected shard's digest stream comparable across runs.
-  bool deterministic_flows = true;
   // Network fault episodes (loss bursts, partitions), as in experiment.hpp.
   std::function<void(net::VirtualNetwork&)> configure_network;
   // Fleet fault schedule: called after the manager is built and before

@@ -15,7 +15,6 @@ constexpr size_t kMaxNameLen = 64;
 
 void encode_record(net::ByteWriter& w, const JournalRecord& r) {
   w.u8(static_cast<uint8_t>(r.kind));
-  w.u8(static_cast<uint8_t>(r.drop));
   w.u8(r.thread);
   w.u16(r.port);
   w.u32(r.entity);
@@ -54,7 +53,6 @@ void encode_record(net::ByteWriter& w, const JournalRecord& r) {
 
 bool decode_record(net::ByteReader& r, JournalRecord& out) {
   out.kind = static_cast<RecordKind>(r.u8());
-  out.drop = static_cast<DropReason>(r.u8());
   out.thread = r.u8();
   out.port = r.u16();
   out.entity = r.u32();
@@ -120,7 +118,6 @@ const char* record_kind_name(RecordKind k) {
     case RecordKind::kConnectSpawn: return "connect-spawn";
     case RecordKind::kDisconnect: return "disconnect";
     case RecordKind::kEvict: return "evict";
-    case RecordKind::kDropped: return "dropped";
     case RecordKind::kWorldPhase: return "world-phase";
     case RecordKind::kHandoffOut: return "handoff-out";
     case RecordKind::kHandoffIn: return "handoff-in";
@@ -174,12 +171,11 @@ void FlightRecorder::seal_frame(uint64_t frame, vt::TimePoint t0,
     for (auto& rec : stage) fj.records.push_back(std::move(rec));
     stage.clear();
   }
-  // Executed records in serialization order; forensic drops (order ==
-  // kNoOrder) sink to the tail keeping arrival order.
-  std::stable_sort(fj.records.begin(), fj.records.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.order < b.order;
-                   });
+  // Serialization order: the order replay must apply them in.
+  std::sort(fj.records.begin(), fj.records.end(),
+            [](const JournalRecord& a, const JournalRecord& b) {
+              return a.order < b.order;
+            });
   ring_.push_back(std::move(fj));
   while (ring_.size() > cfg_.journal_frames && !ring_.empty())
     ring_.pop_front();

@@ -1,13 +1,15 @@
-// The flight recorder: a ring-bounded per-frame journal of every inbound
-// datagram — receiving thread, source port, frame — plus, for the inputs
-// that actually mutated the world, the state-change record needed to
-// re-execute them (move command + serialization index + execution
-// timestamp, or the lifecycle operation applied in the master window).
+// The flight recorder: a ring-bounded per-frame journal of the ordered
+// inputs — every mutation of the world with its serialization index: the
+// frame's world step, each executed move (command + execution timestamp),
+// and each lifecycle operation applied in the master window (spawn,
+// disconnect, eviction, cross-shard handoff). State is a pure function of
+// this ordered log, so replay applies exactly these records, in
+// serialization-index order.
 //
-// Disposition is recorded, not re-derived: whether a move was executed,
-// coalesced, rate-limited or dropped as a duplicate depends on arrival
-// timing the replay cannot (and need not) reproduce. Replay applies
-// exactly the records marked executed, in serialization-index order.
+// Only the world-mutating inputs are journaled: whether a datagram was
+// executed, coalesced, rate-limited or dropped depends on arrival timing
+// the replay cannot (and need not) reproduce, and a datagram that did not
+// mutate the world leaves no record.
 //
 // Writer model: each server thread stages records into its own vector
 // while processing requests (single writer, no locks); the master drains
@@ -31,18 +33,13 @@
 namespace qserv::recovery {
 
 inline constexpr uint32_t kJournalMagic = 0x6c6e726a;  // "jrnl"
-inline constexpr uint32_t kJournalVersion = 2;         // qserv-jrnl-v2
-
-// Records with no serialization index (forensic-only) carry this; they
-// sort after every executed record within the frame.
-inline constexpr uint64_t kNoOrder = ~0ull;
+inline constexpr uint32_t kJournalVersion = 3;         // qserv-jrnl-v3
 
 enum class RecordKind : uint8_t {
   kMoveExec = 1,      // move executed against the world
   kConnectSpawn = 2,  // player entity spawned in the master window
   kDisconnect = 3,    // graceful disconnect applied (entity removed)
   kEvict = 4,         // reaped/shed by the server (entity removed)
-  kDropped = 5,       // datagram seen but did not mutate the world
   // The frame's world-physics phase, with its (now, dt) arguments. Has a
   // serialization index like every other mutation, so replay interleaves
   // it correctly even with lifecycle ops applied between frames (the
@@ -83,33 +80,15 @@ HandoffState capture_handoff_state(const sim::Entity& e);
 sim::Entity& adopt_player(sim::World& w, const std::string& name,
                           const HandoffState& hs);
 
-// Why a datagram did not reach the world (forensics; never replayed).
-enum class DropReason : uint8_t {
-  kNone = 0,
-  kOversized,
-  kMalformed,
-  kStalePort,
-  kDuplicate,      // netchan duplicate_or_old, or an already-seen move seq
-  kRateLimited,    // token bucket
-  kCoalesced,      // governor merged it into a pending move
-  kRejectedFull,
-  kRejectedBusy,
-  kConnectPending, // connect accepted, spawn deferred to the master window
-  kReconnectDup,   // connect for an already-connected port
-  kResumed,        // connect re-adopted a checkpointed slot (warm restart)
-  kEvictedPort,    // move from a remembered evicted port, told kEvicted
-  kUnknown,        // move/disconnect from a port with no slot
-};
-
 const char* record_kind_name(RecordKind k);
 
 struct JournalRecord {
-  RecordKind kind = RecordKind::kDropped;
-  DropReason drop = DropReason::kNone;
-  uint8_t thread = 0;    // receiving thread (master for lifecycle records)
-  uint16_t port = 0;     // source port
-  uint32_t entity = 0;   // player entity id (exec + lifecycle records)
-  uint64_t order = kNoOrder;  // serialization index (replayed records)
+  RecordKind kind = RecordKind::kMoveExec;
+  uint8_t thread = 0;    // executing thread; owner for spawn/disconnect/
+                         // evict; 0 for handoffs
+  uint16_t port = 0;     // client port (0 for kWorldPhase)
+  uint32_t entity = 0;   // player entity id (0 for kWorldPhase)
+  uint64_t order = 0;    // serialization index
   int64_t t_ns = 0;      // timestamp the operation executed with
   int64_t dt_ns = 0;     // kWorldPhase: the frame's dt
   net::MoveCmd cmd;      // kMoveExec payload
@@ -122,7 +101,7 @@ struct FrameJournal {
   int64_t world_t0_ns = 0;  // world_phase(now, dt) arguments (informational;
   int64_t world_dt_ns = 0;  // replay drives off the kWorldPhase record)
   uint64_t digest = 0;      // live world digest at the frame boundary
-  std::vector<JournalRecord> records;        // executed first, by order
+  std::vector<JournalRecord> records;        // by serialization index
   std::vector<EntityDigest> entity_digests;  // optional per-entity hashes
 };
 
@@ -134,9 +113,9 @@ class FlightRecorder {
   // processing (one writer per thread) and from the master window.
   void record(uint32_t thread, JournalRecord rec);
 
-  // Master window only: drains every staging vector, sorts executed
-  // records by serialization index (drops keep arrival order at the
-  // tail), attaches the digest, pushes onto the ring, trims to bounds.
+  // Master window only: drains every staging vector, sorts the records
+  // by serialization index, attaches the digest, pushes onto the ring,
+  // trims to bounds.
   void seal_frame(uint64_t frame, vt::TimePoint t0, vt::Duration dt,
                   uint64_t digest, std::vector<EntityDigest> entity_digests);
 
@@ -147,7 +126,7 @@ class FlightRecorder {
     return records_staged_.load(std::memory_order_relaxed);
   }
 
-  // Serializes header (seed, bounds) + the ring tail to qserv-jrnl-v1.
+  // Serializes header (seed, thread count) + the ring to qserv-jrnl-v3.
   std::vector<uint8_t> encode() const;
 
  private:

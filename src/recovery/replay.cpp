@@ -146,8 +146,6 @@ ReplayResult replay_tail(sim::World& world, const JournalTail& tail) {
           world.remove_entity(rec.entity);
           ++res.lifecycle_applied;
           break;
-        case RecordKind::kDropped:
-          break;  // forensic only
       }
     }
 
@@ -208,10 +206,9 @@ void advance_registry(const JournalTail& tail, CheckpointData& ckpt) {
           break;
         }
         case RecordKind::kWorldPhase:
-        case RecordKind::kDropped:
           break;
       }
-      if (rec.order != kNoOrder && rec.order >= ckpt.next_order)
+      if (rec.order >= ckpt.next_order)
         ckpt.next_order = rec.order + 1;
     }
   }

@@ -49,11 +49,12 @@ struct Config {
   // isolation benches).
   float boundary_margin = 24.0f;
 
-  // Supervisor cadence and escalation policy. A shard whose frame
-  // counter stops advancing for `heartbeat_timeout` while it still has
-  // connected clients — or that reports invariant violations, or whose
-  // crash flag is raised — is quarantined and restored from its last
-  // checkpoint + journal tail. After `max_restores` restorations (or a
+  // Supervisor cadence and escalation policy. A shard whose heartbeat
+  // timestamp is older than `heartbeat_timeout` (it refreshes at every
+  // frame end and every idle select() timeout, connected clients or not)
+  // — or that reports invariant violations, or whose crash flag is
+  // raised — is quarantined and restored from its last checkpoint +
+  // journal tail. After `max_restores` restorations (or a
   // restore failure) the shard is shed instead: its sessions are handed
   // to neighbor shards and its engine stays down.
   vt::Duration supervise_interval = vt::millis(10);

@@ -28,9 +28,9 @@ void ShardEngineHook::on_frame_end(vt::TimePoint /*frame_start*/,
   // Master context, workers at the barrier: plain engine reads are safe
   // here, and publishing them as the shard's heartbeat atomics is the
   // ONLY way the supervisor may observe this engine from its own thread.
-  mgr_.shard(index_).publish_heartbeat(
-      server_.frames(), server_.platform().now().ns,
-      server_.connected_clients(), server_.invariant_violations());
+  mgr_.shard(index_).publish_heartbeat(server_.platform().now().ns,
+                                       server_.connected_clients(),
+                                       server_.invariant_violations());
 }
 
 void ShardEngineHook::on_idle_wait(int /*tid*/) {

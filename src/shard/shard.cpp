@@ -66,7 +66,6 @@ void Shard::build() {
   crashed_.store(false, std::memory_order_release);
   // Fresh generation, fresh grace period: the supervisor's stall timer
   // must not count silence accrued by the previous generation.
-  beat_frames_.store(0, std::memory_order_release);
   beat_clients_.store(0, std::memory_order_release);
   beat_invariants_.store(0, std::memory_order_release);
   beat_at_ns_.store(platform_.now().ns, std::memory_order_release);
@@ -86,9 +85,8 @@ void Shard::inject_crash() {
   if (server_ != nullptr) server_->request_stop();
 }
 
-void Shard::publish_heartbeat(uint64_t frames, int64_t now_ns, int clients,
+void Shard::publish_heartbeat(int64_t now_ns, int clients,
                               uint64_t invariant_violations) {
-  beat_frames_.store(frames, std::memory_order_release);
   beat_clients_.store(clients, std::memory_order_release);
   beat_invariants_.store(invariant_violations, std::memory_order_release);
   beat_at_ns_.store(now_ns, std::memory_order_release);

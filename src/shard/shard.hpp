@@ -74,17 +74,14 @@ class Shard {
   }
 
   // --- heartbeat (hook publishes from the master window) ---
-  void publish_heartbeat(uint64_t frames, int64_t now_ns, int clients,
+  void publish_heartbeat(int64_t now_ns, int clients,
                          uint64_t invariant_violations);
   // Liveness-only beat from a worker's idle select() timeout: a starved
   // engine (network partition, no traffic) runs no frames at all, but it
-  // is alive — only the timestamp refreshes, the frame/client/invariant
-  // fields keep their last frame-end values.
+  // is alive — only the timestamp refreshes, the client/invariant fields
+  // keep their last frame-end values.
   void publish_idle_beat(int64_t now_ns) {
     beat_at_ns_.store(now_ns, std::memory_order_release);
-  }
-  uint64_t beat_frames() const {
-    return beat_frames_.load(std::memory_order_acquire);
   }
   int64_t beat_at_ns() const {
     return beat_at_ns_.load(std::memory_order_acquire);
@@ -168,7 +165,6 @@ class Shard {
   std::atomic<bool> crashed_{false};
   std::atomic<bool> corrupt_next_{false};
   std::atomic<bool> down_{false};
-  std::atomic<uint64_t> beat_frames_{0};
   std::atomic<int64_t> beat_at_ns_{0};
   std::atomic<int> beat_clients_{0};
   std::atomic<uint64_t> beat_invariants_{0};

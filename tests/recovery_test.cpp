@@ -6,6 +6,7 @@
 // watch every client resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -217,6 +218,12 @@ TEST(LoaderHardening, MagicAndVersionAreChecked) {
             recovery::LoadError::kBadMagic);
   jrnl[0] ^= 0xff;
   jrnl[4] ^= 0xff;
+  EXPECT_EQ(recovery::decode_journal(jrnl, jf),
+            recovery::LoadError::kBadVersion);
+  // A qserv-jrnl-v2 image (per-record drop byte, kDropped records) is
+  // refused outright rather than misparsed. The version is little-endian.
+  ASSERT_EQ(recovery::kJournalVersion, 3u);
+  jrnl[4] = 2;
   EXPECT_EQ(recovery::decode_journal(jrnl, jf),
             recovery::LoadError::kBadVersion);
 }
@@ -443,6 +450,137 @@ TEST(Determinism, RealPlatformReplayMatchesLiveDigests) {
   const auto rv = recovery::replay_verify(anchor, jf);
   EXPECT_TRUE(rv.ok) << rv.summary();
   EXPECT_GT(rv.frames_checked, 0u);
+}
+
+// --- the journal's index stream -------------------------------------------
+
+// A short 2-thread churn soak (crashes, quits, rejoins, timeout reaps) on
+// a fresh server. The ring holds the whole run.
+struct IndexedRun {
+  uint64_t orders = 0;  // order_count() at shutdown
+  uint64_t moves = 0;   // moves executed
+  uint64_t staged = 0;  // journal records staged (recovery on)
+  recovery::JournalFile journal;
+};
+
+IndexedRun churn_run(bool recovery_on) {
+  vt::SimPlatform p;
+  net::VirtualNetwork net(p, {});
+  const auto map = spatial::make_arena(2048);
+  core::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.client_timeout = vt::millis(500);
+  scfg.recovery.enabled = recovery_on;
+  scfg.recovery.journal_frames = 1u << 16;
+  core::ParallelServer server(p, net, map, scfg);
+  bots::ClientDriver::Config dcfg;
+  dcfg.players = 8;
+  dcfg.churn.enabled = true;
+  dcfg.churn.mean_session = vt::seconds(1);
+  dcfg.churn.crash_fraction = 0.5f;
+  bots::ClientDriver driver(p, net, map, server, dcfg);
+  server.start();
+  driver.start();
+  p.call_after(vt::seconds(5), [&] {
+    server.request_stop();
+    driver.request_stop();
+  });
+  p.run();
+
+  IndexedRun out;
+  out.orders = server.order_count();
+  out.moves = server.total_requests();
+  if (recovery_on) {
+    out.staged = server.recorder()->records_staged();
+    EXPECT_EQ(server.recorder()->frames().size(),
+              server.recorder()->frames_sealed());
+    EXPECT_EQ(recovery::decode_journal(server.recorder()->encode(),
+                                       out.journal),
+              recovery::LoadError::kNone);
+  }
+  return out;
+}
+
+// Every serialization index a recovery run draws lands in exactly one
+// journal record (the journal holds the ordered inputs and nothing else),
+// and a run without recovery draws one index per executed move only.
+TEST(Journal, EverySerializationIndexIsJournaledAndOnlyUnderRecovery) {
+  const IndexedRun on = churn_run(/*recovery_on=*/true);
+  EXPECT_EQ(on.staged, on.orders);
+  std::vector<uint64_t> orders;
+  int spawns = 0, departures = 0;
+  for (const auto& f : on.journal.frames) {
+    for (const auto& rec : f.records) {
+      orders.push_back(rec.order);
+      if (rec.kind == recovery::RecordKind::kConnectSpawn) ++spawns;
+      if (rec.kind == recovery::RecordKind::kDisconnect ||
+          rec.kind == recovery::RecordKind::kEvict)
+        ++departures;
+    }
+  }
+  // The churn really exercised the lifecycle points.
+  EXPECT_GT(spawns, 8);
+  EXPECT_GT(departures, 0);
+  EXPECT_EQ(orders.size(), on.orders);
+  std::sort(orders.begin(), orders.end());
+  EXPECT_TRUE(std::adjacent_find(orders.begin(), orders.end()) ==
+              orders.end())
+      << "a serialization index was journaled twice";
+  ASSERT_FALSE(orders.empty());
+  EXPECT_LT(orders.back(), on.orders);
+
+  const IndexedRun off = churn_run(/*recovery_on=*/false);
+  EXPECT_GT(off.moves, 0u);
+  EXPECT_EQ(off.orders, off.moves);
+}
+
+// A hook registered after construction sees every frame already sealed
+// into the flight recorder, and on checkpoint frames the checkpoint of
+// this very frame: the server seals before it dispatches on_frame_sealed.
+struct SealedFrameProbe final : core::FrameHook {
+  const core::Server& server;
+  uint32_t interval;
+  uint64_t frames_seen = 0;
+  uint64_t checkpoints_seen = 0;
+  SealedFrameProbe(const core::Server& s, uint32_t every)
+      : server(s), interval(every) {}
+  void on_frame_sealed() override {
+    ++frames_seen;
+    EXPECT_EQ(server.recorder()->frames_sealed(), server.frames());
+    ASSERT_FALSE(server.recorder()->frames().empty());
+    EXPECT_EQ(server.recorder()->frames().back().frame, server.frames());
+    if (server.frames() % interval != 0) return;
+    recovery::CheckpointData c;
+    ASSERT_EQ(recovery::decode_checkpoint(server.checkpoints()->latest(), c),
+              recovery::LoadError::kNone);
+    EXPECT_EQ(c.frame, server.frames());
+    ++checkpoints_seen;
+  }
+};
+
+TEST(Journal, HookProbesSeeASealedFrame) {
+  vt::SimPlatform p;
+  net::VirtualNetwork net(p, {});
+  const auto map = spatial::make_arena(1024);
+  core::ServerConfig scfg;
+  scfg.threads = 2;
+  scfg.recovery.enabled = true;
+  scfg.recovery.checkpoint_interval = 16;
+  core::ParallelServer server(p, net, map, scfg);
+  SealedFrameProbe probe(server, scfg.recovery.checkpoint_interval);
+  server.add_frame_hook(&probe);
+  bots::ClientDriver::Config dcfg;
+  dcfg.players = 4;
+  bots::ClientDriver driver(p, net, map, server, dcfg);
+  server.start();
+  driver.start();
+  p.call_after(vt::seconds(2), [&] {
+    server.request_stop();
+    driver.request_stop();
+  });
+  p.run();
+  EXPECT_EQ(probe.frames_seen, server.frames());
+  EXPECT_GT(probe.checkpoints_seen, 0u);
 }
 
 // --- black box ------------------------------------------------------------
