@@ -107,16 +107,14 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   traced.tracer = &run_tracer;
   traced.metrics = &metrics;
-  traced.metrics_period = vt::seconds(1);
   const double on_s = min_host_seconds(traced, reps);
   const auto r_on = run_experiment(traced);
 
   out.add("macro", "obs-off", cfg, r_off);
   out.add("macro", "obs-on", traced, r_on);
 
-  // Game-visible outputs must match exactly. (sim_events is excluded: the
-  // periodic metrics snapshot adds scheduler events, which charge no
-  // modelled compute and leave every simulation result untouched.)
+  // Game-visible outputs must match exactly. (sim_events is left out: it
+  // counts scheduler bookkeeping, not anything a player sees.)
   const bool identical = r_off.frames == r_on.frames &&
                          r_off.replies == r_on.replies &&
                          r_off.requests == r_on.requests &&

@@ -85,7 +85,7 @@ std::string shard_point_json(const char* run, int index,
       ",\"handoffs_in\":%" PRIu64 ",\"invariant_violations\":%" PRIu64 "}",
       run, index, shard::shard_state_name(s.state), s.frames, s.connected,
       s.restores, s.escalations, s.last_pause_ms,
-      s.last_used_tail ? "true" : "false",
+      s.last_mode == shard::RestoreMode::kTailReplay ? "true" : "false",
       static_cast<uint64_t>(s.last_stats.tail_frames), s.handoffs_in,
       s.invariant_violations);
   return buf;
@@ -238,10 +238,11 @@ int main(int argc, char** argv) {
       crashed.last_error != recovery::LoadError::kNone)
     fail("FAIL: crashed shard not cleanly restored (restores=%d state=%s)\n",
          crashed.restores, shard::shard_state_name(crashed.state));
-  if (!crashed.last_used_tail || !crashed.last_stats.digest_verified)
+  const bool used_tail = crashed.last_mode == shard::RestoreMode::kTailReplay;
+  if (!used_tail || !crashed.last_stats.digest_verified)
     fail("FAIL: restore skipped the journal tail or digest verification "
          "(used_tail=%d verified=%d)\n",
-         crashed.last_used_tail ? 1 : 0,
+         used_tail ? 1 : 0,
          crashed.last_stats.digest_verified ? 1 : 0);
   else
     std::printf("restore replayed %" PRIu64

@@ -131,7 +131,7 @@ void install_steps(const Scenario& s, harness::ShardExperimentConfig& cfg) {
             arm_poll(p, st.at, end_ns, [pm, sh]() -> bool {
               if (pm->shard(sh).down()) return true;
               if (pm->shard(sh).crash_flagged()) return false;  // recovering
-              if (pm->mailbox(sh).empty()) return false;
+              if (pm->shard(sh).mailbox().empty()) return false;
               pm->crash_shard(sh);
               return true;
             });

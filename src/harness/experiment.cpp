@@ -1,7 +1,6 @@
 #include "src/harness/experiment.hpp"
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,23 +90,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   server->start();
   driver.start();
 
-  // Periodic metrics snapshots: a self-rescheduling platform callback
-  // that stops once the run is over. It re-arms by reference to this
-  // local, which outlives platform.run().
-  std::vector<obs::TimedSnapshot> metrics_series;
-  std::function<void()> tick;
-  if (cfg.metrics != nullptr && cfg.metrics_period.ns > 0) {
-    tick = [&] {
-      if (server->stop_requested()) return;
-      obs::TimedSnapshot snap;
-      snap.t_seconds = platform.now().seconds();
-      snap.samples = cfg.metrics->snapshot();
-      metrics_series.push_back(std::move(snap));
-      platform.call_after(cfg.metrics_period, tick);
-    };
-    platform.call_after(cfg.metrics_period, tick);
-  }
-
   uint64_t overflow_at_measure_start = 0;
   uint64_t allocs_at_measure_start = 0;
   uint64_t frames_at_measure_start = 0;
@@ -176,7 +158,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     obs::collect_server(*server, *cfg.metrics);
   }
   out.frame_trace_dropped = server->frame_trace_dropped();
-  out.metrics_series = std::move(metrics_series);
   out.frames = server->frames();
   out.requests = server->total_requests();
   out.replies = server->total_replies();

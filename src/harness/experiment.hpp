@@ -44,12 +44,9 @@ struct ExperimentConfig {
   // run. `tracer` records per-thread phase spans on the server (export
   // Chrome trace JSON afterwards); `metrics` receives live instruments
   // (frame durations, lock waits) plus an end-of-run harvest of network,
-  // fault and contention counters. With `metrics_period` > 0 the registry
-  // is additionally snapshotted on that period into
-  // ExperimentResult::metrics_series.
+  // fault and contention counters.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  vt::Duration metrics_period{};
   // Called once after the network is built and before the server starts;
   // benches and tests use it to schedule fault episodes (packet bursts,
   // partitions, thread stalls) against the run.
@@ -102,8 +99,6 @@ struct ExperimentResult {
   uint64_t reassignments = 0;  // dynamic-assignment client migrations
   // §5.2 frame-trace entries discarded at the per-thread cap.
   uint64_t frame_trace_dropped = 0;
-  // Periodic registry snapshots (metrics + metrics_period configured).
-  std::vector<obs::TimedSnapshot> metrics_series;
 
   // Lifecycle / robustness counters (server + client sides).
   uint64_t evictions = 0;           // clients the server timed out

@@ -100,20 +100,10 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
   out.shards.resize(static_cast<size_t>(mgr.shards()));
   for (int i = 0; i < mgr.shards(); ++i) {
     ShardExperimentResult::PerShard& ps = out.shards[static_cast<size_t>(i)];
-    const shard::ShardSupervisor::Report& r = mgr.supervisor().report(i);
-    ps.state = r.state;
-    ps.restores = r.restores;
-    ps.escalations = r.escalations;
-    ps.last_pause_ms = r.last_pause_ms;
-    ps.last_used_tail = r.last_used_tail;
-    ps.last_mode = r.last_mode;
-    ps.last_stats = r.last_stats;
-    ps.last_error = r.last_error;
-    ps.shed_sessions = r.shed_sessions;
-    ps.backoff_waits = r.backoff_waits;
-    ps.breaker_tripped = r.breaker_tripped;
-    ps.shed_reason = r.shed_reason;
+    static_cast<shard::ShardSupervisor::Report&>(ps) =
+        mgr.supervisor().report(i);
     shard::Shard& s = mgr.shard(i);
+    ps.restores = s.restores();
     ps.down = s.down();
     if (s.down() || s.server() == nullptr) continue;
     core::ParallelServer* srv = s.server();

@@ -75,20 +75,11 @@ struct ShardExperimentResult {
   uint64_t handoffs_returned = 0;  // stranded transfers bounced to source
   uint64_t overflow_sheds = 0;     // transfers dropped at a full mailbox
 
-  struct PerShard {
-    shard::ShardState state = shard::ShardState::kHealthy;
+  // The supervisor's record of the shard, plus what the harvest reads
+  // off the shard and its final engine generation.
+  struct PerShard : shard::ShardSupervisor::Report {
     bool down = false;
-    int restores = 0;
-    uint64_t escalations = 0;
-    double last_pause_ms = 0.0;
-    bool last_used_tail = false;
-    shard::RestoreMode last_mode = shard::RestoreMode::kNone;
-    core::Server::RestoreStats last_stats{};
-    recovery::LoadError last_error{};
-    uint64_t shed_sessions = 0;
-    uint64_t backoff_waits = 0;
-    bool breaker_tripped = false;
-    shard::ShedReason shed_reason = shard::ShedReason::kNone;
+    int restores = 0;  // Shard::restores()
     uint64_t frames = 0;
     int connected = 0;
     uint64_t handoffs_out = 0;

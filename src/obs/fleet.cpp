@@ -156,22 +156,21 @@ void FleetObs::on_escalation(int shard, const char* why) {
                                             why));
 }
 
-void FleetObs::on_restore(int shard, bool ok, bool used_tail,
-                          uint64_t tail_frames, double pause_ms,
+void FleetObs::on_restore(int shard, uint64_t tail_frames, double pause_ms,
                           const char* mode) {
-  if (ok) restores_->inc();
-  if (used_tail) tail_replays_->inc();
+  const bool tail_replay = std::string_view(mode) == "tail-replay";
+  restores_->inc();
+  if (tail_replay) tail_replays_->inc();
   if (std::string_view(mode) == "fresh-rebuild") fresh_rebuilds_->inc();
   last_pause_ms_->set(pause_ms);
   if (tracer_ == nullptr) return;
   const int track = supervisor_track_[static_cast<size_t>(shard)];
-  if (used_tail)
+  if (tail_replay)
     tracer_->record_instant(
         track, tracer_->intern("tail-replay:" + std::to_string(tail_frames) +
                                "f"));
-  tracer_->record_instant(
-      track, ok ? tracer_->intern(std::string("restore:") + mode)
-                : "restore-failed");
+  tracer_->record_instant(track,
+                          tracer_->intern(std::string("restore:") + mode));
 }
 
 void FleetObs::on_shed(int shard, uint64_t sessions, const char* why) {

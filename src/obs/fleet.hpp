@@ -101,17 +101,17 @@ class FleetObs {
   // static string: "crash-flag", "invariant-violation" or
   // "stale-heartbeat".
   void on_escalation(int shard, const char* why);
-  // Supervisor timer context: quarantine exit through rebuild+restore
-  // (ok == false means the restore failed and the supervisor is about to
-  // shed instead). `mode` names the fallback-chain step that produced the
-  // new generation: "tail-replay", "checkpoint-only" or "fresh-rebuild".
-  void on_restore(int shard, bool ok, bool used_tail, uint64_t tail_frames,
-                  double pause_ms, const char* mode);
+  // Supervisor timer context: quarantine exit through rebuild+restore,
+  // which always ends in a live generation. `mode` names the
+  // fallback-chain step that produced it: "tail-replay" (then
+  // `tail_frames` were replayed), "checkpoint-only" or "fresh-rebuild".
+  void on_restore(int shard, uint64_t tail_frames, double pause_ms,
+                  const char* mode);
   // Supervisor timer context: quarantine exit through shedding,
   // `sessions` relocated, shard down. `why` is a static string: "budget"
   // (max_restores exhausted), "crash-loop" (circuit breaker tripped),
-  // "quarantine-cap" (too many simultaneous quarantines; lowest-priority
-  // shard degraded away) or "restore-failed".
+  // or "quarantine-cap" (too many simultaneous quarantines;
+  // lowest-priority shard degraded away).
   void on_shed(int shard, uint64_t sessions, const char* why);
   // `src`'s master window: session `flow` extracted from `src`, queued
   // toward `dst`.

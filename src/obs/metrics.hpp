@@ -122,12 +122,6 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-// A timestamped snapshot, for periodic capture during a run.
-struct TimedSnapshot {
-  double t_seconds = 0.0;  // platform time when taken
-  std::vector<MetricSample> samples;
-};
-
 // Serializes a sample list in the qserv-metrics-v1 shape
 // ({"schema":"qserv-metrics-v1","metrics":[...]}); MetricsRegistry::
 // to_json and the fleet federation both emit through this.

@@ -149,10 +149,9 @@ std::vector<uint8_t> encode_checkpoint(const CheckpointData& c) {
   }
   w.u32(static_cast<uint32_t>(c.evicted_ports.size()));
   for (const uint16_t p : c.evicted_ports) w.u16(p);
-  // Whole-file content checksum over every byte written above. Last so
-  // the single-pass writer needs no reserved slot.
-  w.u64(fnv1a64(w.data().data(), w.size()));
-  return w.take();
+  std::vector<uint8_t> image = w.take();
+  seal_content(image);
+  return image;
 }
 
 LoadError decode_checkpoint(const uint8_t* data, size_t n,
@@ -163,14 +162,10 @@ LoadError decode_checkpoint(const uint8_t* data, size_t n,
   if (r.overflowed()) return LoadError::kTruncated;
   if (magic != kCheckpointMagic) return LoadError::kBadMagic;
   if (version != kCheckpointVersion) return LoadError::kBadVersion;
-  // Content checksum before any section is interpreted: the trailing u64
-  // must be the FNV-1a of everything before it. Magic/version are checked
-  // first so a wrong-format file still reports as such.
+  // Content checksum before any section is interpreted. Magic/version
+  // are checked first so a wrong-format file still reports as such.
   if (n < 16) return LoadError::kTruncated;
-  uint64_t stored = 0;
-  for (size_t i = 0; i < 8; ++i)
-    stored |= static_cast<uint64_t>(data[n - 8 + i]) << (8 * i);
-  if (fnv1a64(data, n - 8) != stored) return LoadError::kChecksum;
+  if (!content_sealed(data, n)) return LoadError::kChecksum;
 
   out = CheckpointData{};
   out.frame = r.u64();

@@ -2,7 +2,8 @@
 // every active entity in id order (float fields hashed by bit pattern, so
 // "bit-identical" means exactly that), plus the free-id stack and world
 // RNG state — allocator or RNG drift shows up the frame it happens, not
-// frames later when it first moves an entity.
+// frames later when it first moves an entity. The same hash seals the
+// checkpoint and journal images (seal_content / content_sealed).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,24 @@ inline uint64_t fnv1a64(const void* data, size_t n,
     h *= kFnvPrime64;
   }
   return h;
+}
+
+// Whole-file content checksum shared by the checkpoint and journal
+// codecs: the FNV-1a 64 of every byte before it, appended as a trailing
+// little-endian u64. Last in the image, so a single-pass writer needs no
+// reserved slot.
+inline void seal_content(std::vector<uint8_t>& image) {
+  const uint64_t h = fnv1a64(image.data(), image.size());
+  for (int i = 0; i < 8; ++i)
+    image.push_back(static_cast<uint8_t>(h >> (8 * i)));
+}
+// True iff the last 8 bytes of data[0, n) are the seal of the rest.
+inline bool content_sealed(const uint8_t* data, size_t n) {
+  if (n < 8) return false;
+  uint64_t stored = 0;
+  for (size_t i = 0; i < 8; ++i)
+    stored |= static_cast<uint64_t>(data[n - 8 + i]) << (8 * i);
+  return fnv1a64(data, n - 8) == stored;
 }
 
 struct EntityDigest {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/net/bytestream.hpp"
+#include "src/recovery/digest.hpp"
 
 namespace qserv::recovery {
 namespace {
@@ -207,7 +208,9 @@ std::vector<uint8_t> encode_journal(uint64_t seed, uint32_t threads,
       w.u32(ed.hash);
     }
   }
-  return w.take();
+  std::vector<uint8_t> image = w.take();
+  seal_content(image);
+  return image;
 }
 
 LoadError decode_journal(const uint8_t* data, size_t n, JournalFile& out) {
@@ -217,6 +220,10 @@ LoadError decode_journal(const uint8_t* data, size_t n, JournalFile& out) {
   if (r.overflowed()) return LoadError::kTruncated;
   if (magic != kJournalMagic) return LoadError::kBadMagic;
   if (version != kJournalVersion) return LoadError::kBadVersion;
+  // Content checksum before any frame is interpreted, as in
+  // decode_checkpoint.
+  if (n < 16) return LoadError::kTruncated;
+  if (!content_sealed(data, n)) return LoadError::kChecksum;
 
   out = JournalFile{};
   out.seed = r.u64();

@@ -33,7 +33,7 @@
 namespace qserv::recovery {
 
 inline constexpr uint32_t kJournalMagic = 0x6c6e726a;  // "jrnl"
-inline constexpr uint32_t kJournalVersion = 3;         // qserv-jrnl-v3
+inline constexpr uint32_t kJournalVersion = 4;         // qserv-jrnl-v4
 
 enum class RecordKind : uint8_t {
   kMoveExec = 1,      // move executed against the world
@@ -126,7 +126,7 @@ class FlightRecorder {
     return records_staged_.load(std::memory_order_relaxed);
   }
 
-  // Serializes header (seed, thread count) + the ring to qserv-jrnl-v3.
+  // Serializes header (seed, thread count) + the ring to qserv-jrnl-v4.
   std::vector<uint8_t> encode() const;
 
  private:
@@ -140,7 +140,11 @@ class FlightRecorder {
   std::atomic<uint64_t> records_staged_{0};
 };
 
-// Decode side (replay tool, tests). Hardened like the checkpoint loader.
+// Decode side (replay tool, warm restore, tests). Hardened like the
+// checkpoint loader: the image ends in the same whole-file content
+// checksum (seal_content), verified right after magic/version, so a torn
+// or bit-flipped journal is refused as kChecksum instead of feeding a
+// wrong port, thread or name into a restore.
 struct JournalFile {
   uint64_t seed = 0;
   uint32_t threads = 1;

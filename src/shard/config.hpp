@@ -54,9 +54,9 @@ struct Config {
   // frame end and every idle select() timeout, connected clients or not)
   // — or that reports invariant violations, or whose crash flag is
   // raised — is quarantined and restored from its last checkpoint +
-  // journal tail. After `max_restores` restorations (or a
-  // restore failure) the shard is shed instead: its sessions are handed
-  // to neighbor shards and its engine stays down.
+  // journal tail. After `max_restores` restorations the shard is shed
+  // instead: its sessions are handed to neighbor shards and its engine
+  // stays down.
   vt::Duration supervise_interval = vt::millis(10);
   vt::Duration heartbeat_timeout = vt::millis(100);
   int max_restores = 2;

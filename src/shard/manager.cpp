@@ -22,7 +22,6 @@ ShardManager::ShardManager(vt::Platform& platform, net::Transport& net,
   // would claim overlapping ports on the shared network.
   QSERV_CHECK(cfg_.server.threads <= static_cast<int>(kPortStride));
   shards_.reserve(static_cast<size_t>(cfg_.shards));
-  mailboxes_.reserve(static_cast<size_t>(cfg_.shards));
   for (int i = 0; i < cfg_.shards; ++i) {
     core::ServerConfig sc = cfg_.server;
     sc.base_port =
@@ -38,8 +37,6 @@ ShardManager::ShardManager(vt::Platform& platform, net::Transport& net,
                                   : sc.recovery.dump_dir + "/") +
                              "shard-" + std::to_string(i);
     }
-    mailboxes_.push_back(
-        std::make_unique<HandoffMailbox>(platform_, cfg_.mailbox_capacity));
     shards_.push_back(
         std::make_unique<Shard>(platform_, net_, map_, *this, sc, i));
   }
@@ -74,7 +71,7 @@ bool ShardManager::post_handoff(int target, core::Server::SessionTransfer t) {
   for (int k = 0; k < n; ++k) {
     const int cand = (target + k) % n;
     if (shards_[static_cast<size_t>(cand)]->down()) continue;
-    if (mailboxes_[static_cast<size_t>(cand)]->post(std::move(t)))
+    if (shards_[static_cast<size_t>(cand)]->mailbox().post(std::move(t)))
       return true;
     // Mailbox at capacity: an overflow shed. The session is dropped here
     // rather than forwarded — spilling a backed-up shard's transfers onto

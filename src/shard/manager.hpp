@@ -1,6 +1,6 @@
 // Multi-shard engine: N independent Server engines in one process, each
-// owning an X-slab of the map (ShardRouter), wired together by handoff
-// mailboxes and watched by a ShardSupervisor. Each
+// owning an X-slab of the map (ShardRouter), wired together by their
+// shards' handoff mailboxes and watched by a ShardSupervisor. Each
 // shard gets its own port block, derived RNG seed, and recovery namespace
 // — a crash in one shard's failure domain never touches another's state.
 #pragma once
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/shard/config.hpp"
-#include "src/shard/mailbox.hpp"
 #include "src/shard/router.hpp"
 #include "src/shard/shard.hpp"
 #include "src/shard/supervisor.hpp"
@@ -44,7 +43,6 @@ class ShardManager {
   int shards() const { return static_cast<int>(shards_.size()); }
   Shard& shard(int i) { return *shards_[i]; }
   const Shard& shard(int i) const { return *shards_[i]; }
-  HandoffMailbox& mailbox(int i) { return *mailboxes_[i]; }
   ShardSupervisor& supervisor() { return *supervisor_; }
   const ShardSupervisor& supervisor() const { return *supervisor_; }
 
@@ -104,7 +102,6 @@ class ShardManager {
   Config cfg_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<HandoffMailbox>> mailboxes_;
   std::unique_ptr<ShardSupervisor> supervisor_;
   obs::FleetObs* observer_ = nullptr;
   std::atomic<uint64_t> flow_ids_{0};

@@ -1,7 +1,7 @@
 // Spatial shard assignment: the map's X extent is cut into `shards` equal
 // slabs; a position belongs to the slab containing its x coordinate. The
 // router is pure geometry — it never touches an engine — so both the
-// harness (initial join placement) and the per-shard engine hooks
+// harness (initial join placement) and each shard's master window
 // (boundary-crossing detection) share one authority on who owns where.
 #pragma once
 

@@ -1,11 +1,14 @@
 #include "src/shard/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "src/obs/fleet.hpp"
 #include "src/recovery/journal.hpp"
 #include "src/shard/manager.hpp"
+#include "src/sim/entity.hpp"
+#include "src/sim/world.hpp"
 #include "src/util/check.hpp"
 
 namespace qserv::shard {
@@ -49,7 +52,8 @@ Shard::Shard(vt::Platform& platform, net::Transport& net,
       map_(map),
       mgr_(mgr),
       cfg_(std::move(cfg)),
-      index_(index) {
+      index_(index),
+      mailbox_(platform, mgr.config().mailbox_capacity) {
   build();
 }
 
@@ -58,11 +62,11 @@ Shard::~Shard() = default;
 void Shard::build() {
   // The old generation unbinds its ports before the new one binds them.
   server_.reset();
-  hook_.reset();
+  retry_.clear();
+  pending_redirects_.clear();
   server_ =
       std::make_unique<core::ParallelServer>(platform_, net_, map_, cfg_);
-  hook_ = std::make_unique<ShardEngineHook>(mgr_, index_, *server_);
-  server_->add_frame_hook(hook_.get());
+  server_->add_frame_hook(this);
   crashed_.store(false, std::memory_order_release);
   // Fresh generation, fresh grace period: the supervisor's stall timer
   // must not count silence accrued by the previous generation.
@@ -85,11 +89,131 @@ void Shard::inject_crash() {
   if (server_ != nullptr) server_->request_stop();
 }
 
-void Shard::publish_heartbeat(int64_t now_ns, int clients,
-                              uint64_t invariant_violations) {
-  beat_clients_.store(clients, std::memory_order_release);
-  beat_invariants_.store(invariant_violations, std::memory_order_release);
-  beat_at_ns_.store(now_ns, std::memory_order_release);
+void Shard::on_master_window(int /*tid*/, vt::TimePoint /*frame_start*/,
+                             core::ThreadStats& /*st*/) {
+  adopt_inbound();
+  migrate_outbound();
+  rearm_redirects();
+}
+
+void Shard::on_frame_end(vt::TimePoint /*frame_start*/, int /*moves*/,
+                         core::ThreadStats& /*st*/) {
+  // Master context, workers at the barrier: plain engine reads are safe
+  // here, and publishing them as the heartbeat atomics is the ONLY way
+  // the supervisor may observe this engine from its own thread.
+  beat_clients_.store(server_->connected_clients(),
+                      std::memory_order_release);
+  beat_invariants_.store(server_->invariant_violations(),
+                         std::memory_order_release);
+  beat_at_ns_.store(platform_.now().ns, std::memory_order_release);
+}
+
+void Shard::on_idle_wait(int /*tid*/) {
+  // Liveness-only beat: any worker may land here concurrently, so only
+  // the timestamp refreshes (one atomic store); the client/invariant
+  // fields keep their last frame-end values. Without it, an engine
+  // starved of traffic (a partition severing all of its clients) runs no
+  // frames and would read as wedged to the supervisor.
+  beat_at_ns_.store(platform_.now().ns, std::memory_order_release);
+}
+
+void Shard::adopt_inbound() {
+  if (retry_.empty() && mailbox_.empty()) return;
+  std::vector<core::Server::SessionTransfer> incoming;
+  incoming.swap(retry_);
+  for (core::Server::SessionTransfer& t : mailbox_.drain())
+    incoming.push_back(std::move(t));
+  for (core::Server::SessionTransfer& t : incoming) {
+    if (server_->adopt_session(t)) {
+      if (t.flow_id != 0) {
+        if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
+          o->on_handoff_in(index_, t.flow_id);
+      }
+      // Arm the redirect with the POST-adopt clock: adopt_session stamps
+      // the slot's last_heard_ns with now(), which under virtual time may
+      // already be past this window's start, and rearm_redirects drops
+      // entries once heard > armed-at.
+      pending_redirects_.emplace_back(t.remote_port, platform_.now().ns);
+    } else if (++t.adopt_retries <= kHandoffRetryBudget ||
+               t.source_shard < 0 || t.source_shard == index_ ||
+               t.source_shard >= mgr_.shards() ||
+               mgr_.shard(t.source_shard).down()) {
+      // Registry momentarily full (or port briefly still bound): hold
+      // the session and retry next window rather than lose the client.
+      retry_.push_back(std::move(t));
+    } else {
+      // Retry budget exhausted and the source shard is still alive:
+      // bounce the session back where it came from instead of stranding
+      // it in this shard's retry queue forever.
+      const int back = t.source_shard;
+      t.adopt_retries = 0;
+      t.source_shard = index_;
+      mgr_.count_handoff_return();
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
+        o->on_handoff_returned(index_, back, t.flow_id,
+                               /*supervisor_ctx=*/false);
+      mgr_.post_handoff(back, std::move(t));
+    }
+  }
+}
+
+void Shard::migrate_outbound() {
+  // Two phases to respect the non-recursive registry mutex: collect
+  // (port, entity) candidates under the lock, then extract_session —
+  // which re-locks internally — per crossing session.
+  std::vector<std::pair<uint16_t, uint32_t>> candidates;
+  {
+    core::ClientRegistry& reg = server_->registry();
+    vt::LockGuard g(reg.mutex());
+    for (const core::ClientSlot& cl : reg.slots()) {
+      if (!cl.in_use || cl.pending_spawn || cl.pending_disconnect ||
+          cl.awaiting_resume)
+        continue;
+      candidates.emplace_back(cl.remote_port, cl.entity_id);
+    }
+  }
+  const ShardRouter& router = mgr_.router();
+  for (const auto& [port, entity_id] : candidates) {
+    const sim::Entity* e = server_->world().get(entity_id);
+    if (e == nullptr) continue;
+    const int target = router.home_for(index_, e->origin);
+    if (target == index_) continue;
+    // The owner of that slab is down (shed): keep serving the session
+    // here rather than bouncing it around the fleet.
+    if (mgr_.shard(target).down()) continue;
+    core::Server::SessionTransfer t;
+    if (server_->extract_session(port, t)) {
+      t.source_shard = index_;  // return address for containment paths
+      if (obs::FleetObs* o = mgr_.observer(); o != nullptr) {
+        t.flow_id = mgr_.next_flow_id();
+        o->on_handoff_out(index_, target, t.flow_id);
+      }
+      mgr_.post_handoff(target, std::move(t));
+    }
+  }
+}
+
+void Shard::rearm_redirects() {
+  if (pending_redirects_.empty()) return;
+  core::ClientRegistry& reg = server_->registry();
+  vt::LockGuard g(reg.mutex());
+  std::erase_if(pending_redirects_, [&](const std::pair<uint16_t, int64_t>&
+                                            pr) {
+    const int idx = reg.index_of_port_locked(pr.first);
+    if (idx < 0) return true;  // migrated again or evicted; stop re-arming
+    core::ClientSlot& cl = reg.slot(idx);
+    if (!cl.in_use) return true;
+    const int64_t heard =
+        std::atomic_ref<int64_t>(cl.last_heard_ns).load(
+            std::memory_order_relaxed);
+    if (heard > pr.second) return true;  // peer now addresses this engine
+    // Teaching snapshot may have been lost: keep re-arming the one-shot
+    // port notification (with a queued reply) until the peer shows up.
+    cl.notify_port = true;
+    cl.pending_reply = true;
+    reg.queue_reply(cl);
+    return false;
+  });
 }
 
 std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
@@ -120,15 +244,16 @@ Shard::RestoreOutcome Shard::restore_images(
   build();
   out.error = server_->restore_from(image, journal, &out.stats, seq_bump);
   if (out.error == recovery::LoadError::kNone) {
-    out.used_tail = out.stats.tail_frames > 0;
-    out.mode = out.used_tail ? RestoreMode::kTailReplay
-                             : RestoreMode::kCheckpointOnly;
-  } else if (out.error == recovery::LoadError::kReplayDiverged) {
-    build();
-    if (server_->restore_from(image, {}, nullptr, seq_bump) ==
-        recovery::LoadError::kNone)
-      out.mode = RestoreMode::kCheckpointOnly;
+    out.mode = out.stats.tail_frames > 0 ? RestoreMode::kTailReplay
+                                         : RestoreMode::kCheckpointOnly;
+    return out;
   }
+  // restore_from refuses a bad image or a torn/gapped tail before it
+  // touches any state; only a diverged tail leaves a half-replayed world.
+  if (out.error == recovery::LoadError::kReplayDiverged) build();
+  if (server_->restore_from(image, {}, nullptr, seq_bump) ==
+      recovery::LoadError::kNone)
+    out.mode = RestoreMode::kCheckpointOnly;
   return out;
 }
 
@@ -138,7 +263,6 @@ Shard::RestoreOutcome Shard::rebuild_and_restore() {
   const auto t0 = std::chrono::steady_clock::now();
   RestoreOutcome out;
   if (!image.empty()) out = restore_images(image, journal);
-  out.had_checkpoint = !image.empty();
   if (out.mode == RestoreMode::kNone) {
     // Last rung of the fallback chain: no checkpoint was ever taken, or
     // it is unusable (checksum mismatch, truncation, corruption — or the
@@ -158,7 +282,6 @@ Shard::RestoreOutcome Shard::rebuild_and_restore() {
     o->on_engine_built(index_, *server_);
   server_->start();
   out.pause_ms = ms_since(t0);
-  out.ok = true;
   ++restores_;
   return out;
 }
@@ -187,7 +310,6 @@ std::vector<core::Server::SessionTransfer> Shard::shed() {
     }
   }
   server_.reset();
-  hook_.reset();
   down_.store(true, std::memory_order_release);
   return out;
 }

@@ -2,9 +2,15 @@
 // The Shard object itself is permanent for the run; the engine inside it
 // is rebuilt by the supervisor after a crash — checkpoint + journal tail
 // are captured from the dead generation, a fresh engine is constructed on
-// the same ports/seed, restored, and started. Heartbeat state lives here
-// (not in the engine) as atomics, because the supervisor reads it from
-// outside the engine's threads while the master window publishes it.
+// the same ports/seed, restored, and started.
+//
+// The Shard is also the FrameHook of every generation it builds. From the
+// engine's master window (the only single-threaded point of the frame) it
+// drains its own inbound handoff mailbox, extracts sessions whose entities
+// wandered past its slab toward their new home, and re-arms redirects;
+// at frame end and on every idle select() timeout it publishes its
+// heartbeat. Heartbeat state lives here (not in the engine) as atomics,
+// because the supervisor reads it from outside the engine's threads.
 #pragma once
 
 #include <atomic>
@@ -13,9 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/frame_hooks.hpp"
 #include "src/core/parallel_server.hpp"
 #include "src/recovery/checkpoint.hpp"
-#include "src/shard/engine_hook.hpp"
+#include "src/shard/mailbox.hpp"
 
 namespace qserv::shard {
 
@@ -24,7 +31,8 @@ class ShardManager;
 // Which step of the checkpoint-restore fallback chain produced the new
 // engine generation:
 //   tail-replay      checkpoint + digest-verified journal tail
-//   checkpoint-only  checkpoint restored, tail unusable (diverged/absent)
+//   checkpoint-only  checkpoint restored, tail unusable (diverged, torn,
+//                    gapped) or empty
 //   fresh-rebuild    checkpoint unusable (corrupt/torn) or never taken;
 //                    the engine comes back empty, clients reconnect via
 //                    the silence backstop and every rejoin is served a
@@ -37,12 +45,12 @@ enum class RestoreMode : uint8_t {
 };
 const char* restore_mode_name(RestoreMode m);
 
-class Shard {
+class Shard final : public core::FrameHook {
  public:
   Shard(vt::Platform& platform, net::Transport& net,
         const spatial::GameMap& map, ShardManager& mgr,
         core::ServerConfig cfg, int index);
-  ~Shard();
+  ~Shard() override;
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -51,6 +59,8 @@ class Shard {
   void request_stop();
 
   int index() const { return index_; }
+  // Inbound cross-shard transfers; drained by this shard's master window.
+  HandoffMailbox& mailbox() { return mailbox_; }
   core::ParallelServer* server() { return server_.get(); }
   const core::ParallelServer* server() const { return server_.get(); }
 
@@ -73,16 +83,7 @@ class Shard {
     corrupt_next_.store(true, std::memory_order_release);
   }
 
-  // --- heartbeat (hook publishes from the master window) ---
-  void publish_heartbeat(int64_t now_ns, int clients,
-                         uint64_t invariant_violations);
-  // Liveness-only beat from a worker's idle select() timeout: a starved
-  // engine (network partition, no traffic) runs no frames at all, but it
-  // is alive — only the timestamp refreshes, the client/invariant fields
-  // keep their last frame-end values.
-  void publish_idle_beat(int64_t now_ns) {
-    beat_at_ns_.store(now_ns, std::memory_order_release);
-  }
+  // --- heartbeat (published by on_frame_end / on_idle_wait) ---
   int64_t beat_at_ns() const {
     return beat_at_ns_.load(std::memory_order_acquire);
   }
@@ -103,11 +104,6 @@ class Shard {
   int restores() const { return restores_; }
 
   struct RestoreOutcome {
-    bool ok = false;
-    // Journal-tail replay succeeded (false = checkpoint-only fallback or
-    // no checkpoint existed yet and the engine came back empty).
-    bool used_tail = false;
-    bool had_checkpoint = false;
     RestoreMode mode = RestoreMode::kNone;
     double pause_ms = 0.0;  // host-clock rebuild+restore cost
     core::Server::RestoreStats stats{};
@@ -118,10 +114,11 @@ class Shard {
   // Quarantine exit path. Caller must see quiesced(). Captures the dead
   // generation's checkpoint + journal, rebuilds the engine and walks the
   // restore fallback chain — digest-verified tail replay, checkpoint-only
-  // on kReplayDiverged, fresh empty rebuild when the checkpoint itself is
-  // unusable (checksum/corrupt/truncated) or was never taken — then
-  // starts the new generation. Every step is reported through the fleet
-  // observer (on_restore carries the mode) and the supervisor report.
+  // when the tail is unusable (diverged, torn, gapped), fresh empty
+  // rebuild when the checkpoint itself is unusable (checksum/corrupt/
+  // truncated) or was never taken — then starts the new generation. It
+  // always ends in a live generation; the mode says which rung produced
+  // it (the supervisor reports it to the fleet observer and its Report).
   RestoreOutcome rebuild_and_restore();
 
   // Shed path: recovers the dead generation's sessions into transfers
@@ -136,16 +133,31 @@ class Shard {
   std::pair<std::vector<uint8_t>, std::vector<uint8_t>> capture_images();
 
   // Tears down the current generation, if any, and constructs a fresh
-  // engine + hook (not started).
+  // engine (not started) with this shard registered as its hook. The
+  // per-generation hook state (adoption retries, pending redirects) goes
+  // with the old engine.
   void build();
 
   // Restores `image` + `journal` into a fresh generation and walks the
-  // first fallback rung: a diverged tail has already mutated that
-  // engine's world but leaves the checkpoint intact, so build again and
-  // restore the checkpoint alone. mode stays kNone when neither took;
-  // error is the first error hit.
+  // first fallback rung: restore the checkpoint alone. A diverged tail
+  // has already mutated the engine's world, so that retry runs on a
+  // rebuilt engine; every other error left the engine untouched and the
+  // retry reuses it. mode stays kNone when neither took; error is the
+  // first error hit.
   RestoreOutcome restore_images(const std::vector<uint8_t>& image,
                                 const std::vector<uint8_t>& journal);
+
+  // --- FrameHook (engine threads) ---
+  void on_master_window(int tid, vt::TimePoint frame_start,
+                        core::ThreadStats& st) override;
+  void on_frame_end(vt::TimePoint frame_start, int moves,
+                    core::ThreadStats& st) override;
+  void on_idle_wait(int tid) override;
+
+  // Master-window handoff duties, in this order.
+  void adopt_inbound();
+  void migrate_outbound();
+  void rearm_redirects();
 
   vt::Platform& platform_;
   net::Transport& net_;
@@ -154,8 +166,17 @@ class Shard {
   core::ServerConfig cfg_;
   int index_;
 
+  // Built before the first engine generation, so the mailbox mutex is
+  // created ahead of the engine's.
+  HandoffMailbox mailbox_;
+  // Per-generation hook state, cleared by build().
+  // Adoptions refused (registry momentarily full) retry next window.
+  std::vector<core::Server::SessionTransfer> retry_;
+  // Ports adopted at time t whose peers have not yet been heard from on
+  // this engine; the redirect snapshot re-arms every window until then
+  // (notify_port is one-shot and the teaching snapshot may be lost).
+  std::vector<std::pair<uint16_t, int64_t>> pending_redirects_;
   std::unique_ptr<core::ParallelServer> server_;
-  std::unique_ptr<ShardEngineHook> hook_;
 
   // Stash of the last real capture; survives a failed-restore generation
   // so the shed path can still reach the dead engine's state.

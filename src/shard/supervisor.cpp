@@ -31,8 +31,6 @@ const char* shed_reason_name(ShedReason r) {
       return "crash-loop";
     case ShedReason::kQuarantineCap:
       return "quarantine-cap";
-    case ShedReason::kRestoreFailed:
-      return "restore-failed";
   }
   return "?";
 }
@@ -194,19 +192,14 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         break;
       }
       ++restores_this_tick;
-      Shard::RestoreOutcome out = s.rebuild_and_restore();
+      const Shard::RestoreOutcome out = s.rebuild_and_restore();
       r.last_pause_ms = out.pause_ms;
-      r.last_used_tail = out.used_tail;
       r.last_mode = out.mode;
       r.last_stats = out.stats;
       r.last_error = out.error;
       if (obs::FleetObs* o = mgr_.observer(); o != nullptr)
-        o->on_restore(i, out.ok, out.used_tail, out.stats.tail_frames,
-                      out.pause_ms, restore_mode_name(out.mode));
-      if (!out.ok) {
-        do_shed(i, ShedReason::kRestoreFailed);
-        break;
-      }
+        o->on_restore(i, out.stats.tail_frames, out.pause_ms,
+                      restore_mode_name(out.mode));
       // Arm the breaker window and the next backoff: after the k-th
       // restore the (k+1)-th waits restore_backoff * 2^(k-1), clamped.
       stamps.push_back(now_ns);
@@ -216,7 +209,6 @@ void ShardSupervisor::supervise(int i, int64_t now_ns, int cap_victim,
         backoff *= 2;
       backoff = std::min<int64_t>(backoff, cfg.restore_backoff_max.ns);
       t.next_restore_at_ns = now_ns + backoff;
-      r.restores = s.restores();
       r.state = ShardState::kHealthy;
       break;
     }
@@ -265,7 +257,7 @@ void ShardSupervisor::reclaim_stale_handoffs(int64_t now_ns) {
         track_[static_cast<size_t>(i)].report.state == ShardState::kHealthy)
       continue;
     std::vector<core::Server::SessionTransfer> stale =
-        mgr_.mailbox(i).take_older_than(cutoff);
+        mgr_.shard(i).mailbox().take_older_than(cutoff);
     for (core::Server::SessionTransfer& t : stale) {
       // Return to the source shard when it is still alive; otherwise any
       // live shard beats leaving the session stranded.

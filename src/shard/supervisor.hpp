@@ -22,9 +22,10 @@
 //    sat in a non-healthy shard's mailbox past adopt_timeout are pulled
 //    back and re-posted toward their source shard, not left stranded.
 //
-// The tick reads ONLY the heartbeat atomics a shard's hook publishes in
-// on_frame_end (plus Shard's own atomics) — never the engine's plain
-// fields — so the supervisor is data-race-free against running workers.
+// The tick reads ONLY the heartbeat atomics a Shard publishes from its
+// engine's frame end and idle waits (plus Shard's other atomics) — never
+// the engine's plain fields — so the supervisor is data-race-free
+// against running workers.
 #pragma once
 
 #include <atomic>
@@ -51,7 +52,6 @@ enum class ShedReason : uint8_t {
   kBudget,         // max_restores exhausted
   kCrashLoop,      // crash-loop circuit breaker tripped
   kQuarantineCap,  // too many simultaneous quarantines; lowest priority
-  kRestoreFailed,  // the rebuild+restore itself failed
 };
 const char* shed_reason_name(ShedReason r);
 
@@ -67,13 +67,12 @@ class ShardSupervisor {
 
   // Per-shard supervision record. Plain fields written by the tick; read
   // them only after the run has stopped (bench/test harvest) or from the
-  // tick itself.
+  // tick itself. The restore count is the shard's own (Shard::restores());
+  // the shard harness's per-shard result extends this record.
   struct Report {
     ShardState state = ShardState::kHealthy;
-    int restores = 0;          // successful supervised restorations
     uint64_t escalations = 0;  // healthy -> quarantined transitions
     double last_pause_ms = 0.0;
-    bool last_used_tail = false;
     RestoreMode last_mode = RestoreMode::kNone;
     core::Server::RestoreStats last_stats{};
     recovery::LoadError last_error{};

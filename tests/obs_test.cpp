@@ -761,7 +761,6 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
   obs::MetricsRegistry metrics;
   cfg.tracer = &tracer;
   cfg.metrics = &metrics;
-  cfg.metrics_period = vt::millis(250);
 
   const auto r = harness::run_experiment(cfg);
   ASSERT_GT(r.frames, 0u);
@@ -791,11 +790,6 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
   ASSERT_NE(find("netchan.packets_sent"), nullptr);
   EXPECT_GT(find("netchan.packets_sent")->value, 0.0);
   ASSERT_NE(find("lock.leaf_wait_us"), nullptr);
-
-  // Periodic snapshots were captured on the virtual-time period.
-  EXPECT_GE(r.metrics_series.size(), 4u);
-  EXPECT_GT(r.metrics_series.back().t_seconds,
-            r.metrics_series.front().t_seconds);
 }
 
 // The server's whole-frame histograms: every frame observes one duration

@@ -198,6 +198,19 @@ TEST(LoaderHardening, EveryFlippedByteIsRejectedByTheContentChecksum) {
               recovery::LoadError::kChecksum)
         << "flip at byte " << at;
   }
+
+  // The journal carries the same seal: a flipped port, thread or name
+  // byte must not decode into a different but well-formed record.
+  const auto& jbytes = sample_run().journal;
+  ASSERT_GT(jbytes.size(), 16u);
+  recovery::JournalFile jf;
+  for (size_t at = 8; at < jbytes.size(); ++at) {
+    buf = jbytes;
+    buf[at] ^= static_cast<uint8_t>(1u << (at % 8));
+    EXPECT_EQ(recovery::decode_journal(buf, jf),
+              recovery::LoadError::kChecksum)
+        << "journal flip at byte " << at;
+  }
 }
 
 TEST(LoaderHardening, MagicAndVersionAreChecked) {
@@ -220,12 +233,16 @@ TEST(LoaderHardening, MagicAndVersionAreChecked) {
   jrnl[4] ^= 0xff;
   EXPECT_EQ(recovery::decode_journal(jrnl, jf),
             recovery::LoadError::kBadVersion);
-  // A qserv-jrnl-v2 image (per-record drop byte, kDropped records) is
-  // refused outright rather than misparsed. The version is little-endian.
-  ASSERT_EQ(recovery::kJournalVersion, 3u);
-  jrnl[4] = 2;
-  EXPECT_EQ(recovery::decode_journal(jrnl, jf),
-            recovery::LoadError::kBadVersion);
+  // Older images are refused outright rather than misparsed: a
+  // qserv-jrnl-v3 image (no content checksum) and a v2 one (per-record
+  // drop byte, kDropped records). The version is little-endian.
+  ASSERT_EQ(recovery::kJournalVersion, 4u);
+  for (const uint8_t old_version : {3, 2}) {
+    jrnl[4] = old_version;
+    EXPECT_EQ(recovery::decode_journal(jrnl, jf),
+              recovery::LoadError::kBadVersion)
+        << "version " << int{old_version};
+  }
 }
 
 // Seeded random corruption: flipped bytes and length-lying counts must

@@ -395,6 +395,61 @@ TEST(ShardFleet, CorruptCheckpointFallsBackToFreshRebuild) {
   EXPECT_EQ(r.shard_connected, cfg.players);
 }
 
+// A journal ring shorter than the checkpoint interval loses the frames
+// right after the checkpoint, so the tail has a gap. restore_from refuses
+// the gap before touching the engine, and the supervisor must fall back
+// to the checkpoint alone on that same engine rather than discard a good
+// checkpoint for a fresh rebuild.
+TEST(ShardFleet, TailGapFallsBackToCheckpointOnly) {
+  auto cfg = base_cfg(2, 16);
+  cfg.fleet.boundary_margin = 1e9f;
+  cfg.fleet.server.recovery.journal_frames = 4;  // < checkpoint_interval
+  cfg.client_silence_timeout = vt::millis(500);
+  cfg.schedule_faults = [&](vt::Platform& p, shard::ShardManager& mgr) {
+    p.call_after(cfg.warmup + vt::seconds(1), [&mgr] { mgr.crash_shard(1); });
+  };
+  const auto r = harness::run_shard_experiment(cfg);
+
+  const auto& crashed = r.shards[1];
+  EXPECT_EQ(crashed.restores, 1);
+  EXPECT_EQ(crashed.state, shard::ShardState::kHealthy);
+  EXPECT_EQ(crashed.last_mode, shard::RestoreMode::kCheckpointOnly);
+  EXPECT_EQ(crashed.last_error, recovery::LoadError::kCorrupt);
+  EXPECT_EQ(crashed.last_stats.tail_frames, 0u);
+  // The checkpoint's sessions resume in place; only a fresh rebuild
+  // would send its clients through the silence backstop.
+  EXPECT_EQ(r.silence_reconnects, 0u);
+  EXPECT_EQ(r.connected, cfg.players);
+}
+
+// A shard whose clients are all cut off runs no frames, but its workers
+// still wake from every idle select() timeout and beat. A partition
+// several heartbeat timeouts long must not read as a wedged engine.
+// client_timeout stays off, so no maintenance frame beats for it.
+TEST(ShardFleet, IdleShardKeepsBeatingThroughAClientPartition) {
+  auto cfg = base_cfg(2, 16);
+  cfg.fleet.boundary_margin = 1e9f;
+  ASSERT_EQ(cfg.fleet.server.client_timeout.ns, 0);
+  const vt::Duration cut{4 * cfg.fleet.heartbeat_timeout.ns};
+  const uint16_t lo = static_cast<uint16_t>(cfg.fleet.server.base_port +
+                                            shard::kPortStride);
+  const uint16_t hi =
+      static_cast<uint16_t>(lo + cfg.fleet.server.threads - 1);
+  cfg.configure_network = [&](net::VirtualNetwork& net) {
+    // Every client port (the driver allocates from 40000 up) from shard
+    // 1's engine ports.
+    net.faults().add_partition(
+        vt::TimePoint::zero() + cfg.warmup + vt::millis(500), cut, 40000,
+        65535, lo, hi);
+  };
+  const auto r = harness::run_shard_experiment(cfg);
+
+  EXPECT_EQ(r.shards[1].state, shard::ShardState::kHealthy);
+  EXPECT_EQ(r.shards[1].escalations, 0u);
+  EXPECT_EQ(r.shards[1].restores, 0);
+  EXPECT_EQ(r.connected, cfg.players);
+}
+
 TEST(ShardFleet, CrashWithoutCheckpointRebuildsEmptyAndClientsRejoin) {
   auto cfg = base_cfg(2, 12);
   cfg.fleet.boundary_margin = 1e9f;

@@ -200,17 +200,17 @@ int main(int argc, char** argv) {
   }
 
   qserv::recovery::CheckpointData ckpt;
-  if (qserv::recovery::decode_checkpoint(ckpt_bytes, ckpt) !=
-      qserv::recovery::LoadError::kNone) {
-    std::fprintf(stderr, "%s: corrupt or unsupported checkpoint\n",
-                 ckpt_path.c_str());
+  if (const auto err = qserv::recovery::decode_checkpoint(ckpt_bytes, ckpt);
+      err != qserv::recovery::LoadError::kNone) {
+    std::fprintf(stderr, "%s: corrupt or unsupported checkpoint (%s)\n",
+                 ckpt_path.c_str(), qserv::recovery::load_error_name(err));
     return 2;
   }
   qserv::recovery::JournalFile journal;
-  if (qserv::recovery::decode_journal(jrnl_bytes, journal) !=
-      qserv::recovery::LoadError::kNone) {
-    std::fprintf(stderr, "%s: corrupt or unsupported journal\n",
-                 jrnl_path.c_str());
+  if (const auto err = qserv::recovery::decode_journal(jrnl_bytes, journal);
+      err != qserv::recovery::LoadError::kNone) {
+    std::fprintf(stderr, "%s: corrupt or unsupported journal (%s)\n",
+                 jrnl_path.c_str(), qserv::recovery::load_error_name(err));
     return 2;
   }
 
