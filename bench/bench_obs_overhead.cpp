@@ -11,7 +11,7 @@
 //
 //  3. Fleet: a 4-shard failover-shaped fleet with the observability
 //     plane absent vs fully attached (FleetObs: tracer, per-shard
-//     metrics federation, SLO windows every 500 ms). Same bar: the
+//     metrics registries, SLO windows every 500 ms). Same bar: the
 //     virtual-time results must be bit-identical, the honest cost is
 //     host wall time.
 //

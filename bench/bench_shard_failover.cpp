@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
   };
 
   // ---- baseline: the same fleet, no faults --------------------------
-  // Both guarded runs carry the full observability plane (metrics
-  // federation + SLO monitor, no tracer). It charges no modelled
+  // Both guarded runs carry the full observability plane (per-shard
+  // metrics + SLO monitor, no tracer). It charges no modelled
   // compute, and both runs carry it identically, so the digest
   // bit-identity guard still compares like with like.
   auto base_cfg = fleet_config();

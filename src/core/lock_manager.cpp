@@ -21,7 +21,6 @@ LockManager::LockManager(vt::Platform& platform,
     list_mu_.push_back(platform.make_mutex("list-node-" + std::to_string(i)));
   frame_thread_mask_.assign(static_cast<size_t>(tree.leaf_count()), 0);
   frame_lock_ops_.assign(static_cast<size_t>(tree.leaf_count()), 0);
-  total_lock_ops_.assign(static_cast<size_t>(tree.leaf_count()), 0);
 }
 
 void LockManager::set_metrics(obs::MetricsRegistry* registry) {
@@ -167,36 +166,12 @@ void LockManager::frame_harvest(FrameLockStats& out) {
     if (mask != 0) ++locked;
     if ((mask & (mask - 1)) != 0) ++shared;  // >= 2 bits set
     ops += frame_lock_ops_[i];
-    total_lock_ops_[i] += frame_lock_ops_[i];
   }
   const double n = static_cast<double>(tree_.leaf_count());
   out.leaves_locked_pct.add(static_cast<double>(locked) / n);
   out.leaves_shared_pct.add(static_cast<double>(shared) / n);
   out.lock_ops_per_leaf.add(static_cast<double>(ops) / n);
   ++out.frames;
-}
-
-std::vector<LockManager::LeafContention> LockManager::contention_hotlist(
-    int k) const {
-  std::vector<LeafContention> all;
-  for (size_t i = 0; i < region_mu_.size(); ++i) {
-    const vt::Mutex& mu = *region_mu_[i];
-    LeafContention c;
-    c.leaf_ordinal = static_cast<int>(i);
-    c.lock_ops = total_lock_ops_[i];
-    c.acquisitions = mu.acquisitions();
-    c.contended = mu.contended_acquisitions();
-    c.wait = mu.total_wait();
-    if (c.lock_ops == 0 && c.acquisitions == 0) continue;
-    all.push_back(c);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const LeafContention& a, const LeafContention& b) {
-              if (a.wait.ns != b.wait.ns) return a.wait.ns > b.wait.ns;
-              return a.lock_ops > b.lock_ops;
-            });
-  if (static_cast<int>(all.size()) > k) all.resize(static_cast<size_t>(k));
-  return all;
 }
 
 }  // namespace qserv::core

@@ -97,20 +97,6 @@ class LockManager {
   // path then pays one branch.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  // Cumulative per-leaf contention, for the hot-list export: lock
-  // operations (incl. re-locks), mutex acquisitions, contended
-  // acquisitions, and total wait on the leaf's region mutex.
-  struct LeafContention {
-    int leaf_ordinal = 0;
-    uint64_t lock_ops = 0;
-    uint64_t acquisitions = 0;
-    uint64_t contended = 0;
-    vt::Duration wait{};
-  };
-  // Top `k` leaves by total region-mutex wait (ties broken by lock ops),
-  // leaves with zero activity omitted.
-  std::vector<LeafContention> contention_hotlist(int k) const;
-
   int leaf_count() const { return tree_.leaf_count(); }
   const spatial::AreanodeTree& tree() const { return tree_; }
 
@@ -129,9 +115,6 @@ class LockManager {
   // held, and reset/harvested by the master between frames.
   std::vector<uint64_t> frame_thread_mask_;
   std::vector<uint32_t> frame_lock_ops_;
-  // Cumulative per-leaf lock operations, accumulated from frame_lock_ops_
-  // at harvest time (so it costs nothing on the acquire path).
-  std::vector<uint64_t> total_lock_ops_;
 
   // Observability attachments; null = off (one branch on the hot path).
   obs::HistogramMetric* leaf_wait_us_ = nullptr;

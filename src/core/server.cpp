@@ -148,18 +148,6 @@ uint64_t Server::frame_trace_dropped() const {
   return n;
 }
 
-Server::NetchanTotals Server::netchan_totals() const {
-  NetchanTotals t;
-  for (const auto& c : registry_.slots()) {
-    if (!c.in_use || c.chan == nullptr) continue;
-    t.packets_sent += c.chan->packets_sent();
-    t.packets_accepted += c.chan->packets_accepted();
-    t.drops_detected += c.chan->drops_detected();
-    t.duplicates_rejected += c.chan->duplicates_rejected();
-  }
-  return t;
-}
-
 void Server::attach_observability(obs::Tracer* tracer,
                                   obs::MetricsRegistry* metrics) {
   // Rebind unconditionally: span timestamps must come from *this* server's

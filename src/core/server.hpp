@@ -103,16 +103,6 @@ class Server {
   // Entries discarded across threads once the per-thread cap was hit.
   uint64_t frame_trace_dropped() const;
 
-  // Netchan reliability counters summed over currently connected clients
-  // (post-run inspection / metrics harvest).
-  struct NetchanTotals {
-    uint64_t packets_sent = 0;
-    uint64_t packets_accepted = 0;
-    uint64_t drops_detected = 0;
-    uint64_t duplicates_rejected = 0;
-  };
-  NetchanTotals netchan_totals() const;
-
   // Attaches the observability layer (obs/): a per-thread event tracer
   // (phase spans onto one track per worker) and/or a metrics registry
   // (frame-duration and requests-per-frame histograms here; lock-wait

@@ -9,7 +9,6 @@
 #include "src/core/lock_manager.hpp"
 #include "src/core/parallel_server.hpp"
 #include "src/core/sequential_server.hpp"
-#include "src/obs/collect.hpp"
 #include "src/obs/trace.hpp"
 #include "src/recovery/blackbox.hpp"
 #include "src/recovery/replay.hpp"
@@ -152,10 +151,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.frame_trace) {
     for (const auto& ts : server->thread_stats())
       out.frame_traces.push_back(ts.frame_trace);
-  }
-  if (cfg.metrics != nullptr) {
-    obs::collect_network(network, *cfg.metrics);
-    obs::collect_server(*server, *cfg.metrics);
   }
   out.frame_trace_dropped = server->frame_trace_dropped();
   out.frames = server->frames();

@@ -42,9 +42,8 @@ struct ExperimentConfig {
   bool frame_trace = false;
   // Observability attachments (obs/), non-owning; both must outlive the
   // run. `tracer` records per-thread phase spans on the server (export
-  // Chrome trace JSON afterwards); `metrics` receives live instruments
-  // (frame durations, lock waits) plus an end-of-run harvest of network,
-  // fault and contention counters.
+  // Chrome trace JSON afterwards); `metrics` receives the live
+  // frame-duration, moves-per-frame and lock-wait histograms.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   // Called once after the network is built and before the server starts;

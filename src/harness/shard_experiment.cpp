@@ -126,9 +126,7 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
   }
 
   if (cfg.fleet_obs != nullptr) {
-    // Post-stop: harvest the engines' counters into the per-shard
-    // registries, then run one last SLO window over the final state.
-    cfg.fleet_obs->collect_final();
+    // Post-stop: one last SLO window over the final state.
     cfg.fleet_obs->evaluate_window();
     out.handoff_flows = mgr.flows_issued();
     out.slo_evaluations = cfg.fleet_obs->slo().evaluations();

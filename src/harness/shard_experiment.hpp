@@ -47,7 +47,7 @@ struct ShardExperimentConfig {
   vt::SimPlatform::MachineConfig machine{.cores = 8, .ht_per_core = 2};
   std::shared_ptr<const spatial::GameMap> map;
   // Fleet observability plane, caller-owned (the merged trace and the
-  // federated metrics must outlive the run). When set, the harness
+  // per-shard metrics must outlive the run). When set, the harness
   // attaches it to the manager before start and drives an SLO evaluation
   // window every obs_period starting at the warmup boundary (warmup
   // joins would read as lost clients), plus a final window at shutdown.

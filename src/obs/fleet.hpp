@@ -11,12 +11,14 @@
 //    shards' timelines), and a per-shard supervisor track carrying
 //    instant events for quarantine / restore / tail-replay / shed;
 //
-//  * a federated metrics view: each shard keeps its own MetricsRegistry
-//    (re-attached across supervisor rebuilds, so a restored engine keeps
-//    reporting); fleet_snapshot() prefixes per-shard samples with
-//    "shard<i>." and aggregates them into "fleet.*" (counters summed,
-//    histograms merged bucket-wise) next to the plane's own supervisor /
-//    handoff / recovery counters;
+//  * live metrics: each shard keeps its own MetricsRegistry (re-attached
+//    across supervisor rebuilds, so a restored engine keeps reporting its
+//    frame and lock histograms), and the plane's own fleet registry holds
+//    what the fleet SLOs read — the last recovery pause, the lost-client
+//    count and the handoff-latency histogram. Event counts (escalations,
+//    restores, sheds, returned and overflowed handoffs) are kept by the
+//    shard layer itself (ShardSupervisor::Report, Shard::restores(), the
+//    manager's atomics), not duplicated here;
 //
 //  * an SLO verdict: an obs::SloMonitor evaluated per observation window
 //    over every shard's snapshot plus the fleet snapshot, with breaches
@@ -36,7 +38,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
@@ -53,15 +54,6 @@ class ShardManager;
 
 namespace qserv::obs {
 
-// Merges labeled registries into one federated sample list: every input
-// sample reappears as "<label>.<name>", and shard-crossing aggregates
-// are appended as "fleet.<name>" — counters summed, histograms merged
-// bucket-wise and re-reduced to percentiles (gauges stay per-shard:
-// there is no meaningful sum of last-written values).
-std::vector<MetricSample> federate(
-    const std::vector<std::pair<std::string, const MetricsRegistry*>>&
-        parts);
-
 class FleetObs {
  public:
   struct Config {
@@ -73,8 +65,8 @@ class FleetObs {
     int shard_pid_base = 2;  // shard i renders as pid shard_pid_base + i
   };
 
-  // `tracer` may be null: metrics federation and SLO evaluation still
-  // run, only the timeline artifacts are skipped.
+  // `tracer` may be null: metrics and SLO evaluation still run, only the
+  // timeline artifacts are skipped.
   explicit FleetObs(Tracer* tracer);
   FleetObs(Tracer* tracer, Config cfg);
 
@@ -131,24 +123,16 @@ class FleetObs {
   void on_handoff_returned(int at_shard, int to_shard, uint64_t flow,
                            bool supervisor_ctx);
   // Any master window or the supervisor: a post against `target`'s full
-  // mailbox dropped session `flow` (an overflow shed). Metrics only, no
-  // trace track is written.
+  // mailbox dropped session `flow` (an overflow shed). Forgets the flow's
+  // begin stamp; no trace track is written.
   void on_handoff_overflow(int target, uint64_t flow);
 
-  // One observation window: refreshes the fleet gauges that derive from
-  // heartbeat atomics (connected / lost clients), then runs the SLO
-  // monitor over every shard snapshot and the fleet snapshot. Mid-run
-  // safe (reads only atomics and live instruments); call from platform
-  // timer context, post-warmup, and once after the run stops.
+  // One observation window: refreshes the lost-client gauge from the
+  // heartbeat atomics, then runs the SLO monitor over every shard
+  // snapshot and the fleet snapshot. Mid-run safe (reads only atomics and
+  // live instruments); call from platform timer context, post-warmup,
+  // and once after the run stops.
   void evaluate_window();
-
-  // Post-run harvest: collect_server() into each live shard's registry
-  // (frames, requests, lock hot list) — plain engine reads, so only call
-  // once the fleet has stopped.
-  void collect_final();
-
-  // Federated sample list: "shard<i>.*" + "fleet.*" (see federate()).
-  std::vector<MetricSample> fleet_snapshot() const;
 
   MetricsRegistry& shard_metrics(int i) { return *shard_regs_[i]; }
   MetricsRegistry& fleet_metrics() { return fleet_reg_; }
@@ -178,19 +162,7 @@ class FleetObs {
   int slo_track_ = -1;
 
   // Cached fleet instruments (stable pointers into fleet_reg_).
-  Counter* handoffs_out_ = nullptr;
-  Counter* handoffs_in_ = nullptr;
-  Counter* escalations_ = nullptr;
-  Counter* restores_ = nullptr;
-  Counter* tail_replays_ = nullptr;
-  Counter* sheds_ = nullptr;
-  Counter* shed_sessions_ = nullptr;
-  Counter* fresh_rebuilds_ = nullptr;
-  Counter* breaker_trips_ = nullptr;
-  Counter* handoff_returns_ = nullptr;
-  Counter* overflow_sheds_ = nullptr;
   Gauge* last_pause_ms_ = nullptr;
-  Gauge* connected_ = nullptr;
   Gauge* lost_ = nullptr;
   HistogramMetric* handoff_latency_ms_ = nullptr;
 

@@ -1,43 +1,10 @@
 #include "src/obs/slo.hpp"
 
-#include <cstdio>
 #include <utility>
-
-#include "src/obs/json.hpp"
 
 namespace qserv::obs {
 
 namespace {
-
-const char* stat_name(SloSpec::Stat s) {
-  switch (s) {
-    case SloSpec::Stat::kValue:
-      return "value";
-    case SloSpec::Stat::kP50:
-      return "p50";
-    case SloSpec::Stat::kP95:
-      return "p95";
-    case SloSpec::Stat::kP99:
-      return "p99";
-    case SloSpec::Stat::kMax:
-      return "max";
-    case SloSpec::Stat::kCount:
-      return "count";
-  }
-  return "?";
-}
-
-const char* cmp_name(SloSpec::Cmp c) {
-  switch (c) {
-    case SloSpec::Cmp::kLE:
-      return "<=";
-    case SloSpec::Cmp::kGE:
-      return ">=";
-    case SloSpec::Cmp::kEQ:
-      return "==";
-  }
-  return "?";
-}
 
 double read_stat(const MetricSample& s, SloSpec::Stat stat) {
   switch (stat) {
@@ -108,53 +75,6 @@ int SloMonitor::evaluate(const std::vector<MetricSample>& samples,
       tracer->record_instant(track, tracer->intern("slo:" + spec.name));
   }
   return found;
-}
-
-std::string SloMonitor::to_json() const {
-  std::string out;
-  JsonWriter w(out);
-  w.begin_object();
-  w.kv("schema", "qserv-slo-v1");
-  w.kv("evaluations", evaluations_);
-  w.key("specs");
-  w.begin_array();
-  for (const SloSpec& s : specs_) {
-    w.begin_object();
-    w.kv("name", s.name);
-    w.kv("metric", s.metric);
-    w.kv("stat", stat_name(s.stat));
-    w.kv("cmp", cmp_name(s.cmp));
-    w.kv("bound", s.bound);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("breaches");
-  w.begin_array();
-  for (const SloBreach& b : breaches_) {
-    w.begin_object();
-    w.kv("slo", b.slo);
-    w.kv("metric", b.metric);
-    w.kv("scope", b.scope);
-    w.kv("observed", b.observed);
-    w.kv("bound", b.bound);
-    w.kv("t_seconds", b.t_seconds);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return out;
-}
-
-int SloMonitor::exit_code() const {
-  if (breaches_.empty()) return 0;
-  for (const SloBreach& b : breaches_) {
-    std::fprintf(stderr,
-                 "SLO BREACH %s (%s, scope %s): observed %.4f vs bound "
-                 "%.4f at t=%.2fs\n",
-                 b.slo.c_str(), b.metric.c_str(), b.scope.c_str(),
-                 b.observed, b.bound, b.t_seconds);
-  }
-  return 1;
 }
 
 std::vector<SloSpec> SloMonitor::default_fleet_slos() {

@@ -4,9 +4,9 @@
 // paper's core budget (a 12.5 ms frame at QuakeWorld's 80 Hz ceiling,
 // §2) becomes the default frame-time SLO; the recovery and shard layers
 // add budgets of their own (restore pause, handoff latency, lost
-// clients). Breaches are kept as structured events, optionally emitted
-// as trace instants onto a fleet track, and surfaced to benches through
-// an exit-nonzero helper — so "the fleet held its SLOs" is a machine
+// clients). Breaches are kept as structured events (the shard harness
+// copies them into its result) and optionally emitted as trace instants
+// onto a fleet track — so "the fleet held its SLOs" is a machine
 // checkable claim, not a log line.
 //
 // Thread model: evaluate() is called from one context at a time (the
@@ -64,17 +64,8 @@ class SloMonitor {
                const std::string& scope, Tracer* tracer = nullptr,
                int track = -1);
 
-  const std::vector<SloSpec>& specs() const { return specs_; }
   const std::vector<SloBreach>& breaches() const { return breaches_; }
   uint64_t evaluations() const { return evaluations_; }
-  bool ok() const { return breaches_.empty(); }
-
-  // {"schema":"qserv-slo-v1","evaluations":N,"breaches":[...]}.
-  std::string to_json() const;
-
-  // Bench hook: 0 when every window held, 1 otherwise (breaches listed
-  // on stderr).
-  int exit_code() const;
 
   // The fleet defaults: p99 frame time vs the 12.5 ms budget, supervised
   // recovery pause vs the same between-frames budget, cross-shard

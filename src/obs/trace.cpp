@@ -12,10 +12,9 @@ Tracer::Tracer() : Tracer(Config()) {}
 
 Tracer::Tracer(Config cfg) : cfg_(cfg), enabled_(cfg.enabled) {
   QSERV_CHECK(cfg_.capacity_per_track > 0);
-  QSERV_CHECK(cfg_.max_tracks > 0);
   // Reserved once: record() indexes this vector without a lock, so it
   // must never reallocate while tracks are being registered mid-run.
-  tracks_.reserve(cfg_.max_tracks);
+  tracks_.reserve(kMaxTracks);
 }
 
 Tracer::Tracer(vt::Platform& platform) : Tracer(Config()) {
@@ -28,7 +27,7 @@ Tracer::Tracer(vt::Platform& platform, Config cfg) : Tracer(cfg) {
 
 int Tracer::make_track(std::string name, int pid) {
   std::lock_guard<std::mutex> lock(registry_mu_);
-  QSERV_CHECK(tracks_.size() < cfg_.max_tracks);
+  QSERV_CHECK(tracks_.size() < kMaxTracks);
   auto t = std::make_unique<Track>();
   t->name = std::move(name);
   t->pid = pid;

@@ -16,7 +16,7 @@
 // other tracks are recording (a supervisor-rebuilt engine registers fresh
 // tracks mid-run), so registration takes a mutex and publishes the new
 // count with a release store — the record path stays lock-free because
-// the track array is pre-reserved to `max_tracks` and never reallocates.
+// the track array is pre-reserved to `kMaxTracks` and never reallocates.
 // Besides spans there are instant events (supervisor state transitions)
 // and flow-annotated spans: a span may carry a flow id + direction, and
 // the export emits Chrome "s"/"f" flow events bound to that span so a
@@ -66,12 +66,12 @@ class Tracer {
  public:
   struct Config {
     size_t capacity_per_track = 1 << 16;  // spans kept per track (ring)
-    // Upper bound on tracks ever registered. The track table is reserved
-    // to this once, so registering a track mid-run (shard rebuild) never
-    // reallocates under a concurrent recorder.
-    size_t max_tracks = 256;
     bool enabled = true;
   };
+  // Upper bound on tracks ever registered. The track table is reserved to
+  // this once, so registering a track mid-run (shard rebuild) never
+  // reallocates under a concurrent recorder.
+  static constexpr size_t kMaxTracks = 256;
 
   // A tracer may be constructed unbound (no platform): the harness binds
   // it to the server's platform when observability is attached, so bench

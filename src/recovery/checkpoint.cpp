@@ -289,9 +289,9 @@ size_t CheckpointManager::store(const CheckpointData& c) {
   frame_[next] = c.frame;
   current_.store(next, std::memory_order_release);
   const auto t1 = std::chrono::steady_clock::now();
-  last_pause_ns_ =
+  const int64_t pause_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  if (last_pause_ns_ > max_pause_ns_) max_pause_ns_ = last_pause_ns_;
+  if (pause_ns > max_pause_ns_) max_pause_ns_ = pause_ns;
   ++count_;
   return buf_[next].size();
 }

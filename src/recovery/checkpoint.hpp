@@ -136,7 +136,6 @@ class CheckpointManager {
   // while the master window publishes the next image.
   std::atomic<int> current_{-1};
   uint64_t count_ = 0;
-  int64_t last_pause_ns_ = 0;
   int64_t max_pause_ns_ = 0;
 };
 

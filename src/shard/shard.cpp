@@ -62,7 +62,6 @@ Shard::~Shard() = default;
 void Shard::build() {
   // The old generation unbinds its ports before the new one binds them.
   server_.reset();
-  retry_.clear();
   pending_redirects_.clear();
   server_ =
       std::make_unique<core::ParallelServer>(platform_, net_, map_, cfg_);
@@ -289,7 +288,9 @@ Shard::RestoreOutcome Shard::rebuild_and_restore() {
 std::vector<core::Server::SessionTransfer> Shard::shed() {
   QSERV_CHECK(quiesced());
   capture_images();
-  std::vector<core::Server::SessionTransfer> out;
+  // Transfers still waiting for adoption were never part of any image.
+  std::vector<core::Server::SessionTransfer> out = std::move(retry_);
+  retry_.clear();
   // Throwaway engine: restore the dead generation's state just far
   // enough to extract every session, then tear it down. Never started,
   // so extract_session runs single-threaded by construction.

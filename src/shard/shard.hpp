@@ -102,6 +102,11 @@ class Shard final : public core::FrameHook {
 
   // Successful supervised restorations of this shard so far.
   int restores() const { return restores_; }
+  // Inbound transfers whose adoption was refused, awaiting the next
+  // master window (or the shed path). Plain read: call where no master
+  // window of this shard runs concurrently (a stopped fleet, or a timer
+  // under SimPlatform).
+  size_t retry_depth() const { return retry_.size(); }
 
   struct RestoreOutcome {
     RestoreMode mode = RestoreMode::kNone;
@@ -123,8 +128,8 @@ class Shard final : public core::FrameHook {
 
   // Shed path: recovers the dead generation's sessions into transfers
   // for neighbor shards (checkpoint + journal tail through a throwaway
-  // restored engine), then marks the shard permanently down. Empty when
-  // no checkpoint existed.
+  // restored engine), adds the transfers still queued for adoption
+  // retry, then marks the shard permanently down.
   std::vector<core::Server::SessionTransfer> shed();
 
  private:
@@ -133,9 +138,9 @@ class Shard final : public core::FrameHook {
   std::pair<std::vector<uint8_t>, std::vector<uint8_t>> capture_images();
 
   // Tears down the current generation, if any, and constructs a fresh
-  // engine (not started) with this shard registered as its hook. The
-  // per-generation hook state (adoption retries, pending redirects) goes
-  // with the old engine.
+  // engine (not started) with this shard registered as its hook. Pending
+  // redirects name ports of the old engine and go with it; the adoption
+  // retry queue is shard state and carries over to the new generation.
   void build();
 
   // Restores `image` + `journal` into a fresh generation and walks the
@@ -169,12 +174,13 @@ class Shard final : public core::FrameHook {
   // Built before the first engine generation, so the mailbox mutex is
   // created ahead of the engine's.
   HandoffMailbox mailbox_;
-  // Per-generation hook state, cleared by build().
-  // Adoptions refused (registry momentarily full) retry next window.
+  // Adoptions refused (registry momentarily full) retry next window, on
+  // whichever generation runs it; shed() hands them to the neighbors.
   std::vector<core::Server::SessionTransfer> retry_;
-  // Ports adopted at time t whose peers have not yet been heard from on
-  // this engine; the redirect snapshot re-arms every window until then
-  // (notify_port is one-shot and the teaching snapshot may be lost).
+  // Per-generation state, cleared by build(): ports adopted at time t
+  // whose peers have not yet been heard from on this engine; the redirect
+  // snapshot re-arms every window until then (notify_port is one-shot and
+  // the teaching snapshot may be lost).
   std::vector<std::pair<uint16_t, int64_t>> pending_redirects_;
   std::unique_ptr<core::ParallelServer> server_;
 

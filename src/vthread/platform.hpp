@@ -38,11 +38,6 @@ class Mutex {
   virtual void lock() = 0;
   virtual void unlock() = 0;
   virtual bool try_lock() = 0;
-
-  // Contention statistics, cheap enough to keep always-on.
-  virtual uint64_t acquisitions() const = 0;
-  virtual uint64_t contended_acquisitions() const = 0;
-  virtual Duration total_wait() const = 0;
 };
 
 // RAII guard compatible with any platform Mutex.

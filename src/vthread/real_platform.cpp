@@ -6,27 +6,6 @@
 
 namespace qserv::vt {
 
-void RealMutex::lock() {
-  if (m_.try_lock()) {
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  m_.lock();
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  contended_.fetch_add(1, std::memory_order_relaxed);
-  total_wait_ns_.fetch_add(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count(),
-      std::memory_order_relaxed);
-}
-
-bool RealMutex::try_lock() {
-  if (!m_.try_lock()) return false;
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 bool RealCondVar::wait_until(Mutex& m, TimePoint deadline) {
   return cv_.wait_until(m, p_.to_chrono(deadline)) == std::cv_status::no_timeout;
 }
@@ -63,8 +42,8 @@ void RealPlatform::sleep_until(TimePoint t) {
   std::this_thread::sleep_until(to_chrono(t));
 }
 
-std::unique_ptr<Mutex> RealPlatform::make_mutex(std::string name) {
-  return std::make_unique<RealMutex>(std::move(name));
+std::unique_ptr<Mutex> RealPlatform::make_mutex(std::string /*name*/) {
+  return std::make_unique<RealMutex>();
 }
 
 std::unique_ptr<CondVar> RealPlatform::make_condvar() {

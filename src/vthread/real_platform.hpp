@@ -9,7 +9,6 @@
 // modelled 2004-era costs.)
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -23,22 +22,12 @@ namespace qserv::vt {
 
 class RealMutex final : public Mutex {
  public:
-  explicit RealMutex(std::string name) : name_(std::move(name)) {}
-
-  void lock() override;
+  void lock() override { m_.lock(); }
   void unlock() override { m_.unlock(); }
-  bool try_lock() override;
-
-  uint64_t acquisitions() const override { return acquisitions_.load(); }
-  uint64_t contended_acquisitions() const override { return contended_.load(); }
-  Duration total_wait() const override { return {total_wait_ns_.load()}; }
+  bool try_lock() override { return m_.try_lock(); }
 
  private:
-  std::string name_;
   std::mutex m_;
-  std::atomic<uint64_t> acquisitions_{0};
-  std::atomic<uint64_t> contended_{0};
-  std::atomic<int64_t> total_wait_ns_{0};
 };
 
 class RealPlatform;

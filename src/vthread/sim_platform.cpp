@@ -315,30 +315,25 @@ void SimMutex::lock() {
     QSERV_CHECK_MSG(owner_ == -1,
                     "hub-context lock on a mutex held by a blocked fiber");
     owner_ = kHubContext;
-    ++acquisitions_;
     return;
   }
   const uint32_t cur = static_cast<uint32_t>(p_.current_);
   if (owner_ == -1) {
     owner_ = static_cast<int>(cur);
-    ++acquisitions_;
     return;
   }
   QSERV_CHECK_MSG(owner_ != static_cast<int>(cur), "recursive lock");
   auto& f = *p_.fibers_[cur];
   ++f.episode;
   waiters_.push_back(cur);
-  const TimePoint t0 = p_.now_;
   p_.block_current(name_.c_str());
   // Ownership was handed to us by unlock().
   QSERV_CHECK(owner_ == static_cast<int>(cur));
-  total_wait_ += p_.now_ - t0;
 }
 
 bool SimMutex::try_lock() {
   if (owner_ != -1) return false;
   owner_ = p_.current_ >= 0 ? p_.current_ : kHubContext;
-  ++acquisitions_;
   return true;
 }
 
@@ -352,8 +347,6 @@ void SimMutex::unlock() {
   const uint32_t next = waiters_.front();
   waiters_.pop_front();
   owner_ = static_cast<int>(next);
-  ++acquisitions_;
-  ++contended_;
   p_.wake(next, SimPlatform::WakeResult::kSignaled);
 }
 

@@ -46,9 +46,6 @@ class SimMutex final : public Mutex {
   void unlock() override;
   bool try_lock() override;
 
-  uint64_t acquisitions() const override { return acquisitions_; }
-  uint64_t contended_acquisitions() const override { return contended_; }
-  Duration total_wait() const override { return total_wait_; }
   const std::string& name() const { return name_; }
 
  private:
@@ -61,9 +58,6 @@ class SimMutex final : public Mutex {
   std::string name_;
   int owner_ = -1;                // fiber index, -1 when free
   std::deque<uint32_t> waiters_;  // fiber indices, FIFO
-  uint64_t acquisitions_ = 0;
-  uint64_t contended_ = 0;
-  Duration total_wait_{};
 };
 
 class SimCondVar final : public CondVar {

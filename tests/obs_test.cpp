@@ -20,8 +20,6 @@
 #include "src/core/sequential_server.hpp"
 #include "src/harness/experiment.hpp"
 #include "src/harness/json_export.hpp"
-#include "src/obs/collect.hpp"
-#include "src/obs/fleet.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/json_parse.hpp"
 #include "src/obs/metrics.hpp"
@@ -370,7 +368,6 @@ TEST(TracerTest, TrackRegistrationIsSafeUnderConcurrentRecording) {
   vt::RealPlatform platform;
   obs::Tracer::Config cfg;
   cfg.capacity_per_track = 1 << 10;
-  cfg.max_tracks = 256;
   obs::Tracer tracer(platform, cfg);
 
   constexpr int kWriters = 3;
@@ -544,28 +541,20 @@ TEST(PhaseScopeTest, ResetInsideAnOpenScopeChargesElapsedMinusTheChild) {
 
 TEST(MetricsTest, RegistryFindsOrCreatesAndSnapshots) {
   obs::MetricsRegistry reg;
-  reg.counter("net.packets").inc(5);
-  reg.counter("net.packets").inc(2);  // same instrument
   reg.gauge("server.clients").set(17.0);
   auto& h = reg.histogram("frame_ms");
   h.observe(10.0);
-  h.observe(20.0);
-  EXPECT_EQ(reg.size(), 3u);
+  reg.histogram("frame_ms").observe(20.0);  // same instrument
+  EXPECT_EQ(reg.size(), 2u);
 
   const auto samples = reg.snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  // Sorted by name: frame_ms, net.packets, server.clients.
+  ASSERT_EQ(samples.size(), 2u);
+  // Sorted by name: frame_ms, server.clients.
   EXPECT_EQ(samples[0].name, "frame_ms");
   EXPECT_EQ(samples[0].count, 2u);
   EXPECT_NEAR(samples[0].value, 15.0, 2.0);  // mean, log-bucket tolerance
-  EXPECT_EQ(samples[1].name, "net.packets");
-  EXPECT_EQ(samples[1].value, 7.0);
-  EXPECT_EQ(samples[2].name, "server.clients");
-  EXPECT_EQ(samples[2].value, 17.0);
-
-  const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("qserv-metrics-v1"), std::string::npos);
+  EXPECT_EQ(samples[1].name, "server.clients");
+  EXPECT_EQ(samples[1].value, 17.0);
 }
 
 TEST(MetricsTest, HistogramPercentilesAreAccurate) {
@@ -577,49 +566,6 @@ TEST(MetricsTest, HistogramPercentilesAreAccurate) {
   EXPECT_NEAR(h.percentile(95), 950.0, 145.0);
   EXPECT_NEAR(h.percentile(99), 990.0, 150.0);
   EXPECT_EQ(h.count(), 1000u);
-}
-
-// ---- metrics federation ----------------------------------------------
-
-TEST(FleetMetricsTest, FederatePrefixesSumsAndMergesBucketwise) {
-  obs::MetricsRegistry a, b;
-  a.counter("server.requests").inc(10);
-  b.counter("server.requests").inc(32);
-  a.gauge("server.clients").set(64.0);
-  b.gauge("server.clients").set(60.0);
-  auto& ha = a.histogram("server.frame_duration_ms", 1e-3);
-  auto& hb = b.histogram("server.frame_duration_ms", 1e-3);
-  for (int i = 0; i < 100; ++i) ha.observe(1.0);
-  for (int i = 0; i < 100; ++i) hb.observe(20.0);
-
-  const auto samples = obs::federate({{"shard0", &a}, {"shard1", &b}});
-  auto find = [&](const std::string& name) -> const obs::MetricSample* {
-    for (const auto& s : samples)
-      if (s.name == name) return &s;
-    return nullptr;
-  };
-
-  // Per-shard samples reappear prefixed.
-  ASSERT_NE(find("shard0.server.requests"), nullptr);
-  EXPECT_EQ(find("shard0.server.requests")->value, 10.0);
-  ASSERT_NE(find("shard1.server.clients"), nullptr);
-  EXPECT_EQ(find("shard1.server.clients")->value, 60.0);
-
-  // Counters sum across shards.
-  ASSERT_NE(find("fleet.server.requests"), nullptr);
-  EXPECT_EQ(find("fleet.server.requests")->value, 42.0);
-
-  // Histograms merge at the bucket level: the fleet p99 must see shard1's
-  // slow tail (a mean-of-means or percentile-of-percentiles would not).
-  const auto* fleet_frames = find("fleet.server.frame_duration_ms");
-  ASSERT_NE(fleet_frames, nullptr);
-  EXPECT_EQ(fleet_frames->count, 200u);
-  EXPECT_GT(fleet_frames->p99, 15.0);
-  EXPECT_LT(fleet_frames->p50, 3.0);
-
-  // Gauges are not aggregated — a sum of last-written values means
-  // nothing fleet-wide.
-  EXPECT_EQ(find("fleet.server.clients"), nullptr);
 }
 
 // ---- SLO monitor ------------------------------------------------------
@@ -642,7 +588,7 @@ TEST(SloMonitorTest, DetectsBreachesSkipsAbsentAndUnderfilled) {
   obs::SloMonitor mon;  // default fleet SLOs
   // Healthy window: under budget, nothing lost.
   EXPECT_EQ(mon.evaluate(slo_samples(8.0, 100, 0.0), 1.0, "shard0"), 0);
-  EXPECT_TRUE(mon.ok());
+  EXPECT_TRUE(mon.breaches().empty());
   // Frame budget breached.
   EXPECT_EQ(mon.evaluate(slo_samples(14.0, 100, 0.0), 2.0, "shard0"), 1);
   // Histogram below min_count: percentile noise must not trigger.
@@ -659,13 +605,6 @@ TEST(SloMonitorTest, DetectsBreachesSkipsAbsentAndUnderfilled) {
   EXPECT_EQ(mon.breaches()[1].slo, "lost_clients");
   EXPECT_EQ(mon.breaches()[1].scope, "fleet");
   EXPECT_EQ(mon.evaluations(), 5u);
-  EXPECT_FALSE(mon.ok());
-  EXPECT_EQ(mon.exit_code(), 1);
-
-  const std::string json = mon.to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("qserv-slo-v1"), std::string::npos);
-  EXPECT_NE(json.find("lost_clients"), std::string::npos);
 }
 
 TEST(SloMonitorTest, BreachEmitsTraceInstant) {
@@ -722,6 +661,25 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_EQ(v.string_or(""), "\xed\xa0\x80" "AB");
   EXPECT_FALSE(obs::json_parse(R"("\uD8")", v, &err));
   EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+  // One input per remaining error path, each with the error it names.
+  const std::pair<std::string, std::string> cases[] = {
+      {"tru", "bad literal"},
+      {"{1:2}", "expected object key"},
+      {R"({"a" 1})", "expected ':'"},
+      {R"({"a":1 "b":2})", "expected ',' or '}'"},
+      {"[1 2]", "expected ',' or ']'"},
+      {R"("\x")", "bad escape"},
+      {R"("\u12G4")", "bad \\u escape"},
+      {R"("abc\)", "truncated escape"},
+      {"--1", "bad number"},
+      {"", "unexpected end of input"},
+  };
+  for (const auto& [input, why] : cases) {
+    err.clear();
+    EXPECT_FALSE(obs::json_parse(input, v, &err)) << input;
+    EXPECT_FALSE(err.empty()) << input;
+    EXPECT_NE(err.find(why), std::string::npos) << input << " -> " << err;
+  }
 }
 
 TEST(JsonParseTest, RoundTripsWriterOutput) {
@@ -773,22 +731,15 @@ TEST(ObsIntegrationTest, ExperimentEmitsSpansAndMetrics) {
               std::string::npos)
         << "missing phase span: " << phase;
 
-  // Live instruments plus the end-of-run harvest.
+  // The live instruments the server and lock manager feed.
   const auto samples = metrics.snapshot();
   auto find = [&](const std::string& name) -> const obs::MetricSample* {
     for (const auto& s : samples)
       if (s.name == name) return &s;
     return nullptr;
   };
-  const auto* frames = find("server.frames");
-  ASSERT_NE(frames, nullptr);
-  EXPECT_EQ(frames->value, static_cast<double>(r.frames));
   ASSERT_NE(find("server.frame_duration_ms"), nullptr);
   EXPECT_GT(find("server.frame_duration_ms")->count, 0u);
-  ASSERT_NE(find("net.packets_sent"), nullptr);
-  EXPECT_GT(find("net.packets_sent")->value, 0.0);
-  ASSERT_NE(find("netchan.packets_sent"), nullptr);
-  EXPECT_GT(find("netchan.packets_sent")->value, 0.0);
   ASSERT_NE(find("lock.leaf_wait_us"), nullptr);
 }
 

@@ -168,9 +168,6 @@ TEST(SimPlatform, MutexProvidesMutualExclusionAndFifoOrder) {
   }
   p.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(mu->acquisitions(), 4u);
-  EXPECT_EQ(mu->contended_acquisitions(), 3u);
-  EXPECT_GT(mu->total_wait().ns, 0);
 }
 
 TEST(SimPlatform, MutexWaitTimeIsMeasuredInVirtualTime) {
@@ -191,7 +188,6 @@ TEST(SimPlatform, MutexWaitTimeIsMeasuredInVirtualTime) {
   });
   p.run();
   EXPECT_EQ(waited.ns, millis(6).ns);
-  EXPECT_EQ(mu->total_wait().ns, millis(6).ns);
 }
 
 TEST(SimPlatform, TryLockNeverBlocks) {
@@ -490,7 +486,6 @@ TEST(RealPlatform, MutexAndCondVarInterop) {
   });
   p.join_all();
   EXPECT_EQ(observed, 1);
-  EXPECT_GE(mu->acquisitions(), 2u);
 }
 
 TEST(RealPlatform, WaitUntilTimesOut) {

@@ -93,7 +93,7 @@ bool load_bench_file(const std::string& path, BenchFile& out,
   }
   const JsonValue* schema = out.doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->str != "qserv-bench-v1" && schema->str != "qserv-metrics-v1")) {
+      schema->str != "qserv-bench-v1") {
     err = path + ": not a qserv-bench-v1 file";
     return false;
   }
