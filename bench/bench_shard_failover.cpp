@@ -312,7 +312,6 @@ int main(int argc, char** argv) {
     canary_cfg.slos = {obs::SloSpec{.name = "frame_p99",
                                     .metric = "server.frame_duration_ms",
                                     .stat = obs::SloSpec::Stat::kP99,
-                                    .cmp = obs::SloSpec::Cmp::kLE,
                                     .bound = 12.5,
                                     .min_count = 20}};
     obs::FleetObs canary_obs(nullptr, canary_cfg);

@@ -172,7 +172,7 @@ std::string shard_msg(const char* what, int shard, std::string detail) {
 Verdict evaluate(const Scenario& s, const harness::ShardExperimentResult& r,
                  const harness::ShardExperimentResult& base,
                  const harness::ShardExperimentConfig& cfg,
-                 const Campaign::Options& opt, uint64_t& digest_frames) {
+                 uint64_t& digest_frames) {
   Verdict v;
   auto fail = [&](std::string m) { v.failures.push_back(std::move(m)); };
 
@@ -254,23 +254,6 @@ Verdict evaluate(const Scenario& s, const harness::ShardExperimentResult& r,
   if (!s.allow_reconnects && r.silence_reconnects != 0)
     fail(std::to_string(r.silence_reconnects) +
          " silence reconnects (in-place resume expected)");
-
-  // Recovery pause budget — breach allowed only through the matching
-  // SLO allow entry, which marks the verdict degraded, never silent.
-  const bool pause_allowed = contains(s.allow_slos, "recovery_pause");
-  for (size_t i = 0; i < r.shards.size(); ++i) {
-    const auto& ps = r.shards[i];
-    if (ps.down || ps.restores == 0) continue;
-    if (ps.last_pause_ms <= opt.max_pause_ms) continue;
-    if (pause_allowed) {
-      v.degraded = true;
-      v.allowed_breaches.push_back("recovery_pause");
-    } else {
-      fail(shard_msg("recovery pause over budget", static_cast<int>(i),
-                     std::to_string(ps.last_pause_ms) + " ms > " +
-                         std::to_string(opt.max_pause_ms) + " ms"));
-    }
-  }
 
   // SLO monitor verdicts: every breach must be declared.
   for (const obs::SloBreach& b : r.slo_breaches) {
@@ -406,7 +389,7 @@ CampaignResult Campaign::run() {
     o.name = s.name;
     o.description = s.description;
     o.result = harness::run_shard_experiment(cfg);
-    o.verdict = evaluate(s, o.result, out.baseline, cfg, opt_,
+    o.verdict = evaluate(s, o.result, out.baseline, cfg,
                          o.digest_frames_checked);
     if (opt_.verbose) {
       std::printf("chaos:   verdict: %s%s\n",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "src/recovery/checkpoint.hpp"
+
 namespace qserv::core {
 
 ClientRegistry::ClientRegistry(vt::Platform& platform, const ServerConfig& cfg)
@@ -77,21 +79,38 @@ void ClientRegistry::spawn_slot_locked(ClientSlot& c, uint32_t entity_id,
   count(c, +1);
 }
 
-ClientSlot& ClientRegistry::install_slot_locked(
-    int slot_index, uint16_t port, const std::string& name,
-    uint32_t entity_id, int owner, net::Socket& owner_socket,
-    uint64_t frame) {
+void ClientRegistry::capture_session(const ClientSlot& c,
+                                     recovery::SessionState& out) {
+  out.remote_port = c.remote_port;
+  out.name = c.name;
+  out.last_seq = c.last_seq;
+  out.last_move_time_ns = c.last_move_time_ns;
+  if (c.chan != nullptr) {
+    out.chan_out_seq = c.chan->out_sequence();
+    out.chan_in_seq = c.chan->in_sequence();
+    out.chan_in_acked = c.chan->peer_acked();
+  }
+}
+
+ClientSlot& ClientRegistry::install_session_locked(
+    int slot_index, const recovery::SessionState& s, uint32_t entity_id,
+    int owner, net::Socket& owner_socket, uint64_t frame,
+    uint32_t out_seq_bump) {
   ClientSlot& c = slots_[static_cast<size_t>(slot_index)];
   c.in_use = true;  // a free slot's flags are clear (release_slot_locked)
   c.entity_id = entity_id;
-  c.remote_port = port;
-  c.name = name;
+  c.remote_port = s.remote_port;
+  c.name = s.name;
   c.owner_thread = owner;
   c.connect_tid = owner;
+  c.last_seq = s.last_seq;
+  c.last_move_time_ns = s.last_move_time_ns;
   c.events_through = frame;
-  c.chan = std::make_unique<net::NetChannel>(owner_socket, port);
+  c.chan = std::make_unique<net::NetChannel>(owner_socket, s.remote_port);
+  c.chan->restore_state(s.chan_out_seq + out_seq_bump, s.chan_in_seq,
+                        s.chan_in_acked);
   fresh_session(c);
-  slot_by_port_[port] = slot_index;
+  slot_by_port_[s.remote_port] = slot_index;
   count(c, +1);
   return c;
 }

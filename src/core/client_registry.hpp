@@ -27,6 +27,10 @@
 #include "src/resilience/token_bucket.hpp"
 #include "src/vthread/platform.hpp"
 
+namespace qserv::recovery {
+struct SessionState;
+}
+
 namespace qserv::core {
 
 // One client session. Field semantics are unchanged from the Server-era
@@ -121,13 +125,22 @@ class ClientRegistry {
   // The deferred spawn: entity, owner, channel; events after `frame`.
   void spawn_slot_locked(ClientSlot& c, uint32_t entity_id, int owner,
                          net::Socket& owner_socket, uint64_t frame);
-  // Installs a live session in a free slot (checkpoint restore, shard
-  // handoff): port, fresh channel and session, events after `frame`. The
-  // caller sets what differs (sequencing, flags).
-  ClientSlot& install_slot_locked(int slot_index, uint16_t port,
-                                  const std::string& name,
-                                  uint32_t entity_id, int owner,
-                                  net::Socket& owner_socket, uint64_t frame);
+  // Copies the session state a session keeps across engines (port, name,
+  // move and channel sequencing) out of `c` (checkpoint capture, shard
+  // handoff).
+  static void capture_session(const ClientSlot& c,
+                              recovery::SessionState& out);
+  // Installs a captured session in a free slot (checkpoint restore, shard
+  // handoff): port, name and move sequencing from `s`, a channel resuming
+  // s's sequences with the out-sequence advanced by `out_seq_bump`, a
+  // fresh liveness session, events after `frame`. The caller sets the
+  // flags that differ.
+  ClientSlot& install_session_locked(int slot_index,
+                                     const recovery::SessionState& s,
+                                     uint32_t entity_id, int owner,
+                                     net::Socket& owner_socket,
+                                     uint64_t frame,
+                                     uint32_t out_seq_bump = 0);
   // Re-adopts a checkpointed slot on a live connect, from any thread:
   // fresh channel and session, events after `frame`, and a reply queued
   // at the next flip. Caller has set remote_port / the port map.
@@ -195,9 +208,9 @@ class ClientRegistry {
   void set_restored() { restored_ = true; }
   bool restored() const { return restored_; }
 
-  // Per-run session counters. Guarded by mutex() where their increment
-  // sites are (see server.hpp's accessor comments); zeroed — except the
-  // lifetime ones — at the warmup boundary by reset_run_counters().
+  // Per-run session counters. Incremented under mutex() by the engine's
+  // lifecycle sites; zeroed — except the lifetime ones — at the warmup
+  // boundary by reset_run_counters().
   struct RunCounters {
     uint64_t evictions = 0;          // timeout reaps
     uint64_t rejected_connects = 0;  // kServerFull

@@ -27,20 +27,19 @@ void Server::run_master_window(int tid, vt::TimePoint frame_start,
   complete_pending_lifecycle();
   reap_timed_out_clients(st);
   run_resilience_duties(tid, frame_start, st);
-  hooks_.master_window(tid, frame_start, st);
+  for (FrameHook* h : hooks_) h->on_master_window(tid, frame_start, st);
   const int level = governor_.level();
   // Seal after every mutation of the frame (including hook-driven
   // evictions) so the digest and journal cover the final state, and
-  // before the frame-sealed hooks so they observe a sealed frame; the
-  // audit runs after the seal so a violation dump carries this frame.
+  // before the frame-end hooks so they observe a sealed frame; the audit
+  // runs after the seal so a violation dump carries this frame.
   seal_journal_frame();
-  hooks_.frame_sealed();
   if (level < resilience::kShedDebugWork) run_invariant_check();
   if (frame_duration_ms_ != nullptr) {
     frame_duration_ms_->observe((platform_.now() - frame_start).millis());
     moves_per_frame_->observe(static_cast<double>(frame_moves));
   }
-  hooks_.frame_end(frame_start, frame_moves, st);
+  for (FrameHook* h : hooks_) h->on_frame_end(frame_start, frame_moves, st);
   // Whole-frame span on the master's track (frame start to frame end);
   // phase spans nest inside it by time containment. The frame counter is
   // stable here: no new frame opens while this window runs.
@@ -97,8 +96,6 @@ void Server::complete_pending_lifecycle() {
     if (c.pending_disconnect) {
       journal_lifecycle(recovery::RecordKind::kDisconnect, c.owner_thread,
                         c.remote_port, c.entity_id, now_ns);
-      hooks_.client_disconnected(c.owner_thread, c.remote_port, c.entity_id,
-                                 now_ns);
       if (world_.get(c.entity_id) != nullptr)
         world_.remove_entity(c.entity_id);
       registry_.unbind_port_locked(c.remote_port);
@@ -117,7 +114,6 @@ void Server::complete_pending_lifecycle() {
                                 frames_);
     journal_lifecycle(recovery::RecordKind::kConnectSpawn, owner,
                       c.remote_port, player.id, now_ns, c.name);
-    hooks_.client_spawned(owner, c.remote_port, player.id, c.name, now_ns);
     net::ConnectAck ack;
     ack.player_id = player.id;
     ack.server_frame = static_cast<uint32_t>(frames_);
@@ -142,7 +138,6 @@ void Server::evict_client_locked(ClientSlot& c, net::RejectReason reason,
   if (!c.pending_spawn) {
     journal_lifecycle(recovery::RecordKind::kEvict, c.owner_thread,
                       c.remote_port, c.entity_id, platform_.now().ns);
-    hooks_.client_evicted(c.owner_thread, c.remote_port, c.entity_id);
   }
   LockManager::ListLockContext lists(*lock_manager_, st);
   if (!c.pending_spawn && world_.get(c.entity_id) != nullptr)
@@ -207,10 +202,8 @@ int Server::reassign_clients() {
     if (player == nullptr) continue;
     const int owner = owner_for_region(player->origin);
     if (owner == c.owner_thread) continue;
-    const int from = c.owner_thread;
     registry_.migrate_slot_locked(c, owner,
                                   *sockets_[static_cast<size_t>(owner)]);
-    hooks_.client_migrated(from, owner, c.remote_port);
     ++moved;
     ++registry_.counters.reassignments;
   }
@@ -233,7 +226,6 @@ int Server::migrate_clients_from(int stalled_tid) {
     const int owner = live[static_cast<size_t>(moved) % live.size()];
     registry_.migrate_slot_locked(c, owner,
                                   *sockets_[static_cast<size_t>(owner)]);
-    hooks_.client_migrated(stalled_tid, owner, c.remote_port);
     ++moved;
     ++registry_.counters.stall_reassignments;
   }

@@ -80,7 +80,7 @@ void ParallelServer::worker_loop(int tid) {
     // master duties below can reap / adjudicate even on an otherwise idle
     // server.
     if (!ready && !reap_due() && !watchdog_due(tid)) {
-      hooks_.idle_wait(tid);
+      for (FrameHook* h : hooks_) h->on_idle_wait(tid);
       continue;
     }
     platform_.compute(cfg_.costs.select_syscall);

@@ -182,7 +182,7 @@ void Server::handle_connect(int tid, const net::Datagram& d,
     if (slot < 0 && !busy) {
       if ((cfg_.resilience.admission_control &&
            governor_.admission_overloaded()) ||
-          governor_.draining()) {
+          draining()) {
         // Admission control: the frame loop is already past its budget,
         // so serving the admitted population well beats admitting one
         // more player it cannot simulate. kServerBusy tells the client to

@@ -2,7 +2,7 @@
 // of the frame is journaled at its mutation site (world step, executed
 // move, spawn, disconnect, eviction, cross-shard handoff), and the master
 // window seals the frame with its world digest and takes the periodic
-// checkpoint before the frame-sealed hooks run. Only the ordered inputs
+// checkpoint before the frame-end hooks run. Only the ordered inputs
 // are recorded: replay re-executes them in serialization-index order, and
 // state is a pure function of that log. With recovery off every journal_*
 // call returns before drawing an index.
@@ -112,20 +112,12 @@ recovery::CheckpointData Server::make_checkpoint(uint64_t digest) {
     const ClientSlot& cl = slots[i];
     if (!cl.in_use || cl.pending_spawn) continue;
     recovery::ClientRecord r;
+    ClientRegistry::capture_session(cl, r);
     r.slot = static_cast<uint16_t>(i);
-    r.remote_port = cl.remote_port;
-    r.name = cl.name;
     r.entity_id = cl.entity_id;
     r.owner_thread = static_cast<uint32_t>(cl.owner_thread);
-    r.last_seq = cl.last_seq;
-    r.last_move_time_ns = cl.last_move_time_ns;
     r.last_heard_ns = std::atomic_ref<const int64_t>(cl.last_heard_ns)
                           .load(std::memory_order_relaxed);
-    if (cl.chan != nullptr) {
-      r.chan_out_seq = cl.chan->out_sequence();
-      r.chan_in_seq = cl.chan->in_sequence();
-      r.chan_in_acked = cl.chan->peer_acked();
-    }
     c.clients.push_back(std::move(r));
   }
   for (const uint16_t p : registry_.remembered_ports_locked())

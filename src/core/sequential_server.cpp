@@ -35,7 +35,7 @@ void SequentialServer::main_loop() {
         reap_timed_out_clients(st);
         run_invariant_check();
       }
-      hooks_.idle_wait(0);
+      for (FrameHook* h : hooks_) h->on_idle_wait(0);
       continue;
     }
     platform_.compute(cfg_.costs.select_syscall);

@@ -289,9 +289,10 @@ recovery::LoadError Server::restore_from(
     if (registry_.slot(slot_index).in_use) continue;
     const int owner =
         std::clamp(static_cast<int>(r.owner_thread), 0, cfg_.threads - 1);
-    ClientSlot& cl = registry_.install_slot_locked(
-        slot_index, r.remote_port, r.name, r.entity_id, owner,
-        *sockets_[static_cast<size_t>(owner)], rs.resume_frame);
+    ClientSlot& cl = registry_.install_session_locked(
+        slot_index, r, r.entity_id, owner,
+        *sockets_[static_cast<size_t>(owner)], rs.resume_frame,
+        out_seq_bump);
     // Stay silent until the peer makes contact. A peer that never
     // noticed the restart keeps sending moves on the restored channel
     // sequences and gets its reply then; a peer that noticed has reset
@@ -301,10 +302,6 @@ recovery::LoadError Server::restore_from(
     // then discard the fresh resume channel's low sequences as
     // duplicates.
     cl.awaiting_resume = true;
-    cl.last_seq = r.last_seq;
-    cl.last_move_time_ns = r.last_move_time_ns;
-    cl.chan->restore_state(r.chan_out_seq + out_seq_bump, r.chan_in_seq,
-                           r.chan_in_acked);
   }
   for (const uint16_t p : c.evicted_ports) registry_.remember_evicted_locked(p);
   registry_.set_restored();
@@ -320,15 +317,7 @@ bool Server::extract_session(uint16_t port, SessionTransfer& out) {
   if (!cl.in_use || cl.pending_spawn || cl.pending_disconnect) return false;
   sim::Entity* e = world_.get(cl.entity_id);
   if (e == nullptr) return false;
-  out.name = cl.name;
-  out.remote_port = cl.remote_port;
-  out.last_seq = cl.last_seq;
-  out.last_move_time_ns = cl.last_move_time_ns;
-  if (cl.chan != nullptr) {
-    out.chan_out_seq = cl.chan->out_sequence();
-    out.chan_in_seq = cl.chan->in_sequence();
-    out.chan_in_acked = cl.chan->peer_acked();
-  }
+  ClientRegistry::capture_session(cl, out);
   out.state = recovery::capture_handoff_state(*e);
   journal_lifecycle(recovery::RecordKind::kHandoffOut, 0, port, cl.entity_id,
                     platform_.now().ns, cl.name);
@@ -350,12 +339,8 @@ bool Server::adopt_session(const SessionTransfer& t) {
   if (idx < 0) return false;
   const sim::Entity& e = recovery::adopt_player(world_, t.name, t.state);
   const int owner = idx % std::max(1, cfg_.threads);
-  ClientSlot& cl = registry_.install_slot_locked(
-      idx, t.remote_port, t.name, e.id, owner,
-      *sockets_[static_cast<size_t>(owner)], frames_);
-  cl.last_seq = t.last_seq;
-  cl.last_move_time_ns = t.last_move_time_ns;
-  cl.chan->restore_state(t.chan_out_seq, t.chan_in_seq, t.chan_in_acked);
+  ClientSlot& cl = registry_.install_session_locked(
+      idx, t, e.id, owner, *sockets_[static_cast<size_t>(owner)], frames_);
   // The next snapshot re-teaches the peer its new server port; the
   // forced full snapshot (baseline 0) makes it self-contained. It is
   // queued before the peer sends here: the redirect must reach it

@@ -77,8 +77,7 @@ class Server {
   // Registers an external satellite on the hook seam (a shard-layer
   // FrameHook, a test probe). Call before start(); the pointer must
   // outlive the server.
-  void add_frame_hook(FrameHook* h) { hooks_.add(h); }
-  void add_lifecycle_observer(LifecycleObserver* o) { hooks_.add(o); }
+  void add_frame_hook(FrameHook* h) { hooks_.push_back(h); }
 
   // The server port a joining client with ordinal `i` of `expected`
   // should initially address (static block assignment, §3.1).
@@ -122,16 +121,6 @@ class Server {
   obs::Tracer* tracer() const { return tracer_; }
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
-  // Dynamic-assignment client migrations performed so far.
-  uint64_t reassignments() const { return registry_.counters.reassignments; }
-
-  // Clients reaped so far for exceeding client_timeout.
-  uint64_t evictions() const { return registry_.counters.evictions; }
-  // Connects refused with kServerFull so far.
-  uint64_t rejected_connects() const {
-    return registry_.counters.rejected_connects;
-  }
-
   // --- resilience subsystem (src/resilience/) ---
   // Frame-budget governor; always constructed (it also feeds the rolling
   // p95 that admission control reads) but only steps the ladder when
@@ -141,24 +130,14 @@ class Server {
   // connect gets kServerBusy ("retry later"), which is exactly right,
   // because in a moment a new generation will be serving on these ports.
   // Existing sessions keep playing until the handoff checkpoint.
-  void enter_drain() { governor_.set_draining(true); }
+  void enter_drain() { draining_.store(true, std::memory_order_relaxed); }
   // Reopens admission after an aborted restart (the next generation never
   // came up, so this one keeps serving).
-  void leave_drain() { governor_.set_draining(false); }
-  bool draining() const { return governor_.draining(); }
+  void leave_drain() { draining_.store(false, std::memory_order_relaxed); }
+  bool draining() const { return draining_.load(std::memory_order_relaxed); }
   // Worker watchdog; null on the sequential server, inert (enabled() ==
   // false) when cfg.resilience.watchdog_timeout is zero.
   const resilience::WorkerWatchdog* watchdog() const { return watchdog_.get(); }
-  // Connects refused with kServerBusy (admission control).
-  uint64_t rejected_busy() const { return registry_.counters.rejected_busy; }
-  // Clients migrated off stalled workers by the watchdog.
-  uint64_t stall_reassignments() const {
-    return registry_.counters.stall_reassignments;
-  }
-  // Clients evicted by the governor's last-resort rung.
-  uint64_t governor_evictions() const {
-    return registry_.counters.governor_evictions;
-  }
   // Thread-stall faults actually served by worker threads (chaos runs).
   uint64_t stalls_injected() const {
     return stalls_injected_.load(std::memory_order_relaxed);
@@ -222,11 +201,6 @@ class Server {
   // has drained active_workers() to zero).
   std::vector<uint8_t> encode_checkpoint_now();
 
-  bool restored() const { return registry_.restored(); }
-  // Checkpointed clients re-adopted through a reconnect (by port or name).
-  uint64_t resumed_clients() const {
-    return registry_.counters.resumed_clients;
-  }
   // Writes a black-box dump (latest checkpoint, journal tail, trace,
   // meta) now; returns the dump directory or "" (disabled / I/O failure).
   std::string dump_blackbox(const std::string& label,
@@ -234,17 +208,10 @@ class Server {
 
   // --- cross-shard session handoff (master window / pre-start only) ---
   // A player session packaged for adoption by a neighboring shard engine:
-  // identity, liveness sequencing, netchan state (the peer must see one
-  // continuous packet stream across the handoff) and the closed
-  // HandoffState gameplay-field list.
-  struct SessionTransfer {
-    std::string name;
-    uint16_t remote_port = 0;
-    uint32_t last_seq = 0;
-    int64_t last_move_time_ns = 0;
-    uint32_t chan_out_seq = 0;
-    uint32_t chan_in_seq = 0;
-    uint32_t chan_in_acked = 0;
+  // the session state (identity, liveness sequencing, netchan state — the
+  // peer must see one continuous packet stream across the handoff) and the
+  // closed HandoffState gameplay-field list.
+  struct SessionTransfer : recovery::SessionState {
     // Causal-trace flow id stitching extract→adopt across shard tracks in
     // the merged export; 0 = untraced. In-memory only, never journaled.
     uint64_t flow_id = 0;
@@ -351,9 +318,8 @@ class Server {
   // The full frame-end window: complete deferred lifecycle, reap
   // timeouts, run the resilience duties (watchdog verdict, governor
   // step), dispatch the master-window hooks, seal the journal frame (and
-  // checkpoint when due) before the frame-sealed hooks, audit invariants
-  // (unless shed), observe the frame metrics, dispatch the frame-end
-  // hooks, and emit the frame span.
+  // checkpoint when due), audit invariants (unless shed), observe the
+  // frame metrics, dispatch the frame-end hooks, and emit the frame span.
   void run_master_window(int tid, vt::TimePoint frame_start, int frame_moves,
                          ThreadStats& st);
   // Reaps every client silent past cfg.client_timeout. Returns evictions.
@@ -398,6 +364,7 @@ class Server {
   std::unique_ptr<resilience::WorkerWatchdog> watchdog_;
   // Earliest time the governor's eviction rung may evict again.
   vt::TimePoint next_expensive_evict_{};
+  std::atomic<bool> draining_{false};  // enter_drain / leave_drain
 
   // --- crash recovery (src/recovery/) ---
   // All null unless cfg.recovery.enabled. Every journaled mutation but a
@@ -409,8 +376,8 @@ class Server {
   std::string map_text_;  // GameMap::serialize(), embedded in checkpoints
 
   std::unique_ptr<InvariantChecker> invariants_;  // null unless enabled
-  // The seam for the shard layer and test probes.
-  HookList hooks_;
+  // The seam for the shard layer and test probes, in registration order.
+  std::vector<FrameHook*> hooks_;
 
   // --- frame progression ---
   uint64_t frames_ = 0;

@@ -158,20 +158,22 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   out.replies = server->total_replies();
   out.overflow_drops =
       network.packets_overflowed() - overflow_at_measure_start;
-  out.reassignments = server->reassignments();
-  out.evictions = server->evictions();
-  out.rejected_connects = server->rejected_connects();
+  const core::ClientRegistry::RunCounters& sessions =
+      server->registry().counters;
+  out.reassignments = sessions.reassignments;
+  out.evictions = sessions.evictions;
+  out.rejected_connects = sessions.rejected_connects;
   out.invariant_violations = server->invariant_violations();
   out.client_sessions = agg.sessions;
   out.client_crashes = agg.crashes;
   out.client_quits = agg.graceful_quits;
   out.client_rejoins = agg.rejoins;
   out.client_evictions_seen = agg.evictions_observed;
-  out.rejected_busy = server->rejected_busy();
+  out.rejected_busy = sessions.rejected_busy;
   out.moves_rate_limited = server->total_moves_rate_limited();
   out.packets_oversized = server->total_packets_oversized();
   out.moves_coalesced = server->total_moves_coalesced();
-  out.governor_evictions = server->governor_evictions();
+  out.governor_evictions = sessions.governor_evictions;
   out.governor_steps_down = server->governor().counters().steps_down;
   out.governor_steps_up = server->governor().counters().steps_up;
   out.frames_degraded = server->governor().counters().frames_degraded;
@@ -180,7 +182,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (const auto* wd = server->watchdog()) {
     out.stalls_detected = wd->counters().stalls_detected;
     out.stalls_recovered = wd->counters().stalls_recovered;
-    out.stall_reassignments = server->stall_reassignments();
+    out.stall_reassignments = sessions.stall_reassignments;
   }
   out.client_rejected_busy = agg.rejected_busy;
   out.client_connect_retries = agg.connect_retries;
@@ -199,7 +201,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     out.blackbox_dumps = bb->dumps();
     out.blackbox_last_path = bb->last_path();
   }
-  out.resumed_clients = server->resumed_clients();
+  out.resumed_clients = sessions.resumed_clients;
   if (cfg.verify_replay && server->checkpoints() != nullptr &&
       server->recorder() != nullptr) {
     const auto rv =

@@ -22,7 +22,7 @@ FleetObs::FleetObs(Tracer* tracer) : FleetObs(tracer, Config()) {}
 
 FleetObs::FleetObs(Tracer* tracer, Config cfg)
     : tracer_(tracer), cfg_(std::move(cfg)), slo_(cfg_.slos) {
-  last_pause_ms_ = &fleet_reg_.gauge("fleet.recovery.last_pause_ms");
+  window_pause_ms_ = &fleet_reg_.gauge("fleet.recovery.window_pause_ms");
   lost_ = &fleet_reg_.gauge("fleet.clients.lost");
   handoff_latency_ms_ =
       &fleet_reg_.histogram("fleet.handoff.latency_ms", 1e-3);
@@ -84,7 +84,7 @@ void FleetObs::on_escalation(int shard, const char* why) {
 
 void FleetObs::on_restore(int shard, uint64_t tail_frames, double pause_ms,
                           const char* mode) {
-  last_pause_ms_->set(pause_ms);
+  window_pause_ms_->set(std::max(window_pause_ms_->value(), pause_ms));
   if (tracer_ == nullptr) return;
   const int track = supervisor_track_[static_cast<size_t>(shard)];
   if (std::string_view(mode) == "tail-replay")
@@ -208,6 +208,8 @@ void FleetObs::evaluate_window() {
                   "shard" + std::to_string(i), tracer_, slo_track_);
   }
   slo_.evaluate(fleet_reg_.snapshot(), t, "fleet", tracer_, slo_track_);
+  // Each restore is judged in exactly one window.
+  window_pause_ms_->set(0.0);
 }
 
 int64_t FleetObs::now_ns() const {

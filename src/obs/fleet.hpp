@@ -14,8 +14,9 @@
 //  * live metrics: each shard keeps its own MetricsRegistry (re-attached
 //    across supervisor rebuilds, so a restored engine keeps reporting its
 //    frame and lock histograms), and the plane's own fleet registry holds
-//    what the fleet SLOs read — the last recovery pause, the lost-client
-//    count and the handoff-latency histogram. Event counts (escalations,
+//    what the fleet SLOs read — the largest recovery pause of the
+//    observation window, the lost-client count and the handoff-latency
+//    histogram. Event counts (escalations,
 //    restores, sheds, returned and overflowed handoffs) are kept by the
 //    shard layer itself (ShardSupervisor::Report, Shard::restores(), the
 //    manager's atomics), not duplicated here;
@@ -128,8 +129,9 @@ class FleetObs {
   void on_handoff_overflow(int target, uint64_t flow);
 
   // One observation window: refreshes the lost-client gauge from the
-  // heartbeat atomics, then runs the SLO monitor over every shard
-  // snapshot and the fleet snapshot. Mid-run safe (reads only atomics and
+  // heartbeat atomics, runs the SLO monitor over every shard snapshot and
+  // the fleet snapshot, then zeroes the window's recovery pause. Mid-run
+  // safe (reads only atomics and
   // live instruments); call from platform timer context, post-warmup,
   // and once after the run stops.
   void evaluate_window();
@@ -162,7 +164,7 @@ class FleetObs {
   int slo_track_ = -1;
 
   // Cached fleet instruments (stable pointers into fleet_reg_).
-  Gauge* last_pause_ms_ = nullptr;
+  Gauge* window_pause_ms_ = nullptr;  // largest restore pause this window
   Gauge* lost_ = nullptr;
   HistogramMetric* handoff_latency_ms_ = nullptr;
 

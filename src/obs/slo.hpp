@@ -1,13 +1,13 @@
 // Declarative SLO monitor: a list of SloSpecs — each naming a registry
-// metric, the statistic to read off it, a comparison and a bound — is
-// evaluated against metric snapshots once per observation window. The
-// paper's core budget (a 12.5 ms frame at QuakeWorld's 80 Hz ceiling,
-// §2) becomes the default frame-time SLO; the recovery and shard layers
-// add budgets of their own (restore pause, handoff latency, lost
+// metric, the statistic to read off it and the upper bound it must stay
+// within — is evaluated against metric snapshots once per observation
+// window. The paper's core budget (a 12.5 ms frame at QuakeWorld's 80 Hz
+// ceiling, §2) becomes the default frame-time SLO; the recovery and shard
+// layers add budgets of their own (restore pause, handoff latency, lost
 // clients). Breaches are kept as structured events (the shard harness
 // copies them into its result) and optionally emitted as trace instants
-// onto a fleet track — so "the fleet held its SLOs" is a machine
-// checkable claim, not a log line.
+// onto a fleet track — so "the fleet held its SLOs" is a machine checkable
+// claim, not a log line.
 //
 // Thread model: evaluate() is called from one context at a time (the
 // harness's periodic observation timer, then once post-run); it is not
@@ -25,16 +25,14 @@
 namespace qserv::obs {
 
 struct SloSpec {
-  // Which statistic of the sample to compare. kValue reads the
-  // counter/gauge value (histogram mean); the rest are histogram-only.
-  enum class Stat : uint8_t { kValue, kP50, kP95, kP99, kMax, kCount };
-  enum class Cmp : uint8_t { kLE, kGE, kEQ };
+  // Which statistic of the sample to compare. kValue reads the gauge
+  // value (histogram mean); kP99 is histogram-only.
+  enum class Stat : uint8_t { kValue, kP99 };
 
   std::string name;    // short label: "frame_p99"
   std::string metric;  // sample name to evaluate: "server.frame_duration_ms"
   Stat stat = Stat::kValue;
-  Cmp cmp = Cmp::kLE;
-  double bound = 0.0;
+  double bound = 0.0;  // the spec holds while the statistic is <= bound
   // Histogram specs: skip evaluation until this many observations exist
   // in the window (percentiles of a near-empty histogram are noise).
   uint64_t min_count = 0;

@@ -43,21 +43,31 @@ enum class LoadError : uint8_t {
 };
 const char* load_error_name(LoadError e);
 
-// One client slot as checkpointed: identity, liveness clocks and channel
-// sequencing — enough for a warm-restarted server to continue the peer's
-// packet stream or to re-adopt the peer when it reconnects by name.
-struct ClientRecord {
-  uint16_t slot = 0;
+// What a client session keeps when it moves to another engine — a warm
+// restart (ClientRecord) or a cross-shard handoff
+// (core::Server::SessionTransfer): identity, move sequencing and channel
+// sequencing, enough to continue the peer's packet stream.
+// core::ClientRegistry::capture_session / install_session_locked are its
+// one capture and one install.
+struct SessionState {
   uint16_t remote_port = 0;
   std::string name;
-  uint32_t entity_id = 0;
-  uint32_t owner_thread = 0;
   uint32_t last_seq = 0;
   int64_t last_move_time_ns = 0;
-  int64_t last_heard_ns = 0;
   uint32_t chan_out_seq = 0;
   uint32_t chan_in_seq = 0;
   uint32_t chan_in_acked = 0;
+};
+
+// One client slot as checkpointed: the session state plus its slot,
+// entity, owner and liveness clock — enough for a warm-restarted server
+// to continue the peer's packet stream or to re-adopt the peer when it
+// reconnects by name.
+struct ClientRecord : SessionState {
+  uint16_t slot = 0;
+  uint32_t entity_id = 0;
+  uint32_t owner_thread = 0;
+  int64_t last_heard_ns = 0;
 };
 
 struct CheckpointData {

@@ -44,17 +44,6 @@ class FrameGovernor {
     return p95_ms() > cfg_.tick_budget.millis() * kAdmissionRatio;
   }
 
-  // Graceful-drain gate for hot restart: while set, the receive phase
-  // answers every new connect with kServerBusy regardless of the
-  // admission-control configuration, so the population stops growing
-  // while existing sessions keep playing until the handoff checkpoint.
-  void set_draining(bool on) {
-    draining_.store(on, std::memory_order_relaxed);
-  }
-  bool draining() const {
-    return draining_.load(std::memory_order_relaxed);
-  }
-
   struct Counters {
     uint64_t steps_down = 0;      // level increases (more degradation)
     uint64_t steps_up = 0;        // level decreases (recovery)
@@ -72,7 +61,6 @@ class FrameGovernor {
   int frames_since_step_ = 0;
   std::atomic<int> level_{0};
   std::atomic<double> p95_ms_{0.0};
-  std::atomic<bool> draining_{false};
   Counters counters_;
   int max_level_reached_ = 0;
 };

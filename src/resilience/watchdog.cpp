@@ -3,14 +3,9 @@
 namespace qserv::resilience {
 
 WorkerWatchdog::WorkerWatchdog(const Config& cfg, int num_threads)
-    : cfg_(cfg) {
-  const size_t n = num_threads > 0 ? static_cast<size_t>(num_threads) : 1;
-  beats_storage_ = std::make_unique<std::atomic<int64_t>[]>(n);
-  beats_.p = beats_storage_.get();
-  beats_.n = n;
-  for (size_t i = 0; i < n; ++i) {
-    beats_[i].store(kNever, std::memory_order_relaxed);
-  }
+    : cfg_(cfg),
+      beats_(num_threads > 0 ? static_cast<size_t>(num_threads) : 1) {
+  for (auto& beat : beats_) beat.store(kNever, std::memory_order_relaxed);
 }
 
 bool WorkerWatchdog::check_due(vt::TimePoint now, int self) const {

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/resilience/config.hpp"
@@ -71,14 +70,8 @@ class WorkerWatchdog {
   static constexpr int64_t kNever = INT64_MIN;
 
   const Config cfg_;
-  // unique_ptr array rather than vector<atomic> (atomics aren't movable).
-  std::unique_ptr<std::atomic<int64_t>[]> beats_storage_;
-  struct BeatsView {
-    std::atomic<int64_t>* p = nullptr;
-    size_t n = 0;
-    std::atomic<int64_t>& operator[](size_t i) const { return p[i]; }
-    size_t size() const { return n; }
-  } beats_;
+  // Sized once by the constructor (atomics are not movable).
+  std::vector<std::atomic<int64_t>> beats_;
   std::atomic<uint64_t> stalled_mask_{0};
   Counters counters_;
 };

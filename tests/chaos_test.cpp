@@ -124,7 +124,7 @@ TEST(Chaos, SilentClientIsReapedAndToldSo) {
   p.run();
 
   EXPECT_TRUE(got_evicted);
-  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.registry().counters.evictions, 1u);
   EXPECT_EQ(server.connected_clients(), 0);
   EXPECT_EQ(server.world().active_entities(), baseline_entities);
   EXPECT_EQ(server.invariant_violations(), 0u);
@@ -155,7 +155,7 @@ TEST(Chaos, BlackholedClientIsReapedByAnOtherwiseIdleServer) {
   });
   p.run();
 
-  EXPECT_EQ(server.evictions(), 1u);
+  EXPECT_EQ(server.registry().counters.evictions, 1u);
   EXPECT_EQ(server.connected_clients(), 0);
   EXPECT_GT(net.faults().counters().blackhole_drops, 0u);
   EXPECT_EQ(server.invariant_violations(), 0u);
@@ -184,7 +184,7 @@ TEST(Chaos, ServerFullRejectStopsConnectRetries) {
   p.run();
 
   EXPECT_EQ(server.connected_clients(), 4);
-  EXPECT_GE(server.rejected_connects(), 4u);
+  EXPECT_GE(server.registry().counters.rejected_connects, 4u);
   int connected = 0, rejected = 0;
   for (const auto& c : driver.clients()) {
     if (c->connected()) {
@@ -235,7 +235,7 @@ TEST(Chaos, HealedPartitionLetsEveryClientReconnect) {
   p.run();
 
   // During the partition every client went silent past client_timeout...
-  EXPECT_EQ(server.evictions(), 8u);
+  EXPECT_EQ(server.registry().counters.evictions, 8u);
   EXPECT_GT(net.faults().counters().partition_drops, 0u);
   // ...and after it healed, every client reconnected.
   int connected = 0;
@@ -282,8 +282,9 @@ TEST(Chaos, ReassignmentRacesChurnWithoutCorruption) {
   p.run();
 
   const auto agg = driver.aggregate(vt::seconds(30));
-  EXPECT_GT(server.reassignments(), 0u);
-  EXPECT_GT(server.evictions(), 0u);  // crashed clients were reaped
+  EXPECT_GT(server.registry().counters.reassignments, 0u);
+  // Crashed clients were reaped.
+  EXPECT_GT(server.registry().counters.evictions, 0u);
   EXPECT_GT(agg.crashes, 0u);
   EXPECT_GT(agg.graceful_quits, 0u);
   EXPECT_GT(agg.rejoins, 0u);
@@ -333,12 +334,12 @@ TEST(Chaos, TenMinuteChurnSoakLeaksNoSlots) {
 
   // Every crash was eventually reaped (the last few may still be inside
   // the timeout window at shutdown).
-  EXPECT_GE(server.evictions() + 2, agg.crashes);
+  EXPECT_GE(server.registry().counters.evictions + 2, agg.crashes);
   // Zero slot leak: the server never filled up, so nobody was rejected,
   // and the live slot count stays bounded by the population plus the
   // handful of crashed slots awaiting the reaper.
   EXPECT_EQ(agg.rejected_full, 0u);
-  EXPECT_EQ(server.rejected_connects(), 0u);
+  EXPECT_EQ(server.registry().counters.rejected_connects, 0u);
   EXPECT_LE(server.connected_clients(), 12 + 4);
   // The whole run passed the registry/world/areanode audit every frame.
   EXPECT_EQ(server.invariant_violations(), 0u);
@@ -379,7 +380,7 @@ TEST(Chaos, EvictedSlotReuseLeaksNoStaleDeltaHistory) {
   const auto& m = driver.clients()[0]->metrics();
   // The slot really cycled several times through crash -> reap -> rejoin.
   EXPECT_GE(m.sessions, 4u);
-  EXPECT_GE(server.evictions(), 3u);
+  EXPECT_GE(server.registry().counters.evictions, 3u);
   EXPECT_EQ(m.rejected_full, 0u);  // the reaped slot was free every time
   // Deltas flowed in every session, and not one referenced a baseline
   // from a previous tenant of the slot: a leaked history entry would

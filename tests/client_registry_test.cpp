@@ -264,16 +264,16 @@ TEST(ServerResetStats, ZeroesPerRunSessionCounters) {
   reg.counters.rejected_busy = 2;
   reg.counters.governor_evictions = 1;
   reg.counters.resumed_clients = 6;
-  EXPECT_EQ(server.reassignments(), 11u);
+  EXPECT_EQ(server.registry().counters.reassignments, 11u);
 
   server.reset_stats();
-  EXPECT_EQ(server.reassignments(), 0u);
-  EXPECT_EQ(server.stall_reassignments(), 0u);
-  EXPECT_EQ(server.evictions(), 0u);
-  EXPECT_EQ(server.rejected_connects(), 0u);
-  EXPECT_EQ(server.rejected_busy(), 0u);
-  EXPECT_EQ(server.governor_evictions(), 0u);
-  EXPECT_EQ(server.resumed_clients(), 6u);
+  EXPECT_EQ(server.registry().counters.reassignments, 0u);
+  EXPECT_EQ(server.registry().counters.stall_reassignments, 0u);
+  EXPECT_EQ(server.registry().counters.evictions, 0u);
+  EXPECT_EQ(server.registry().counters.rejected_connects, 0u);
+  EXPECT_EQ(server.registry().counters.rejected_busy, 0u);
+  EXPECT_EQ(server.registry().counters.governor_evictions, 0u);
+  EXPECT_EQ(server.registry().counters.resumed_clients, 6u);
 }
 
 // A consistent registry + world with two clients connected the way the

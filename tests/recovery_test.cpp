@@ -553,7 +553,7 @@ TEST(Journal, EverySerializationIndexIsJournaledAndOnlyUnderRecovery) {
 
 // A hook registered after construction sees every frame already sealed
 // into the flight recorder, and on checkpoint frames the checkpoint of
-// this very frame: the server seals before it dispatches on_frame_sealed.
+// this very frame: the server seals before it dispatches on_frame_end.
 struct SealedFrameProbe final : core::FrameHook {
   const core::Server& server;
   uint32_t interval;
@@ -561,7 +561,7 @@ struct SealedFrameProbe final : core::FrameHook {
   uint64_t checkpoints_seen = 0;
   SealedFrameProbe(const core::Server& s, uint32_t every)
       : server(s), interval(every) {}
-  void on_frame_sealed() override {
+  void on_frame_end(vt::TimePoint, int, core::ThreadStats&) override {
     ++frames_seen;
     EXPECT_EQ(server.recorder()->frames_sealed(), server.frames());
     ASSERT_FALSE(server.recorder()->frames().empty());
@@ -770,7 +770,7 @@ TEST(WarmRestart, KilledServerRestartsFromCheckpointWithZeroClientsLost) {
   // Phase 4: warm restart on the same ports from the checkpoint.
   server = std::make_unique<core::ParallelServer>(p, net, map, scfg);
   ASSERT_EQ(server->restore_from(image), recovery::LoadError::kNone);
-  EXPECT_TRUE(server->restored());
+  EXPECT_TRUE(server->registry().restored());
   EXPECT_EQ(server->connected_clients(), kClients);  // slots await resume
   server->start();
 
@@ -786,8 +786,9 @@ TEST(WarmRestart, KilledServerRestartsFromCheckpointWithZeroClientsLost) {
     EXPECT_GT(c.snapshots, 0u) << c.name;
   }
   EXPECT_EQ(server->connected_clients(), kClients);
-  EXPECT_EQ(server->resumed_clients(), static_cast<uint64_t>(kClients));
-  EXPECT_EQ(server->evictions(), 0u);
+  EXPECT_EQ(server->registry().counters.resumed_clients,
+            static_cast<uint64_t>(kClients));
+  EXPECT_EQ(server->registry().counters.evictions, 0u);
   // No duplicate player entities: exactly one per client survived the
   // restart (resume re-adopts, never re-spawns).
   size_t players = 0;

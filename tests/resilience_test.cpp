@@ -403,8 +403,8 @@ TEST(ResilienceReal, WatchdogDetectsAndRecoversOnRealThreads) {
   ASSERT_NE(server.watchdog(), nullptr);
   EXPECT_GE(server.watchdog()->counters().stalls_detected, 1u);
   EXPECT_GE(server.watchdog()->counters().stalls_recovered, 1u);
-  EXPECT_GE(server.stall_reassignments(), 1u);
-  EXPECT_EQ(server.evictions(), 0u);
+  EXPECT_GE(server.registry().counters.stall_reassignments, 1u);
+  EXPECT_EQ(server.registry().counters.evictions, 0u);
   int connected = 0;
   uint64_t replies = 0;
   for (const auto& c : driver.clients()) {

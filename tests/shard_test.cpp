@@ -705,6 +705,33 @@ TEST(ShardFleetObs, SupervisorTransitionsAppearAsInstants) {
   EXPECT_EQ(r.shards[1].escalations, 0u);
 }
 
+// The recovery-pause gauge holds the largest restore pause since the
+// previous observation window and is zeroed once the window is judged, so
+// one slow restore breaches the SLO in exactly one window, not in every
+// window after it.
+TEST(ShardFleetObs, ASlowRestoreBreachesTheRecoveryPauseSloOnce) {
+  vt::SimPlatform platform;
+  net::VirtualNetwork net(platform, {});
+  const auto map = spatial::make_large_deathmatch(7);
+  obs::FleetObs plane(nullptr);  // default SLOs; outlives the manager
+  shard::Config fleet;
+  fleet.shards = 1;
+  shard::ShardManager mgr(platform, net, map, fleet);
+  plane.attach(mgr);
+
+  plane.on_restore(0, 0, 20.0, "checkpoint-only");
+  for (int window = 0; window < 3; ++window) plane.evaluate_window();
+
+  int pause_breaches = 0;
+  for (const obs::SloBreach& b : plane.slo().breaches()) {
+    if (b.slo != "recovery_pause") continue;
+    ++pause_breaches;
+    EXPECT_EQ(b.observed, 20.0);
+  }
+  EXPECT_EQ(pause_breaches, 1);
+  EXPECT_EQ(plane.slo().evaluations(), 6u);  // shard0 + fleet, 3 windows
+}
+
 TEST(ShardFleetObs, PersistentClientLossBreachesTheSlo) {
   auto cfg = base_cfg(2, 12);
   cfg.fleet.boundary_margin = 1e9f;
@@ -721,7 +748,6 @@ TEST(ShardFleetObs, PersistentClientLossBreachesTheSlo) {
   lost_spec.name = "lost_clients";
   lost_spec.metric = "fleet.clients.lost";
   lost_spec.stat = obs::SloSpec::Stat::kValue;
-  lost_spec.cmp = obs::SloSpec::Cmp::kLE;
   lost_spec.bound = 0.0;
   obs::FleetObs::Config ocfg;
   ocfg.slos = {lost_spec};

@@ -165,7 +165,7 @@ class ViewOracleHook final : public core::FrameHook {
   ViewOracleHook(sim::World& world, const spatial::GameMap& map)
       : world_(world), map_(map) {}
 
-  void on_frame_sealed() override {
+  void on_frame_end(vt::TimePoint, int, core::ThreadStats&) override {
     world_.refresh_view();
     fresh_.rebuild(world_);
     ++frames;
