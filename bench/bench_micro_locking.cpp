@@ -31,14 +31,14 @@ void BM_PlanRequest(benchmark::State& state) {
   Rng rng(1);
   net::MoveCmd cmd;
   cmd.buttons = net::kButtonAttack;
-  std::vector<std::vector<int>> sets;
+  std::vector<int> requests;
   std::vector<sim::Entity> players;
   for (int i = 0; i < 256; ++i)
     players.push_back(player_at(rng.point_in(kWorld.mins, kWorld.maxs)));
   size_t i = 0;
   for (auto _ : state) {
-    lm.plan_request(policy, players[i++ & 255], cmd, sets);
-    benchmark::DoNotOptimize(sets.size());
+    lm.plan_request(policy, players[i++ & 255], cmd, requests);
+    benchmark::DoNotOptimize(requests.size());
   }
 }
 BENCHMARK(BM_PlanRequest)
@@ -58,7 +58,7 @@ void BM_AcquireReleaseUncontended(benchmark::State& state) {
       ThreadStats st;
       for (int i = 0; i < 2000; ++i) {
         LockManager::Region r;
-        lm.acquire({{15, 16, 17}}, 0, st, r);
+        lm.acquire({15, 16, 17}, 0, st, r);
         lm.release(r);
       }
     });
@@ -90,7 +90,7 @@ void BM_ContendedRegions(benchmark::State& state) {
           const int base = 15 + static_cast<int>(rng.below(12));
           for (int k = 0; k < 4; ++k) leaves.push_back(base + k);
           LockManager::Region r;
-          lm.acquire({leaves}, t, st[static_cast<size_t>(t)], r);
+          lm.acquire(leaves, t, st[static_cast<size_t>(t)], r);
           p.compute(vt::micros(50));
           lm.release(r);
         }

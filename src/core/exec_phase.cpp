@@ -1,6 +1,6 @@
 // E: move execution under region locks. The per-thread arena supplies
 // every container this phase would otherwise allocate per move: the
-// planned lock sets, the acquired region's leaf buffers, and the gather
+// planned lock requests, the acquired region's leaf buffer, and the gather
 // scratch sim::execute_move threads through the sim layer.
 #include "src/core/server.hpp"
 
@@ -20,8 +20,8 @@ void Server::execute_move(int tid, ClientSlot& client,
   const bool lock = cfg_.lock_policy != LockPolicy::kNone;
   if (lock) {
     lock_manager_->plan_request(cfg_.lock_policy, *player, cmd,
-                                arena.lock_sets);
-    lock_manager_->acquire(arena.lock_sets, tid, st, arena.region);
+                                arena.lock_requests);
+    lock_manager_->acquire(arena.lock_requests, tid, st, arena.region);
   }
   // Serialization index, drawn *after* the region locks: two conflicting
   // moves' indexes order exactly as their executions did, so replay

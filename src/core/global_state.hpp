@@ -3,9 +3,9 @@
 // once per frame (where the paper's master clears it at frame end). In
 // place of the paper's per-client reply buffers (one lock each, updated
 // for every client every frame), each sealed frame goes to one
-// frame-indexed event log: a client keeps the frame its events are
-// complete through, and its next reply copies the log after that frame
-// (DESIGN.md §15.3).
+// frame-indexed event log, encoded once into wire records: a client keeps
+// the frame its events are complete through, and its next reply copies
+// the log after that frame as one span (DESIGN.md §15.3).
 #pragma once
 
 #include <algorithm>
@@ -31,8 +31,8 @@ class GlobalStateBuffer : public sim::EventSink {
     events_.push_back(e);
   }
 
-  // Appends the current frame's events to the log under `frame` (a frame
-  // without events adds no entry) and leaves the live buffer empty.
+  // Encodes the current frame's events onto the log under `frame` (a
+  // frame without events adds no entry) and leaves the live buffer empty.
   // Returns the frame's event count. Called once per frame at the flip
   // into the reply phase, single-threaded. The log keeps its capacity, so
   // steady state allocates nothing.
@@ -40,20 +40,20 @@ class GlobalStateBuffer : public sim::EventSink {
     vt::LockGuard g(*mu_);
     const size_t n = events_.size();
     if (n == 0) return 0;
-    log_.insert(log_.end(), events_.begin(), events_.end());
+    for (const net::GameEvent& e : events_) net::write_event(log_, e);
     frames_.push_back({frame, log_.size()});
     events_.clear();
     return n;
   }
 
-  // Appends the events of every logged frame after `through` to `out`,
-  // oldest first. Read-only: the reply threads call it concurrently.
-  void events_after(uint64_t through,
-                    std::vector<net::GameEvent>& out) const {
+  // The events of every logged frame after `through`, oldest first, in
+  // wire form. Read-only: the reply threads call it concurrently; the
+  // span is valid until the next seal or trim.
+  net::EventSpan events_after(uint64_t through) const {
     const auto it = first_after(through);
     const size_t begin = it == frames_.begin() ? 0 : std::prev(it)->end;
-    out.insert(out.end(), log_.begin() + static_cast<ptrdiff_t>(begin),
-               log_.end());
+    return {log_.data().data() + begin,
+            (log_.size() - begin) / net::kGameEventWireBytes};
   }
 
   // True once the log has doubled since the last trim. Finding what to
@@ -67,7 +67,7 @@ class GlobalStateBuffer : public sim::EventSink {
     const auto it = first_after(through);
     if (it != frames_.begin()) {
       const size_t cut = std::prev(it)->end;
-      log_.erase(log_.begin(), log_.begin() + static_cast<ptrdiff_t>(cut));
+      log_.erase_front(cut);
       frames_.erase(frames_.begin(), it);
       for (LoggedFrame& f : frames_) f.end -= cut;
     }
@@ -80,7 +80,7 @@ class GlobalStateBuffer : public sim::EventSink {
   static constexpr size_t kMinTrimFrames = 64;
   struct LoggedFrame {
     uint64_t frame;
-    size_t end;  // one past the frame's last event in log_
+    size_t end;  // one past the frame's last byte in log_
   };
   std::vector<LoggedFrame>::const_iterator first_after(uint64_t f) const {
     return std::upper_bound(
@@ -90,7 +90,7 @@ class GlobalStateBuffer : public sim::EventSink {
 
   std::unique_ptr<vt::Mutex> mu_;
   std::vector<net::GameEvent> events_;  // the open frame's, under mu_
-  std::vector<net::GameEvent> log_;     // sealed frames' events, in order
+  net::ByteWriter log_;                 // sealed frames' event records
   std::vector<LoggedFrame> frames_;     // ascending frame ids
   size_t trim_at_ = kMinTrimFrames;
 };

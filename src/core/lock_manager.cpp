@@ -41,82 +41,63 @@ LockManager::Region::~Region() {
 
 void LockManager::plan_request(LockPolicy policy, const sim::Entity& player,
                                const net::MoveCmd& cmd,
-                               std::vector<std::vector<int>>& sets_out) const {
-  // Reuse the caller's inner vectors (the exec phase passes a per-thread
-  // scratch): claim the next slot, clear it, refill, and shrink the outer
-  // vector to the sets actually planned at the end.
-  size_t used = 0;
-  auto next_set = [&]() -> std::vector<int>& {
-    if (used == sets_out.size()) sets_out.emplace_back();
-    std::vector<int>& s = sets_out[used++];
-    s.clear();
-    return s;
-  };
-  if (policy != LockPolicy::kNone) {
-    // Short-range: the move's bounding box, "slightly larger than
-    // necessary" (§4.3).
-    tree_.leaves_for(sim::move_bounds(player, cmd), next_set());
+                               std::vector<int>& requests_out) const {
+  requests_out.clear();
+  if (policy == LockPolicy::kNone) return;
+  // Short-range: the move's bounding box, "slightly larger than
+  // necessary" (§4.3).
+  tree_.leaves_for(sim::move_bounds(player, cmd), requests_out);
 
-    // Long-range: only when the command initiates one.
-    const bool attacks = (cmd.buttons & net::kButtonAttack) != 0;
-    const bool throws = (cmd.buttons & net::kButtonThrow) != 0;
-    if (attacks || throws) {
-      std::vector<int>& leaves = next_set();
-      if (policy == LockPolicy::kConservative) {
-        // Highly conservative: the entire map.
-        for (int i = 0; i < tree_.node_count(); ++i)
-          if (tree_.is_leaf(i)) leaves.push_back(i);
-      } else if (attacks) {
-        // Type-2 object (fully simulated now): directional bounding box
-        // from the player to the world edge along the aim direction.
-        const Vec3 dir = sim::aim_dir(player, cmd.pitch_deg);
-        tree_.leaves_for(
-            directional_bounds(sim::load_bounds(player), dir,
-                               tree_.world_bounds(), sim::kDirectionalLockPad),
-            leaves);
-      } else {
-        // Type-1 object (completed during world physics): expanded
-        // bounding box covering the maximum request-time interaction
-        // range.
-        tree_.leaves_for(
-            sim::load_bounds(player).expanded(sim::kGrenadeRequestRange +
-                                              sim::kDirectionalLockPad),
-            leaves);
-      }
-    }
+  // Long-range: only when the command initiates one.
+  const bool attacks = (cmd.buttons & net::kButtonAttack) != 0;
+  const bool throws = (cmd.buttons & net::kButtonThrow) != 0;
+  if (!attacks && !throws) return;
+  if (policy == LockPolicy::kConservative) {
+    // Highly conservative: the entire map.
+    for (int i = 0; i < tree_.node_count(); ++i)
+      if (tree_.is_leaf(i)) requests_out.push_back(i);
+  } else if (attacks) {
+    // Type-2 object (fully simulated now): directional bounding box from
+    // the player to the world edge along the aim direction.
+    const Vec3 dir = sim::aim_dir(player, cmd.pitch_deg);
+    tree_.leaves_for(
+        directional_bounds(sim::load_bounds(player), dir,
+                           tree_.world_bounds(), sim::kDirectionalLockPad),
+        requests_out);
+  } else {
+    // Type-1 object (completed during world physics): expanded bounding
+    // box covering the maximum request-time interaction range.
+    tree_.leaves_for(sim::load_bounds(player).expanded(
+                         sim::kGrenadeRequestRange + sim::kDirectionalLockPad),
+                     requests_out);
   }
-  sets_out.resize(used);
 }
 
-void LockManager::acquire(const std::vector<std::vector<int>>& sets,
-                          int thread_id, ThreadStats& stats, Region& out) {
+void LockManager::acquire(const std::vector<int>& requests, int thread_id,
+                          ThreadStats& stats, Region& out) {
   QSERV_CHECK_MSG(!out.held(), "Region already held");
   QSERV_CHECK(thread_id >= 0 && thread_id < 64);
-  if (sets.empty()) return;
 
-  // Union of all sets in canonical order; overlaps are re-locks. Both
-  // region buffers are reused across acquisitions when the caller reuses
-  // the Region object (the exec phase's per-thread arena does).
-  std::vector<int>& requested = out.scratch_;
-  requested.clear();
-  for (const auto& s : sets) requested.insert(requested.end(), s.begin(), s.end());
-  const uint64_t requests = requested.size();
+  // Distinct leaves in canonical order; repeats are re-locks. The leaf
+  // buffer is reused across acquisitions when the caller reuses the
+  // Region object (the exec phase's per-thread arena does).
   std::vector<int>& leaves = out.leaves_;
-  leaves = requested;
+  leaves = requests;
   std::sort(leaves.begin(), leaves.end());
   leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
   if (leaves.empty()) return;
+  const uint64_t n_requests = requests.size();
 
   stats.locks.requests_locked += 1;
-  stats.locks.lock_requests += requests;
+  stats.locks.lock_requests += n_requests;
   stats.locks.distinct_leaves += leaves.size();
-  stats.locks.relocks += requests - leaves.size();
+  stats.locks.relocks += n_requests - leaves.size();
 
   // Everything from here — the region-determination/bookkeeping overhead
   // (§4.1: what the 1-thread parallel server pays over the sequential
   // one) plus actual waiting — is the paper's "lock" component.
   PhaseScope scope(platform_, stats, Phase::kLockLeaf, -1, leaf_wait_us_);
-  platform_.compute(costs_.lock_op * static_cast<int64_t>(requests));
+  platform_.compute(costs_.lock_op * static_cast<int64_t>(n_requests));
   for (const int node : leaves) {
     const int ord = leaf_ordinal(node);
     region_mu_[static_cast<size_t>(ord)]->lock();
@@ -124,7 +105,7 @@ void LockManager::acquire(const std::vector<std::vector<int>>& sets,
     // count every request for the leaf, including re-locks.
     frame_thread_mask_[static_cast<size_t>(ord)] |= 1ull << thread_id;
     frame_lock_ops_[static_cast<size_t>(ord)] += static_cast<uint32_t>(
-        std::count(requested.begin(), requested.end(), node));
+        std::count(requests.begin(), requests.end(), node));
   }
   out.mgr_ = this;
 }

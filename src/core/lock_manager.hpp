@@ -53,22 +53,23 @@ class LockManager {
    private:
     friend class LockManager;
     LockManager* mgr_ = nullptr;
-    std::vector<int> leaves_;   // sorted node indices
-    std::vector<int> scratch_;  // acquire()'s pre-dedup request list
+    std::vector<int> leaves_;  // sorted node indices
   };
 
-  // Computes the leaf sets a request must lock under `policy`: the
-  // short-range move region, plus the long-range region its buttons
-  // require. Each inner vector is one "locking step" whose leaves count
-  // as lock requests (overlaps between steps are the paper's re-locks).
+  // Computes the leaves a request must lock under `policy` into
+  // `requests_out` (replacing its contents): the short-range move region,
+  // then the long-range region its buttons require. Each region's leaves
+  // count as lock requests (a leaf in both is one of the paper's
+  // re-locks).
   void plan_request(LockPolicy policy, const sim::Entity& player,
                     const net::MoveCmd& cmd,
-                    std::vector<std::vector<int>>& sets_out) const;
+                    std::vector<int>& requests_out) const;
 
-  // Acquires the union of `sets` in canonical order. Charges lock-op
-  // costs, attributes them and the wait to the lock-leaf phase, and
-  // records the per-request lock statistics. `thread_id` must be < 64.
-  void acquire(const std::vector<std::vector<int>>& sets, int thread_id,
+  // Acquires the distinct leaves of `requests` in canonical order.
+  // Charges lock-op costs, attributes them and the wait to the lock-leaf
+  // phase, and records the per-request lock statistics. `thread_id` must
+  // be < 64.
+  void acquire(const std::vector<int>& requests, int thread_id,
                ThreadStats& stats, Region& out);
   void release(Region& region);
 

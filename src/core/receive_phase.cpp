@@ -7,10 +7,12 @@
 #include <algorithm>
 #include <atomic>
 
+#include "src/core/frame_arena.hpp"
+
 namespace qserv::core {
 
 int Server::drain_requests(int tid, ThreadStats& st) {
-  net::Datagram d;
+  net::Datagram& d = arenas_[static_cast<size_t>(tid)]->datagram;
   int moves = 0;
   while (sockets_[static_cast<size_t>(tid)]->try_recv(d)) {
     // Flood/oversize clamp: no legitimate client message approaches this

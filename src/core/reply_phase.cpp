@@ -2,11 +2,11 @@
 // thread answers the clients in its reply queue, the interest sweep runs
 // over the world's SoA entity view, and each reply is encoded from the
 // view's canonical records into this thread's wire buffer and sent from
-// it in place. A reply's events are a copy of the event log after the
-// frame the client's events are complete through. Nothing here walks the
-// client slots or the entity storage; the per-thread arena supplies every
-// container, so a steady-state reply allocates only the client's history
-// entry.
+// it in place. A reply's events are one span copy of the event log,
+// encoded at the flip, after the frame the client's events are complete
+// through. Nothing here walks the client slots or the entity storage; the
+// per-thread arena supplies every container, so a steady-state reply
+// allocates only the client's history entry.
 #include "src/core/server.hpp"
 
 #include <algorithm>
@@ -70,13 +70,12 @@ void Server::send_replies(int tid, ThreadStats& st, uint64_t charged_owners) {
     update_buffers_below(slot);
     // Every logged frame's events since the client's last reply (or
     // join), this frame's included.
-    std::vector<net::GameEvent>& events = arena.events;
-    events.clear();
-    global_events_.events_after(c.events_through, events);
+    const net::EventSpan events =
+        global_events_.events_after(c.events_through);
     c.events_through = frames_;
     net::Snapshot& snap = arena.snap;
     sim::sweep_snapshot(world_, *player, frame, c.last_seq,
-                        c.last_move_time_ns, events, snap, arena.rows,
+                        c.last_move_time_ns, events.count, snap, arena.rows,
                         thin_far);
     if (c.notify_port) {
       snap.assigned_port =
@@ -103,9 +102,9 @@ void Server::send_replies(int tid, ThreadStats& st, uint64_t charged_owners) {
     if (baseline != nullptr) {
       sim::write_delta_snapshot(snap, world_.view(), arena.rows,
                                 baseline->entities, baseline->server_frame,
-                                arena.enc_scratch, w);
+                                events, arena.enc_scratch, w);
     } else {
-      sim::write_full_snapshot(snap, world_.view(), arena.rows, w);
+      sim::write_full_snapshot(snap, world_.view(), arena.rows, events, w);
     }
     if (cfg_.delta_snapshots) {
       c.history.push_back({snap.server_frame, snap.entities});

@@ -1,37 +1,9 @@
 #include "src/net/bytestream.hpp"
 
+#include <cstddef>
 #include <cstring>
 
 namespace qserv::net {
-
-void ByteWriter::u8(uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::u16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::u32(uint32_t v) {
-  u16(static_cast<uint16_t>(v));
-  u16(static_cast<uint16_t>(v >> 16));
-}
-
-void ByteWriter::u64(uint64_t v) {
-  u32(static_cast<uint32_t>(v));
-  u32(static_cast<uint32_t>(v >> 32));
-}
-
-void ByteWriter::f32(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  u32(bits);
-}
-
-void ByteWriter::vec3(const Vec3& v) {
-  f32(v.x);
-  f32(v.y);
-  f32(v.z);
-}
 
 void ByteWriter::str(const std::string& s) {
   const size_t n = s.size() > 65535 ? 65535 : s.size();
@@ -41,6 +13,10 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::bytes(const uint8_t* data, size_t n) {
   buf_.insert(buf_.end(), data, data + n);
+}
+
+void ByteWriter::erase_front(size_t n) {
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(n));
 }
 
 bool ByteReader::take(size_t n) {

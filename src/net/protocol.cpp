@@ -13,7 +13,6 @@ constexpr size_t kMaxSnapshotEvents = 4096;
 // count against the bytes actually present BEFORE allocating: a
 // length-lying header must cost the attacker bandwidth, not us memory.
 constexpr size_t kEntityUpdateWire = 4 + 1 + 12 + 4 + 1;  // id,type,org,yaw,st
-constexpr size_t kGameEventWire = 1 + 4 + 4 + 12;         // kind,a,b,pos
 constexpr size_t kDeltaRemovalWire = 4;                   // id
 constexpr size_t kDeltaEntityMinWire = 4 + 1;             // id + empty mask
 
@@ -100,11 +99,17 @@ std::vector<uint8_t> encode(const Snapshot& m) {
   return w.take();
 }
 
-namespace {
+void write_event(ByteWriter& w, const GameEvent& e) {
+  w.u8(e.kind);
+  w.u32(e.a);
+  w.u32(e.b);
+  w.vec3(e.pos);
+}
 
 bool decode_events(ByteReader& r, std::vector<GameEvent>& events) {
   const uint16_t n = r.u16();
-  if (!r.ok() || n > kMaxSnapshotEvents || !count_fits(r, n, kGameEventWire))
+  if (!r.ok() || n > kMaxSnapshotEvents ||
+      !count_fits(r, n, kGameEventWireBytes))
     return false;
   events.resize(n);
   for (auto& ev : events) {
@@ -115,8 +120,6 @@ bool decode_events(ByteReader& r, std::vector<GameEvent>& events) {
   }
   return r.ok();
 }
-
-}  // namespace
 
 bool decode_delta(ByteReader& r, const BaselineLookup& baseline_lookup,
                   Snapshot& out) {
@@ -263,18 +266,7 @@ bool decode(ByteReader& r, Snapshot& m) {
     e.yaw_deg = r.f32();
     e.state = r.u8();
   }
-  const uint16_t n_ev = r.u16();
-  if (!r.ok() || n_ev > kMaxSnapshotEvents ||
-      !count_fits(r, n_ev, kGameEventWire))
-    return false;
-  m.events.resize(n_ev);
-  for (auto& ev : m.events) {
-    ev.kind = r.u8();
-    ev.a = r.u32();
-    ev.b = r.u32();
-    ev.pos = r.vec3();
-  }
-  return r.ok();
+  return decode_events(r, m.events);
 }
 
 }  // namespace qserv::net

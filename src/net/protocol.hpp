@@ -109,6 +109,18 @@ struct GameEvent {
   Vec3 pos;
 };
 
+// Wire bytes of one GameEvent record: kind, a, b, pos.
+inline constexpr size_t kGameEventWireBytes = 1 + 4 + 4 + 12;
+
+// `count` event records in wire form, back to back: a snapshot's event
+// section without its u16 count. The server encodes each event once into
+// its event log and copies each reply's events from there as one span.
+struct EventSpan {
+  const uint8_t* data = nullptr;
+  size_t count = 0;
+  size_t bytes() const { return count * kGameEventWireBytes; }
+};
+
 struct Snapshot {
   uint32_t server_frame = 0;
   uint32_t ack_sequence = 0;       // latest move sequence processed
@@ -136,6 +148,8 @@ std::vector<uint8_t> encode_disconnect();
 std::vector<uint8_t> encode(const RejectMsg& m);
 std::vector<uint8_t> encode(const ConnectAck& m);
 std::vector<uint8_t> encode(const Snapshot& m);
+// One event record (kGameEventWireBytes).
+void write_event(ByteWriter& w, const GameEvent& e);
 
 // Reconstructs a full snapshot from a delta. `baseline_lookup` maps a
 // server_frame to the entity list of the snapshot the client
@@ -156,5 +170,7 @@ bool decode_server_type(ByteReader& r, ServerMsgType& type);
 bool decode(ByteReader& r, RejectMsg& m);
 bool decode(ByteReader& r, ConnectAck& m);
 bool decode(ByteReader& r, Snapshot& m);
+// A snapshot's event section: a u16 count, then that many records.
+bool decode_events(ByteReader& r, std::vector<GameEvent>& events);
 
 }  // namespace qserv::net

@@ -44,10 +44,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
         const Histogram h = e.histogram->snapshot();
         s.count = h.count();
         s.value = h.stats().mean();
-        s.min = h.stats().min();
-        s.max = h.stats().max();
-        s.p50 = h.percentile(50.0);
-        s.p95 = h.percentile(95.0);
         s.p99 = h.percentile(99.0);
         break;
       }

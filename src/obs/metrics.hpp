@@ -66,7 +66,7 @@ struct MetricSample {
   double value = 0.0;  // gauge value, histogram mean
   // Histogram-only fields.
   uint64_t count = 0;
-  double min = 0.0, max = 0.0, p50 = 0.0, p95 = 0.0, p99 = 0.0;
+  double p99 = 0.0;
 };
 
 class MetricsRegistry {

@@ -18,6 +18,7 @@ const char* degrade_level_name(int level) {
 FrameGovernor::FrameGovernor(const Config& cfg) : cfg_(cfg) {
   window_ms_.resize(cfg_.window > 0 ? static_cast<size_t>(cfg_.window) : 1,
                     0.0);
+  sorted_.reserve(window_ms_.size());
 }
 
 int FrameGovernor::on_frame(vt::Duration frame_time) {
@@ -27,14 +28,14 @@ int FrameGovernor::on_frame(vt::Duration frame_time) {
 
   // p95 over the filled portion of the window. The window is small
   // (default 32) so a copy+nth_element per frame is noise next to the
-  // frame itself.
-  std::vector<double> sorted(window_ms_.begin(),
-                             window_ms_.begin() + static_cast<long>(filled_));
+  // frame itself; the copy goes to a buffer sized at construction.
+  sorted_.assign(window_ms_.begin(),
+                 window_ms_.begin() + static_cast<long>(filled_));
   const size_t idx = (filled_ * 95) / 100;
   const size_t nth = idx < filled_ ? idx : filled_ - 1;
-  std::nth_element(sorted.begin(), sorted.begin() + static_cast<long>(nth),
-                   sorted.end());
-  const double p95 = sorted[nth];
+  std::nth_element(sorted_.begin(), sorted_.begin() + static_cast<long>(nth),
+                   sorted_.end());
+  const double p95 = sorted_[nth];
   p95_ms_.store(p95, std::memory_order_relaxed);
 
   int level = level_.load(std::memory_order_relaxed);

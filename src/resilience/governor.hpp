@@ -56,6 +56,7 @@ class FrameGovernor {
  private:
   const Config cfg_;
   std::vector<double> window_ms_;  // ring of recent frame durations
+  std::vector<double> sorted_;     // on_frame()'s p95 scratch
   size_t next_ = 0;
   size_t filled_ = 0;
   int frames_since_step_ = 0;

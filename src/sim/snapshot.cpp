@@ -9,16 +9,14 @@ namespace qserv::sim {
 SnapshotStats sweep_snapshot(const World& world, const Entity& player,
                              uint32_t server_frame, uint32_t ack_sequence,
                              int64_t client_time_echo_ns,
-                             const std::vector<net::GameEvent>& events,
-                             net::Snapshot& out, std::vector<uint32_t>& rows,
-                             bool thin_far) {
+                             size_t event_count, net::Snapshot& out,
+                             std::vector<uint32_t>& rows, bool thin_far) {
   SnapshotStats stats;
   // Field-wise reset instead of `out = net::Snapshot{}`: a snapshot built
-  // into a reused buffer keeps its entity/event capacity across frames.
+  // into a reused buffer keeps its entity capacity across frames.
   out.assigned_port = 0;
   out.baseline_frame = 0;
   out.entities.clear();
-  out.events.clear();
   out.server_frame = server_frame;
   out.ack_sequence = ack_sequence;
   out.client_time_echo_ns = client_time_echo_ns;
@@ -81,32 +79,24 @@ SnapshotStats sweep_snapshot(const World& world, const Entity& player,
     ++stats.visible_entities;
   }
 
-  out.events = events;
-
   world.charge(costs.per_interest_check * stats.interest_checks +
                costs.per_visible_entity * stats.visible_entities +
-               costs.per_event * static_cast<int64_t>(events.size()));
+               costs.per_event * static_cast<int64_t>(event_count));
   return stats;
 }
 
 namespace {
 
-void write_events(const std::vector<net::GameEvent>& events,
-                  net::ByteWriter& w) {
-  w.u16(static_cast<uint16_t>(events.size()));
-  for (const auto& ev : events) {
-    w.u8(ev.kind);
-    w.u32(ev.a);
-    w.u32(ev.b);
-    w.vec3(ev.pos);
-  }
+void write_events(net::EventSpan events, net::ByteWriter& w) {
+  w.u16(static_cast<uint16_t>(events.count));
+  w.bytes(events.data, events.bytes());
 }
 
 }  // namespace
 
 void write_full_snapshot(const net::Snapshot& snap, const FrameView& view,
                          const std::vector<uint32_t>& rows,
-                         net::ByteWriter& w) {
+                         net::EventSpan events, net::ByteWriter& w) {
   w.u8(static_cast<uint8_t>(net::ServerMsgType::kSnapshot));
   w.u32(snap.server_frame);
   w.u32(snap.ack_sequence);
@@ -120,14 +110,14 @@ void write_full_snapshot(const net::Snapshot& snap, const FrameView& view,
   w.u16(static_cast<uint16_t>(rows.size()));
   for (const uint32_t row : rows)
     w.bytes(view.record(row), FrameView::kRecordBytes);
-  write_events(snap.events, w);
+  write_events(events, w);
 }
 
 int write_delta_snapshot(const net::Snapshot& snap, const FrameView& view,
                          const std::vector<uint32_t>& rows,
                          const std::vector<net::EntityUpdate>& baseline,
-                         uint32_t baseline_frame, EncodeScratch& scratch,
-                         net::ByteWriter& w) {
+                         uint32_t baseline_frame, net::EventSpan events,
+                         EncodeScratch& scratch, net::ByteWriter& w) {
   w.u8(static_cast<uint8_t>(net::ServerMsgType::kDeltaSnapshot));
   w.u32(snap.server_frame);
   w.u32(snap.ack_sequence);
@@ -191,7 +181,7 @@ int write_delta_snapshot(const net::Snapshot& snap, const FrameView& view,
   }
   w.u16(static_cast<uint16_t>(encoded));
   w.bytes(body.data().data(), body.size());
-  write_events(snap.events, w);
+  write_events(events, w);
   return encoded;
 }
 

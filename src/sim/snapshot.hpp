@@ -30,10 +30,12 @@ struct SnapshotStats {
   int visible_entities = 0;
 };
 
-// Fills `out` (player private state, visible entities in id order, and
-// `events`, broadcast to everyone) for `player`, and sets `rows` to the
-// visible entities' view rows — the encoders' input. Reads world.view(),
-// which must have been refreshed since the last mutation.
+// Fills `out` (player private state and visible entities in id order)
+// for `player`, and sets `rows` to the visible entities' view rows — the
+// encoders' input. The reply's `event_count` broadcast events are not
+// copied: the encoders take them as a wire span. `out.events` is left
+// as it is. Reads world.view(), which must have been refreshed since the
+// last mutation.
 //
 // Charges the paper-era reply costs in the order the per-entity gather
 // always has: per_pvs_check per PVS lookup (or per_los_trace_brush per
@@ -48,8 +50,8 @@ struct SnapshotStats {
 SnapshotStats sweep_snapshot(const World& world, const Entity& player,
                              uint32_t server_frame, uint32_t ack_sequence,
                              int64_t client_time_echo_ns,
-                             const std::vector<net::GameEvent>& events,
-                             net::Snapshot& out, std::vector<uint32_t>& rows,
+                             size_t event_count, net::Snapshot& out,
+                             std::vector<uint32_t>& rows,
                              bool thin_far = false);
 
 // Reusable per-thread scratch for write_delta_snapshot; all vectors keep
@@ -62,21 +64,22 @@ struct EncodeScratch {
 };
 
 // Full snapshot message for `snap` whose entities are exactly the view
-// rows `rows` (as sweep_snapshot leaves them). The entity section is a
-// span copy of the canonical records.
+// rows `rows` (as sweep_snapshot leaves them), carrying `events`. The
+// entity section is a span copy of the canonical records, the event
+// section one copy of the encoded events.
 void write_full_snapshot(const net::Snapshot& snap, const FrameView& view,
                          const std::vector<uint32_t>& rows,
-                         net::ByteWriter& w);
+                         net::EventSpan events, net::ByteWriter& w);
 
 // Delta snapshot message against `baseline` (the entity list of the
 // client-acknowledged snapshot `baseline_frame`): unchanged entities cost
 // nothing, changed ones carry only the changed fields, entities missing
-// from `rows` go to a removal list in baseline order. Returns the number
-// of entity records written.
+// from `rows` go to a removal list in baseline order. `events` as in
+// write_full_snapshot. Returns the number of entity records written.
 int write_delta_snapshot(const net::Snapshot& snap, const FrameView& view,
                          const std::vector<uint32_t>& rows,
                          const std::vector<net::EntityUpdate>& baseline,
-                         uint32_t baseline_frame, EncodeScratch& scratch,
-                         net::ByteWriter& w);
+                         uint32_t baseline_frame, net::EventSpan events,
+                         EncodeScratch& scratch, net::ByteWriter& w);
 
 }  // namespace qserv::sim

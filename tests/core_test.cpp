@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "src/core/lock_manager.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/vthread/sim_platform.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv::core {
 namespace {
@@ -41,61 +43,69 @@ net::MoveCmd plain_move() {
   return c;
 }
 
+// The leaves plan_request adds for `cmd`'s long-range region: what it
+// plans after the short-range region the same move without buttons plans.
+std::vector<int> long_range(Fixture& f, LockPolicy policy,
+                            const sim::Entity& p, const net::MoveCmd& cmd) {
+  net::MoveCmd plain = cmd;
+  plain.buttons = 0;
+  std::vector<int> short_range, all;
+  f.lm.plan_request(policy, p, plain, short_range);
+  f.lm.plan_request(policy, p, cmd, all);
+  EXPECT_GE(all.size(), short_range.size());
+  EXPECT_TRUE(std::equal(short_range.begin(), short_range.end(), all.begin()));
+  return {all.begin() + static_cast<ptrdiff_t>(short_range.size()),
+          all.end()};
+}
+
 TEST(LockManagerPlan, NonePolicyLocksNothing) {
   Fixture f;
-  std::vector<std::vector<int>> sets;
+  std::vector<int> requests{7};  // replaced, not appended to
   const auto p = player_at({100, 100, 28});
-  f.lm.plan_request(LockPolicy::kNone, p, plain_move(), sets);
-  EXPECT_TRUE(sets.empty());
+  f.lm.plan_request(LockPolicy::kNone, p, plain_move(), requests);
+  EXPECT_TRUE(requests.empty());
 }
 
 TEST(LockManagerPlan, ShortRangeMoveLocksLocalLeaves) {
   Fixture f;
-  std::vector<std::vector<int>> sets;
+  std::vector<int> requests;
   const auto p = player_at({500, 500, 28});  // well inside one quadrant
-  f.lm.plan_request(LockPolicy::kConservative, p, plain_move(), sets);
-  ASSERT_EQ(sets.size(), 1u);
-  EXPECT_GE(sets[0].size(), 1u);
-  EXPECT_LE(sets[0].size(), 4u);  // small region, not the whole map
+  f.lm.plan_request(LockPolicy::kConservative, p, plain_move(), requests);
+  EXPECT_GE(requests.size(), 1u);
+  EXPECT_LE(requests.size(), 4u);  // small region, not the whole map
 }
 
 TEST(LockManagerPlan, ConservativeAttackLocksWholeMap) {
   Fixture f;
-  std::vector<std::vector<int>> sets;
   auto p = player_at({500, 500, 28});
   auto cmd = plain_move();
   cmd.buttons = net::kButtonAttack;
-  f.lm.plan_request(LockPolicy::kConservative, p, cmd, sets);
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_EQ(static_cast<int>(sets[1].size()), f.tree.leaf_count());
+  const auto leaves = long_range(f, LockPolicy::kConservative, p, cmd);
+  EXPECT_EQ(static_cast<int>(leaves.size()), f.tree.leaf_count());
 }
 
 TEST(LockManagerPlan, OptimizedAttackLocksDirectionalSlice) {
   Fixture f;
-  std::vector<std::vector<int>> sets;
   auto p = player_at({-900, -900, 28});  // corner, aiming +x
   p.yaw_deg = 0.0f;
   auto cmd = plain_move();
   cmd.yaw_deg = 0.0f;
   cmd.buttons = net::kButtonAttack;
-  f.lm.plan_request(LockPolicy::kOptimized, p, cmd, sets);
-  ASSERT_EQ(sets.size(), 2u);
+  const auto leaves = long_range(f, LockPolicy::kOptimized, p, cmd);
   // A corner shot along an axis covers one row of leaves, far fewer than
   // the whole map.
-  EXPECT_LT(static_cast<int>(sets[1].size()), f.tree.leaf_count());
-  EXPECT_GE(sets[1].size(), 2u);
+  EXPECT_LT(static_cast<int>(leaves.size()), f.tree.leaf_count());
+  EXPECT_GE(leaves.size(), 2u);
 }
 
 TEST(LockManagerPlan, OptimizedThrowLocksExpandedBox) {
   Fixture f;
-  std::vector<std::vector<int>> sets;
   auto p = player_at({0, 0, 28});  // dead centre: expansion crosses planes
   auto cmd = plain_move();
   cmd.buttons = net::kButtonThrow;
-  f.lm.plan_request(LockPolicy::kOptimized, p, cmd, sets);
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_GE(sets[1].size(), 4u);  // crosses the central planes
-  EXPECT_LT(static_cast<int>(sets[1].size()), f.tree.leaf_count());
+  const auto leaves = long_range(f, LockPolicy::kOptimized, p, cmd);
+  EXPECT_GE(leaves.size(), 4u);  // crosses the central planes
+  EXPECT_LT(static_cast<int>(leaves.size()), f.tree.leaf_count());
 }
 
 TEST(LockManager, AcquireCountsDistinctAndRelocks) {
@@ -103,8 +113,8 @@ TEST(LockManager, AcquireCountsDistinctAndRelocks) {
   ThreadStats st;
   f.platform.spawn("t", Domain::kServer, [&] {
     LockManager::Region r;
-    // Two overlapping sets: {15,16,17} and {16,17,18}.
-    f.lm.acquire({{15, 16, 17}, {16, 17, 18}}, 0, st, r);
+    // Two overlapping regions: {15,16,17} then {16,17,18}.
+    f.lm.acquire({15, 16, 17, 16, 17, 18}, 0, st, r);
     EXPECT_EQ(r.leaves().size(), 4u);
     f.lm.release(r);
   });
@@ -121,7 +131,7 @@ TEST(LockManager, RegionsExcludeEachOther) {
   std::vector<int> order;
   f.platform.spawn("a", Domain::kServer, [&] {
     LockManager::Region r;
-    f.lm.acquire({{15, 16}}, 0, st0, r);
+    f.lm.acquire({15, 16}, 0, st0, r);
     order.push_back(0);
     f.platform.compute(millis(5));
     order.push_back(1);
@@ -130,7 +140,7 @@ TEST(LockManager, RegionsExcludeEachOther) {
   f.platform.spawn("b", Domain::kServer, [&] {
     f.platform.sleep_for(millis(1));
     LockManager::Region r;
-    f.lm.acquire({{16, 17}}, 1, st1, r);  // overlaps on leaf 16
+    f.lm.acquire({16, 17}, 1, st1, r);  // overlaps on leaf 16
     order.push_back(2);
     f.lm.release(r);
   });
@@ -146,14 +156,14 @@ TEST(LockManager, DisjointRegionsRunConcurrently) {
   vt::TimePoint done0{}, done1{};
   f.platform.spawn("a", Domain::kServer, [&] {
     LockManager::Region r;
-    f.lm.acquire({{15, 16}}, 0, st0, r);
+    f.lm.acquire({15, 16}, 0, st0, r);
     f.platform.compute(millis(5));
     f.lm.release(r);
     done0 = f.platform.now();
   });
   f.platform.spawn("b", Domain::kServer, [&] {
     LockManager::Region r;
-    f.lm.acquire({{20, 21}}, 1, st1, r);
+    f.lm.acquire({20, 21}, 1, st1, r);
     f.platform.compute(millis(5));
     f.lm.release(r);
     done1 = f.platform.now();
@@ -187,7 +197,7 @@ TEST(LockManager, RandomOverlappingRegionsNeverDeadlock) {
         }
         if (leaves.empty()) leaves.push_back(15 + static_cast<int>(rng.below(16)));
         LockManager::Region r;
-        f.lm.acquire({leaves}, t, st[static_cast<size_t>(t)], r);
+        f.lm.acquire(leaves, t, st[static_cast<size_t>(t)], r);
         f.platform.compute(micros(rng.range(5, 50)));
         f.lm.release(r);
       }
@@ -205,14 +215,14 @@ TEST(LockManager, FrameHarvestTracksSharing) {
   FrameLockStats fls;
   f.platform.spawn("a", Domain::kServer, [&] {
     LockManager::Region r;
-    f.lm.acquire({{15, 16}}, 0, st0, r);
+    f.lm.acquire({15, 16}, 0, st0, r);
     f.platform.compute(millis(1));
     f.lm.release(r);
   });
   f.platform.spawn("b", Domain::kServer, [&] {
     f.platform.sleep_for(millis(2));
     LockManager::Region r;
-    f.lm.acquire({{16, 17}}, 1, st1, r);
+    f.lm.acquire({16, 17}, 1, st1, r);
     f.lm.release(r);
   });
   f.platform.run();
@@ -250,7 +260,7 @@ TEST(LockManager, ListLocksAttributeWaitByNodeKind) {
   EXPECT_LT(st0.breakdown.lock_parent.ns, micros(10).ns);
 }
 
-// Sealing moves the frame's events into the log and empties the live
+// Sealing encodes the frame's events onto the log and empties the live
 // buffer: the next frame starts from nothing.
 TEST(GlobalStateBuffer, SealEmptiesTheLiveBuffer) {
   vt::SimPlatform p;
@@ -259,16 +269,14 @@ TEST(GlobalStateBuffer, SealEmptiesTheLiveBuffer) {
     buf.emit(net::GameEvent{1, 2, 3, {}});
     buf.emit(net::GameEvent{4, 5, 6, {}});
     EXPECT_EQ(buf.seal_frame(1), 2u);
-    std::vector<net::GameEvent> events;
-    buf.events_after(0, events);
+    auto events = net::decode_span(buf.events_after(0));
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[1].kind, 4);
     EXPECT_EQ(buf.seal_frame(2), 0u);  // nothing emitted: no entry
     EXPECT_EQ(buf.logged_frames(), 1u);
     buf.emit(net::GameEvent{7, 0, 0, {}});
     EXPECT_EQ(buf.seal_frame(3), 1u);
-    events.clear();
-    buf.events_after(1, events);
+    events = net::decode_span(buf.events_after(1));
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, 7);
   });
@@ -292,20 +300,19 @@ TEST(GlobalStateBuffer, EventLogReadsAfterFrameAndTrims) {
     buf.seal_frame(7);
     EXPECT_EQ(buf.logged_frames(), 3u);
     const auto kinds_after = [&](uint64_t through) {
-      std::vector<net::GameEvent> out{net::GameEvent{9, 0, 0, {}}};
-      buf.events_after(through, out);
       std::vector<int> kinds;
-      for (const auto& e : out) kinds.push_back(e.kind);
+      for (const auto& e : net::decode_span(buf.events_after(through)))
+        kinds.push_back(e.kind);
       return kinds;
     };
-    EXPECT_EQ(kinds_after(0), (std::vector<int>{9, 1, 2, 3, 4}));
-    EXPECT_EQ(kinds_after(3), (std::vector<int>{9, 2, 3, 4}));
-    EXPECT_EQ(kinds_after(4), (std::vector<int>{9, 2, 3, 4}));
-    EXPECT_EQ(kinds_after(6), (std::vector<int>{9, 4}));
-    EXPECT_EQ(kinds_after(7), (std::vector<int>{9}));
+    EXPECT_EQ(kinds_after(0), (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(kinds_after(3), (std::vector<int>{2, 3, 4}));
+    EXPECT_EQ(kinds_after(4), (std::vector<int>{2, 3, 4}));
+    EXPECT_EQ(kinds_after(6), (std::vector<int>{4}));
+    EXPECT_EQ(kinds_after(7), (std::vector<int>{}));
     buf.trim_through(5);
     EXPECT_EQ(buf.logged_frames(), 1u);
-    EXPECT_EQ(kinds_after(5), (std::vector<int>{9, 4}));
+    EXPECT_EQ(kinds_after(5), (std::vector<int>{4}));
     EXPECT_FALSE(buf.trim_due());
   });
   p.run();

@@ -16,13 +16,16 @@
 #include <set>
 
 #include "src/bots/client_driver.hpp"
+#include "src/core/global_state.hpp"
 #include "src/core/parallel_server.hpp"
 #include "src/core/sequential_server.hpp"
 #include "src/net/protocol.hpp"
 #include "src/net/virtual_udp.hpp"
 #include "src/spatial/map_gen.hpp"
+#include "src/util/rng.hpp"
 #include "src/vthread/real_platform.hpp"
 #include "src/vthread/sim_platform.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv {
 namespace {
@@ -158,8 +161,8 @@ class BufferOracle final : public core::FrameHook {
 
   void on_frame_end(vt::TimePoint, int, core::ThreadStats&) override {
     const uint64_t frame = server_.frames();
-    std::vector<net::GameEvent> frame_events;
-    server_.global_events().events_after(frame - 1, frame_events);
+    const std::vector<net::GameEvent> frame_events =
+        net::decode_span(server_.global_events().events_after(frame - 1));
     for (const auto& e : frame_events) ++kinds[e.kind];
 
     // Spawned sessions by port. A port whose entity changed left and
@@ -296,6 +299,49 @@ bots::ClientDriver::Config churning_bots() {
   dcfg.churn.enabled = true;
   dcfg.churn.mean_session = vt::seconds(2);
   return dcfg;
+}
+
+// The log holds each sealed frame's events as wire records. A span read
+// after any frame decodes to exactly the events emitted after it, in
+// order, field for field — also after trims, which move every remaining
+// frame's records to new byte offsets.
+TEST(EventLog, SpansDecodeToEmittedEventsAcrossTrims) {
+  vt::SimPlatform p;
+  core::GlobalStateBuffer log(p);
+  p.spawn("t", vt::Domain::kServer, [&] {
+    Rng rng(21);
+    std::vector<std::vector<net::GameEvent>> emitted(1);  // by frame
+    const auto check_after = [&](uint64_t through) {
+      std::vector<net::GameEvent> expected;
+      for (size_t f = through + 1; f < emitted.size(); ++f)
+        expected.insert(expected.end(), emitted[f].begin(), emitted[f].end());
+      EXPECT_TRUE(same_events(net::decode_span(log.events_after(through)),
+                              expected))
+          << "through frame " << through;
+    };
+    const auto run_frames = [&](uint64_t last) {
+      for (uint64_t frame = emitted.size(); frame <= last; ++frame) {
+        emitted.emplace_back();
+        const int n = frame % 4 == 0 ? 0 : 1 + static_cast<int>(frame % 5);
+        for (int i = 0; i < n; ++i) {
+          const net::GameEvent e{static_cast<uint8_t>(1 + rng.next_u32() % 9),
+                                 rng.next_u32(), rng.next_u32(),
+                                 rng.point_in({-500, -500, 0}, {500, 500, 90})};
+          log.emit(e);
+          emitted.back().push_back(e);
+        }
+        EXPECT_EQ(log.seal_frame(frame), static_cast<size_t>(n));
+      }
+    };
+    run_frames(12);
+    for (uint64_t through = 0; through <= 12; ++through) check_after(through);
+    log.trim_through(5);
+    for (uint64_t through = 5; through <= 12; ++through) check_after(through);
+    run_frames(20);  // sealed after the trim, behind the shifted frames
+    log.trim_through(9);
+    for (uint64_t through = 9; through <= 20; ++through) check_after(through);
+  });
+  p.run();
 }
 
 TEST(EventLogEquivalence, SequentialGameMatchesPerClientBuffers) {

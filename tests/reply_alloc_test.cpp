@@ -1,20 +1,25 @@
 // Reply-path allocation discipline (DESIGN.md §15): the event log makes
-// the per-frame event fan-out one copy per reply instead of a buffer
-// update per client, the world phase reuses world-owned containers, and
-// the view refresh, sweep and span encoders reuse their buffers, so a
-// steady-state reply allocates nothing where the oracle encoders
-// (tests/reply_oracle.hpp) allocate per message. This binary includes the
+// the per-frame event fan-out one span copy per reply instead of a buffer
+// update per client, the world phase reuses world-owned containers, the
+// view refresh, sweep and span encoders reuse their buffers, and so do
+// the lock plan and the governor's window, so a steady-state reply
+// allocates nothing where the oracle encoders (tests/reply_oracle.hpp)
+// allocate per message. This binary includes the
 // bench allocation counter (global operator new override) so the
 // assertions count real heap traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "bench/alloc_counter.hpp"
 #include "src/core/global_state.hpp"
+#include "src/core/lock_manager.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/resilience/governor.hpp"
 #include "src/sim/snapshot.hpp"
+#include "src/spatial/areanode_tree.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/util/rng.hpp"
 #include "tests/reply_oracle.hpp"
@@ -38,19 +43,16 @@ TEST(ReplyAlloc, EventLogReadsEachClientsTailInOrder) {
     EXPECT_EQ(gsb.seal_frame(3), 1u);
     EXPECT_EQ(gsb.logged_frames(), 2u);
 
-    std::vector<net::GameEvent> out;
-    gsb.events_after(0, out);  // joined before frame 1
+    auto out = net::decode_span(gsb.events_after(0));  // joined before 1
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].kind, 1);
     EXPECT_EQ(out[1].kind, 2);
     EXPECT_EQ(out[2].kind, 3);
-    out.clear();
-    gsb.events_after(2, out);  // replied at frame 2
+    out = net::decode_span(gsb.events_after(2));  // replied at frame 2
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].kind, 3);
-    out.clear();
-    gsb.events_after(3, out);  // replied this frame already
-    EXPECT_TRUE(out.empty());
+    // Replied this frame already.
+    EXPECT_EQ(gsb.events_after(3).count, 0u);
   });
   p.run();
 }
@@ -61,8 +63,6 @@ TEST(ReplyAlloc, EventLogSteadyStateAllocFree) {
   vt::SimPlatform p;
   GlobalStateBuffer gsb(p);
   p.spawn("t", vt::Domain::kServer, [&] {
-    std::vector<net::GameEvent> out;
-    out.reserve(1024);
     uint64_t through[3] = {0, 0, 0};
     uint64_t frame = 0;
     const auto run_frame = [&] {
@@ -74,9 +74,9 @@ TEST(ReplyAlloc, EventLogSteadyStateAllocFree) {
       // Client k replies every k+1 frames.
       for (int k = 0; k < 3; ++k) {
         if (frame % static_cast<uint64_t>(k + 1) != 0) continue;
-        out.clear();
-        gsb.events_after(through[k], out);
-        EXPECT_EQ(out.size(), 8u * (frame - through[k]));
+        const net::EventSpan span = gsb.events_after(through[k]);
+        EXPECT_EQ(span.count, 8u * (frame - through[k]));
+        EXPECT_EQ(span.data[0], 1);  // each read starts at a frame's first
         through[k] = frame;
       }
     };
@@ -86,6 +86,75 @@ TEST(ReplyAlloc, EventLogSteadyStateAllocFree) {
     EXPECT_EQ(bench::heap_allocs() - before, 0u)
         << "sealing, reading and trimming must reuse the log's capacity";
     EXPECT_LT(gsb.logged_frames(), 200u);  // trimmed as it goes
+  });
+  p.run();
+}
+
+// The governor's p95 works in a buffer sized at construction: no frame
+// allocates, from the first through several full windows, while the
+// ladder steps down under slow frames and back up under fast ones.
+TEST(ReplyAlloc, GovernorOnFrameAllocFree) {
+  resilience::Config cfg;
+  cfg.governor = true;
+  cfg.window = 32;
+  cfg.dwell = 4;
+  resilience::FrameGovernor gov(cfg);
+  uint64_t allocs = 0;
+  for (int frame = 0; frame < 5 * cfg.window; ++frame) {
+    const bool slow = frame < 3 * cfg.window;
+    const vt::Duration t = vt::millis(slow ? 40 + frame % 7 : 5 + frame % 3);
+    const uint64_t before = bench::heap_allocs();
+    gov.on_frame(t);
+    allocs += bench::heap_allocs() - before;
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(gov.counters().steps_down, 0u);
+  EXPECT_GT(gov.counters().steps_up, 0u);
+}
+
+// Once warm, planning, acquiring and releasing a move's region locks
+// allocates nothing, with attacking and plain moves alternating (an
+// attack plans a second, long-range region) under both locking policies.
+TEST(ReplyAlloc, LockPlanAcquireReleaseAllocFree) {
+  vt::SimPlatform p;
+  const Aabb bounds{{-1024, -1024, 0}, {1024, 1024, 256}};
+  spatial::AreanodeTree tree(bounds, 4);
+  LockManager lm(p, tree, sim::CostModel{});
+  p.spawn("t", vt::Domain::kServer, [&] {
+    Rng rng(9);
+    std::array<sim::Entity, 16> players;
+    for (sim::Entity& e : players) {
+      e.type = sim::EntityType::kPlayer;
+      e.origin = rng.point_in({-900, -900, 24}, {900, 900, 40});
+      e.yaw_deg = rng.uniform(0.0f, 360.0f);
+      e.mins = sim::kPlayerMins;
+      e.maxs = sim::kPlayerMaxs;
+    }
+    std::vector<int> requests;
+    LockManager::Region region;
+    ThreadStats st;
+    uint64_t hot_allocs = 0;
+    for (int round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < 2 * players.size(); ++i) {
+        const LockPolicy policy =
+            (i / players.size()) != 0 ? LockPolicy::kConservative
+                                      : LockPolicy::kOptimized;
+        net::MoveCmd cmd;
+        cmd.msec = 30;
+        cmd.forward = 200;
+        cmd.yaw_deg = players[i % players.size()].yaw_deg;
+        cmd.buttons = (i & 1) != 0 ? net::kButtonAttack
+                      : (i & 2) != 0 ? net::kButtonThrow
+                                     : 0;
+        const uint64_t before = bench::heap_allocs();
+        lm.plan_request(policy, players[i % players.size()], cmd, requests);
+        lm.acquire(requests, 0, st, region);
+        lm.release(region);
+        if (round > 0) hot_allocs += bench::heap_allocs() - before;
+      }
+    }
+    EXPECT_EQ(hot_allocs, 0u);
+    EXPECT_GT(st.locks.relocks, 0u);  // attacks re-locked their own leaves
   });
   p.run();
 }
@@ -169,6 +238,7 @@ TEST(ReplyAlloc, SweepAndEncodeSteadyStateAllocFree) {
   net::ByteWriter wire;
   std::vector<std::vector<net::EntityUpdate>> baselines(players.size());
   const std::vector<net::GameEvent> events{ev(1), ev(2)};
+  const net::EventRecords records(events);
   uint64_t path_allocs = 0, oracle_allocs = 0;
   for (uint32_t frame = 1; frame <= 40; ++frame) {
     const bool hot = frame > 8;
@@ -182,13 +252,14 @@ TEST(ReplyAlloc, SweepAndEncodeSteadyStateAllocFree) {
     world.refresh_view();
     for (size_t i = 0; i < players.size(); ++i) {
       sim::sweep_snapshot(world, *world.get(players[i]), frame, frame, 0,
-                          events, snap, rows);
+                          records.count, snap, rows);
       wire.clear();
       if ((i & 1) != 0) {
         sim::write_delta_snapshot(snap, world.view(), rows, baselines[i],
-                                  frame - 1, scratch, wire);
+                                  frame - 1, records.span(), scratch, wire);
       } else {
-        sim::write_full_snapshot(snap, world.view(), rows, wire);
+        sim::write_full_snapshot(snap, world.view(), rows, records.span(),
+                                 wire);
       }
     }
     if (hot) path_allocs += bench::heap_allocs() - before;

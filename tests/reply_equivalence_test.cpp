@@ -97,7 +97,8 @@ std::vector<net::GameEvent> some_events(Rng& rng) {
 
 // The view sweep selects the same entities, in the same order, with the
 // same fields, as the per-entity oracle gather — on PVS maps and LOS
-// (no-PVS) maps, with and without far-thinning.
+// (no-PVS) maps, with and without far-thinning — and its reply, with the
+// events as encoded records, is byte-identical to the oracle's.
 TEST(ReplyEquivalence, ViewSweepMatchesOracleGather) {
   for (const bool with_pvs : {true, false}) {
     TestWorld tw(with_pvs, 5);
@@ -109,6 +110,7 @@ TEST(ReplyEquivalence, ViewSweepMatchesOracleGather) {
       tw.mutate(rng);
       tw.world.refresh_view();
       const auto events = some_events(rng);
+      const net::EventRecords records(events);
       for (const uint32_t pid : tw.player_ids) {
         const sim::Entity* viewer = tw.world.get(pid);
         ASSERT_NE(viewer, nullptr);
@@ -117,8 +119,8 @@ TEST(ReplyEquivalence, ViewSweepMatchesOracleGather) {
             sim::build_snapshot(tw.world, *viewer, frame, 7, 123, events,
                                 oracle_snap, thin_far);
         const auto stats = sim::sweep_snapshot(tw.world, *viewer, frame, 7,
-                                               123, events, view_snap, rows,
-                                               thin_far);
+                                               123, records.count, view_snap,
+                                               rows, thin_far);
         EXPECT_EQ(stats.interest_checks, oracle_stats.interest_checks);
         EXPECT_EQ(stats.los_traces, oracle_stats.los_traces);
         EXPECT_EQ(stats.los_brushes, oracle_stats.los_brushes);
@@ -132,7 +134,10 @@ TEST(ReplyEquivalence, ViewSweepMatchesOracleGather) {
         for (size_t i = 0; i < rows.size(); ++i) {
           EXPECT_EQ(tw.world.view().ids[rows[i]], view_snap.entities[i].id);
         }
-        EXPECT_EQ(net::encode(view_snap), net::encode(oracle_snap));
+        net::ByteWriter w;
+        sim::write_full_snapshot(view_snap, tw.world.view(), rows,
+                                 records.span(), w);
+        EXPECT_EQ(w.data(), net::encode(oracle_snap));
       }
     }
   }
@@ -158,8 +163,8 @@ TEST(ReplyEquivalence, SweepChargesMatchOracle) {
           const vt::TimePoint t0 = p.now();
           sim::build_snapshot(tw.world, viewer, frame, 1, 2, events, snap);
           const vt::TimePoint t1 = p.now();
-          sim::sweep_snapshot(tw.world, viewer, frame, 1, 2, events, snap,
-                              rows);
+          sim::sweep_snapshot(tw.world, viewer, frame, 1, 2, events.size(),
+                              snap, rows);
           const vt::TimePoint t2 = p.now();
           EXPECT_GT((t1 - t0).ns, 0);
           EXPECT_EQ((t2 - t1).ns, (t1 - t0).ns)
@@ -172,7 +177,7 @@ TEST(ReplyEquivalence, SweepChargesMatchOracle) {
 }
 
 // Full encoding is byte-identical to net::encode over the same entity
-// set.
+// set, the span of encoded event records included.
 TEST(ReplyEquivalence, FullEncodeByteIdentical) {
   TestWorld tw(/*with_pvs=*/true, 23);
   Rng rng(17);
@@ -182,14 +187,17 @@ TEST(ReplyEquivalence, FullEncodeByteIdentical) {
     tw.mutate(rng);
     tw.world.refresh_view();
     const auto events = some_events(rng);
+    const net::EventRecords records(events);
     for (const uint32_t pid : tw.player_ids) {
       const sim::Entity* viewer = tw.world.get(pid);
-      sim::sweep_snapshot(tw.world, *viewer, frame, 42, 555, events, snap,
-                          rows);
+      sim::sweep_snapshot(tw.world, *viewer, frame, 42, 555, records.count,
+                          snap, rows);
       snap.assigned_port = static_cast<uint16_t>(frame);  // exercise field
+      snap.events = events;  // the oracle encodes them field by field
       const std::vector<uint8_t> oracle = net::encode(snap);
       net::ByteWriter w;
-      sim::write_full_snapshot(snap, tw.world.view(), rows, w);
+      sim::write_full_snapshot(snap, tw.world.view(), rows, records.span(),
+                               w);
       EXPECT_EQ(w.data(), oracle) << "frame " << frame << " viewer " << pid;
     }
   }
@@ -211,10 +219,13 @@ TEST(ReplyEquivalence, DeltaEncodeByteIdentical) {
     tw.mutate(rng);
     tw.world.refresh_view();
     const auto events = some_events(rng);
+    const net::EventRecords records(events);
     for (size_t vi = 0; vi < tw.player_ids.size(); ++vi) {
       const sim::Entity* viewer = tw.world.get(tw.player_ids[vi]);
-      sim::sweep_snapshot(tw.world, *viewer, frame, frame * 3, 999, events,
-                          snap, rows, /*thin_far=*/(frame % 3) == 0);
+      sim::sweep_snapshot(tw.world, *viewer, frame, frame * 3, 999,
+                          records.count, snap, rows,
+                          /*thin_far=*/(frame % 3) == 0);
+      snap.events = events;  // the oracle encodes them field by field
       std::vector<net::EntityUpdate> baseline = history[vi];
       if (frame % 4 == 0) {
         // Arbitrary baseline order must not change the bytes (the
@@ -226,8 +237,9 @@ TEST(ReplyEquivalence, DeltaEncodeByteIdentical) {
       const std::vector<uint8_t> oracle =
           net::encode_delta(snap, baseline, bf, &oracle_count);
       net::ByteWriter w;
-      const int count = sim::write_delta_snapshot(
-          snap, tw.world.view(), rows, baseline, bf, scratch, w);
+      const int count =
+          sim::write_delta_snapshot(snap, tw.world.view(), rows, baseline, bf,
+                                    records.span(), scratch, w);
       EXPECT_EQ(count, oracle_count);
       EXPECT_EQ(w.data(), oracle) << "frame " << frame << " viewer " << vi;
       history[vi] = snap.entities;

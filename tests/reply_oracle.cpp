@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/sim/combat.hpp"
+#include "src/util/check.hpp"
 
 namespace qserv::sim {
 
@@ -183,6 +184,21 @@ std::vector<uint8_t> encode_delta(const Snapshot& now,
   }
   if (stats_encoded_out != nullptr) *stats_encoded_out = encoded;
   return w.take();
+}
+
+EventRecords::EventRecords(const std::vector<GameEvent>& events)
+    : count(events.size()) {
+  for (const GameEvent& e : events) write_event(wire, e);
+}
+
+std::vector<GameEvent> decode_span(EventSpan span) {
+  ByteWriter section;
+  section.u16(static_cast<uint16_t>(span.count));
+  section.bytes(span.data, span.bytes());
+  ByteReader r(section.data());
+  std::vector<GameEvent> events;
+  QSERV_CHECK(decode_events(r, events) && r.remaining() == 0);
+  return events;
 }
 
 }  // namespace qserv::net

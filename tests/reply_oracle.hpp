@@ -40,4 +40,16 @@ std::vector<uint8_t> encode_delta(const Snapshot& now,
                                   uint32_t baseline_frame,
                                   int* stats_encoded_out = nullptr);
 
+// `events` as the server's event log holds them: wire records back to
+// back, encoded at the flip, and the span the snapshot encoders take.
+struct EventRecords {
+  explicit EventRecords(const std::vector<GameEvent>& events);
+  EventSpan span() const { return {wire.data().data(), count}; }
+  ByteWriter wire;
+  size_t count = 0;
+};
+
+// Decodes an event-log span with the protocol's snapshot event decoder.
+std::vector<GameEvent> decode_span(EventSpan span);
+
 }  // namespace qserv::net

@@ -7,6 +7,7 @@
 #include "src/sim/snapshot.hpp"
 #include "src/spatial/map_gen.hpp"
 #include "src/util/rng.hpp"
+#include "tests/reply_oracle.hpp"
 
 namespace qserv::sim {
 namespace {
@@ -19,12 +20,10 @@ class CollectEvents : public EventSink {
 
 // The reply phase's sweep over a freshly refreshed entity view.
 SnapshotStats sweep(World& w, const Entity& player, uint32_t frame,
-                    uint32_t ack, int64_t echo,
-                    const std::vector<net::GameEvent>& events,
-                    net::Snapshot& snap) {
+                    uint32_t ack, int64_t echo, net::Snapshot& snap) {
   w.refresh_view();
   std::vector<uint32_t> rows;
-  return sweep_snapshot(w, player, frame, ack, echo, events, snap, rows);
+  return sweep_snapshot(w, player, frame, ack, echo, 0, snap, rows);
 }
 
 net::MoveCmd forward_cmd(float yaw = 0.0f, uint16_t msec = 30) {
@@ -260,7 +259,7 @@ TEST(Snapshot, ContainsSelfStateAndNearbyEntities) {
   a.health = 64;
   a.frags = 3;
   net::Snapshot snap;
-  const auto stats = sweep(w, a, 10, 5, 999, {}, snap);
+  const auto stats = sweep(w, a, 10, 5, 999, snap);
   EXPECT_EQ(snap.health, 64);
   EXPECT_EQ(snap.frags, 3);
   EXPECT_EQ(snap.server_frame, 10u);
@@ -280,7 +279,7 @@ TEST(Snapshot, FarEntitiesAreCulled) {
   b.origin = Vec3{-a.origin.x, -a.origin.y, a.origin.z};  // opposite corner
   w.relink(b);
   net::Snapshot snap;
-  sweep(w, a, 1, 0, 0, {}, snap);
+  sweep(w, a, 1, 0, 0, snap);
   for (const auto& e : snap.entities) EXPECT_NE(e.id, b.id);
 }
 
@@ -299,7 +298,7 @@ TEST(Snapshot, WallsBlockPlayerVisibilityWithoutPvs) {
   const float d = dist(a.origin, b.origin);
   if (d < kInterestRange && d > kAlwaysAudibleRange) {
     net::Snapshot snap;
-    const auto stats = sweep(w, a, 1, 0, 0, {}, snap);
+    const auto stats = sweep(w, a, 1, 0, 0, snap);
     const auto tr =
         w.collision().trace_line(eye_pos(a), eye_pos(b));
     bool saw_b = false;
@@ -335,7 +334,7 @@ TEST(Snapshot, PvsCullsOccludedClusters) {
   const float d = dist(a.origin, b.origin);
   if (d < kInterestRange && !map.pvs.can_see(0, 2)) {
     net::Snapshot snap;
-    const auto stats = sweep(w, a, 1, 0, 0, {}, snap);
+    const auto stats = sweep(w, a, 1, 0, 0, snap);
     bool saw_b = false;
     for (const auto& e : snap.entities) saw_b |= e.id == b.id;
     EXPECT_FALSE(saw_b);
@@ -348,12 +347,21 @@ TEST(Snapshot, PvsCullsOccludedClusters) {
 TEST(Snapshot, EventsAreBroadcast) {
   World w(spatial::make_arena(1024), {});
   Entity& a = w.spawn_player("a");
-  std::vector<net::GameEvent> events{make_event(EventKind::kFrag, 1, 2, {}),
-                                     make_event(EventKind::kPickup, 3, 4, {})};
+  const net::EventRecords events({make_event(EventKind::kFrag, 1, 2, {}),
+                                  make_event(EventKind::kPickup, 3, 4, {})});
+  w.refresh_view();
   net::Snapshot snap;
-  sweep(w, a, 1, 0, 0, events, snap);
-  ASSERT_EQ(snap.events.size(), 2u);
-  EXPECT_EQ(snap.events[0].kind, static_cast<uint8_t>(EventKind::kFrag));
+  std::vector<uint32_t> rows;
+  sweep_snapshot(w, a, 1, 0, 0, events.count, snap, rows);
+  net::ByteWriter wire;
+  write_full_snapshot(snap, w.view(), rows, events.span(), wire);
+  net::ByteReader r(wire.data());
+  net::ServerMsgType type{};
+  net::Snapshot sent;
+  ASSERT_TRUE(net::decode_server_type(r, type) && net::decode(r, sent));
+  ASSERT_EQ(sent.events.size(), 2u);
+  EXPECT_EQ(sent.events[0].kind, static_cast<uint8_t>(EventKind::kFrag));
+  EXPECT_EQ(sent.events[1].a, 3u);
 }
 
 }  // namespace
